@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import schur
 
 from .analytic import DetuningSpec
 from .exceptions import ConvergenceError, DomainError, StabilityError
@@ -57,10 +58,22 @@ class LayerKernel:
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Drift generator of the coupled layer modes."""
+    """Drift generator of the coupled layer modes and its Schur form.
+
+    ``matrix = schur_q @ schur_t @ schur_q.conj().T`` with ``schur_t``
+    upper triangular and ``schur_q`` unitary.  The factors are computed
+    once per matrix and shared by every steady-state solve against it,
+    possibly from several threads, so they are stored read-only.
+    """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+    schur_t: np.ndarray
+    schur_q: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the drift generator, the diagonal of ``schur_t``."""
+        return np.diag(self.schur_t)
 
 
 @lru_cache(maxsize=64)
@@ -234,21 +247,25 @@ def drift_matrix(
     A[n, m] = -D[n, m] off the diagonal.  The generator must be strictly
     stable for a steady state to exist; at exact phase matching the
     dark layer modes are damped only by gamma_s, so gamma_s = 0 leaves
-    marginal modes and is rejected here.
+    marginal modes and is rejected here.  The stability check reads the
+    eigenvalues off the complex Schur form, which the steady-state
+    solves then reuse.
     """
     n_z = kernel.d_matrix.shape[0]
     diag = 1j * det.eff_detuning - 0.5 * (rates.gamma_s + rates.gamma0)
     a = -kernel.d_matrix.astype(complex)
     a[np.arange(n_z), np.arange(n_z)] = diag
-    eigenvalues = np.linalg.eigvals(a)
+    schur_t, schur_q = schur(a, output="complex")
+    schur_t.setflags(write=False)
+    schur_q.setflags(write=False)
     threshold = -1e-12 * rates.gamma0
-    worst = float(np.max(eigenvalues.real))
+    worst = float(np.max(np.diag(schur_t).real))
     if worst >= threshold:
         raise StabilityError(
             f"drift matrix not strictly stable: max Re(eig) = {worst:.3e} "
             f"(threshold {threshold:.3e}); add non-collective loss"
         )
-    return DriftMatrix(matrix=a, eigenvalues=eigenvalues)
+    return DriftMatrix(matrix=a, schur_t=schur_t, schur_q=schur_q)
 
 
 def delta_prime(
@@ -262,28 +279,22 @@ def delta_prime(
     Projecting the evanescent part of the kernel onto the travelling
     collective mode gives
 
-        delta' = (1/N_z) sum_{n != m} eps[n, m] e^{i k a_z (n - m)},
+        delta' = (1/N_z) sum_{n != m} eps[n, m] e^{i k a_z (n - m)}.
 
-    which is real by symmetry of eps; the residual imaginary part is
-    asserted below.  Driving the stack at this shifted frequency
-    restores the ideal mirror response to first order.
+    eps depends only on s = |n - m|, which N_z - s ordered pairs share
+    in each direction, so the sum folds into the real cosine series
+
+        delta' = (2/N_z) sum_{s=1}^{N_z-1} (N_z - s) eps(s) cos(k a_z s).
+
+    The shift depends on the geometry alone; ``rates`` is not used and
+    stays in the signature for existing callers.  Driving the stack at
+    this shifted frequency restores the ideal mirror response to first
+    order.
     """
     n_z = geom.n_layers
-    if n_z == 1:
-        return 0.0
-    kaz = geom.axial_phase
-    total = 0.0 + 0.0j
-    eps_by_sep = {
-        sep: _eps_sum(geom, sep, tol, max_order)[0] for sep in range(1, n_z)
-    }
-    for n in range(n_z):
-        for m in range(n_z):
-            if n == m:
-                continue
-            total += eps_by_sep[abs(n - m)] * np.exp(1j * kaz * (n - m))
-    total /= n_z
-    if abs(total.imag) > 1e-10 * rates.gamma0:
-        raise DomainError(
-            f"collective shift acquired an imaginary part {total.imag:.3e}"
-        )
-    return float(total.real)
+    seps = np.arange(1, n_z)
+    eps_by_sep = np.array(
+        [_eps_sum(geom, int(sep), tol, max_order)[0] for sep in seps]
+    )
+    weights = (n_z - seps) * np.cos(geom.axial_phase * seps)
+    return float(2.0 / n_z * np.dot(weights, eps_by_sep))

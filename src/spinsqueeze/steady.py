@@ -6,6 +6,15 @@ states solve two Sylvester equations
 
     conj(A) n + n A^T + s_n = 0,      A m + m A^T + s_m = 0.
 
+Both are solved by the Bartels-Stewart method from the one complex
+Schur form A = Q T Q^H that :func:`layers.drift_matrix` computes: with
+m = Q Y Q^T and n = conj(Q) Y Q^T they become the triangular equations
+
+    T Y + Y T^T = -Q^H s_m conj(Q),   conj(T) Y + Y T^T = -Q^T s_n conj(Q),
+
+each one LAPACK trsyl call, so no grid point factorises the drift
+matrix again.
+
 Everything observable is then a quadratic form of these matrices; the
 collective squeezing parameter projects them onto the phase-matched
 travelling mode.
@@ -18,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_sylvester
+from scipy.linalg.lapack import ztrsyl
 
 from .analytic import SqueezingResult
 from .exceptions import PhysicalityError, ResidualError
@@ -62,6 +71,28 @@ def _residual(
     return float(np.linalg.norm(res) / scale)
 
 
+def solve_sylvester(
+    r: np.ndarray,
+    u: np.ndarray,
+    s: np.ndarray,
+    v: np.ndarray,
+    q: np.ndarray,
+) -> np.ndarray:
+    """Solve a X + X b = q from the Schur forms a = u r u^H, b^H = v s v^H.
+
+    ``r`` and ``s`` are upper triangular and ``u`` and ``v`` unitary.
+    With X = u Y v^H the equation becomes r Y + Y s^H = u^H q v, which
+    one LAPACK ztrsyl call solves by back substitution.  The factors
+    are only read, never written.
+    """
+    f = np.dot(np.dot(u.conj().T, q), v)
+    y, scale, info = ztrsyl(r, s, f, tranb="C")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"ztrsyl rejected argument {-info}")
+    y = y / scale
+    return np.dot(np.dot(u, y), v.conj().T)
+
+
 def _solve_eigenbasis(a_left: np.ndarray, a_right: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Sylvester solve by double diagonalisation.
 
@@ -83,15 +114,23 @@ def solve_moments(
 ) -> SteadyStateMoments:
     """Solve the two steady-state Sylvester equations.
 
-    ``method`` selects the linear algebra route: "schur" uses the
-    standard Bartels-Stewart algorithm, "eig" an independent eigenbasis
-    solve kept for cross-validation.  Results are symmetrised to remove
-    roundoff asymmetry before the residual check.
+    ``method`` selects the linear algebra route: "schur" runs the
+    Bartels-Stewart back substitution on the Schur factors that
+    ``drift`` already carries, one :func:`solve_sylvester` call per
+    equation and no new factorisation; "eig" is an independent
+    eigenbasis solve kept for cross-validation.  Results are symmetrised
+    to remove roundoff asymmetry before the residual check.
     """
     a = drift.matrix
     if method == "schur":
-        n_mat = solve_sylvester(a.conj(), a.T, -diff.s_n.astype(complex))
-        m_mat = solve_sylvester(a, a.T, -diff.s_m.astype(complex))
+        # A^T = conj(A)^H with conj(A) = conj(Q) conj(T) conj(Q)^H, so
+        # both equations take conj(T), conj(Q) as their right factors.
+        t, q = drift.schur_t, drift.schur_q
+        t_conj, q_conj = t.conj(), q.conj()
+        n_mat = solve_sylvester(
+            t_conj, q_conj, t_conj, q_conj, -diff.s_n.astype(complex)
+        )
+        m_mat = solve_sylvester(t, q, t_conj, q_conj, -diff.s_m.astype(complex))
     elif method == "eig":
         n_mat = _solve_eigenbasis(a.conj(), a.T, diff.s_n.astype(complex))
         m_mat = _solve_eigenbasis(a, a.T, diff.s_m.astype(complex))

@@ -178,6 +178,23 @@ def test_drift_matrix_entries_and_stability():
     assert drift.eigenvalues.real.max() < 0.0
 
 
+def test_drift_matrix_carries_its_schur_form():
+    geom, rates = stack(lattice_const=0.9, n_layers=7, layer_spacing=0.8)
+    kernel = interaction_kernel(geom, rates)
+    drift = drift_matrix(kernel, rates, DetuningSpec(eff_detuning=0.3))
+    t, q = drift.schur_t, drift.schur_q
+    assert np.array_equal(t, np.triu(t))
+    assert np.allclose(q.conj().T @ q, np.eye(7), atol=1e-13)
+    assert np.allclose(q @ t @ q.conj().T, drift.matrix, atol=1e-13)
+    assert np.array_equal(drift.eigenvalues, np.diag(t))
+    assert np.allclose(
+        np.sort_complex(drift.eigenvalues),
+        np.sort_complex(np.linalg.eigvals(drift.matrix)),
+        atol=1e-12,
+    )
+    assert not t.flags.writeable and not q.flags.writeable
+
+
 def test_drift_matrix_flags_marginal_modes():
     # With no free-space leak and perfect phase matching the dark modes
     # sit exactly on the imaginary axis; that configuration cannot be
@@ -206,18 +223,23 @@ def test_delta_prime_single_layer_is_zero():
 
 
 def test_delta_prime_matches_direct_projection():
-    geom, rates = stack(lattice_const=0.9, n_layers=7)
-    kernel = interaction_kernel(geom, rates)
-    n_z = geom.n_layers
-    phase = geom.axial_phase
-    total = 0.0j
-    for n in range(n_z):
-        for m in range(n_z):
-            if n == m:
-                continue
-            total += kernel.eps_matrix[n, m] * np.exp(1j * phase * (n - m))
-    expected = total.real / n_z
-    assert delta_prime(geom, rates) == pytest.approx(expected, rel=1e-12)
+    # The plain double sum over layer pairs, also on a deep stack at the
+    # strongly coupled lattice constant of fig4; its imaginary part
+    # cancels, which the cosine series in delta_prime relies on.
+    for lattice_const, n_layers in ((0.9, 7), (0.95, 60)):
+        geom, rates = stack(lattice_const=lattice_const, n_layers=n_layers)
+        kernel = interaction_kernel(geom, rates)
+        n_z = geom.n_layers
+        phase = geom.axial_phase
+        total = 0.0j
+        for n in range(n_z):
+            for m in range(n_z):
+                if n == m:
+                    continue
+                total += kernel.eps_matrix[n, m] * np.exp(1j * phase * (n - m))
+        assert abs(total.imag) < 1e-12 * abs(total.real)
+        expected = total.real / n_z
+        assert delta_prime(geom, rates) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lattice_const_domain():

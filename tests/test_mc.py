@@ -168,7 +168,8 @@ def test_divergent_drift_is_caught():
     geom, _, diff = stack(1)
     runaway = DriftMatrix(
         matrix=0.2 * np.eye(1, dtype=complex),
-        eigenvalues=np.array([0.2 + 0.0j]),
+        schur_t=0.2 * np.eye(1, dtype=complex),
+        schur_q=np.eye(1, dtype=complex),
     )
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
     with pytest.raises(StabilityError):

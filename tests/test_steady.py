@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinsqueeze import layers
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
     DetuningSpec,
     SqueezedVacuumSpec,
+    build_config,
     collective_moments,
     compute_rates,
     drift_matrix,
     interaction_kernel,
     noise_diffusions,
+    run_sweep,
     single_layer_rate,
     solve_moments,
     waist_for_overlap,
@@ -124,6 +130,73 @@ def test_eigenbasis_route_agrees():
     via_eig = xi2_numeric(solve_moments(drift, diff, method="eig"), geom)
     assert via_eig.xi2 == pytest.approx(via_schur.xi2, rel=1e-10)
     assert via_eig.theta_opt == pytest.approx(via_schur.theta_opt, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 30),
+    lattice_const=st.floats(0.3, 0.95),
+    layer_spacing=st.floats(0.5, 1.5),
+    eff_detuning=st.floats(-2.0, 2.0),
+    log10_photons=st.floats(-2.0, 3.0),
+    purity=st.floats(0.0, 1.0),
+)
+def test_schur_and_eigenbasis_routes_agree_on_random_stacks(
+    n_layers, lattice_const, layer_spacing, eff_detuning, log10_photons, purity
+):
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        layer_spacing=layer_spacing)
+    spec = SqueezedVacuumSpec(n_photons=10.0**log10_photons, purity=purity)
+    drift, diff = build_problem(geom, rates, spec, DetuningSpec(eff_detuning))
+    via_schur = solve_moments(drift, diff, method="schur")
+    via_eig = solve_moments(drift, diff, method="eig")
+    for ours, theirs in ((via_schur.n_matrix, via_eig.n_matrix),
+                         (via_schur.m_matrix, via_eig.m_matrix)):
+        assert np.abs(ours - theirs).max() <= 1e-9 * np.abs(ours).max()
+    result = xi2_numeric(via_schur, geom)
+    assert result.xi2 == pytest.approx(xi2_numeric(via_eig, geom).xi2, rel=1e-9)
+    assert result.xi2 * result.xi2_anti >= 1.0
+
+
+def test_each_drift_matrix_is_factorised_once(monkeypatch):
+    calls = {"schur": 0, "eigvals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(layers, "schur", counted("schur", layers.schur))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    config = build_config({
+        "geometry.n_layers": "6",
+        "input.n_photons": "log:0.1:100:5",
+        "model": "numeric",
+    })
+    rows = run_sweep(config)
+    assert [row["error"] for row in rows] == [""] * 5
+    assert calls == {"schur": 1, "eigvals": 0}
+
+
+def test_threads_share_the_schur_factors():
+    # More threads than cores and a short switch interval interleave
+    # the solves that read one drift matrix's factors; any write to the
+    # shared factors would change a later point's result.
+    config = build_config({
+        "geometry.n_layers": "20",
+        "input.n_photons": "log:0.01:1000:40",
+        "model": "numeric",
+    })
+    serial = run_sweep(config, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_sweep(config, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert all(row["error"] == "" for row in serial)
 
 
 def test_residuals_are_recorded_and_small():
