@@ -107,7 +107,6 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
     )
     shift = delta_prime(
         config.geometry,
-        rates,
         tol=config.kernel_tol,
         max_order=config.kernel_max_order,
     )

@@ -13,7 +13,6 @@ defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -330,8 +329,3 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
         out_path=flat["output.path"],
         out_format=_parse_choice(flat, "output.format", _FORMATS),
     )
-
-
-def with_updates(config: ExperimentConfig, **updates: object) -> ExperimentConfig:
-    """Typed copy-with-changes helper for presets and tests."""
-    return dataclasses.replace(config, **updates)

@@ -270,7 +270,6 @@ def drift_matrix(
 
 def delta_prime(
     geom: ArrayGeometry,
-    rates: RateSet,
     tol: float = DEFAULT_EPS_TOL,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> float:
@@ -286,8 +285,7 @@ def delta_prime(
 
         delta' = (2/N_z) sum_{s=1}^{N_z-1} (N_z - s) eps(s) cos(k a_z s).
 
-    The shift depends on the geometry alone; ``rates`` is not used and
-    stays in the signature for existing callers.  Driving the stack at
+    The shift depends on the geometry alone.  Driving the stack at
     this shifted frequency restores the ideal mirror response to first
     order.
     """

@@ -139,7 +139,7 @@ def simulate_xi2(
     diff: DiffusionSet,
     geom: ArrayGeometry,
     params: McParams,
-    method: str = "euler",
+    method: str = "exact",
 ) -> tuple[float, float]:
     """Estimate the collective squeezing parameter from trajectories.
 
@@ -147,6 +147,9 @@ def simulate_xi2(
     |P|^2 and P^2 of the collective c-number amplitude per trajectory,
     picks the optimal quadrature from the pooled anomalous average, and
     takes the spread of the per-trajectory values as the error bar.
+    ``method`` picks the integrator (see :func:`_step_operators`); the
+    default, "exact", has no step bias and matches ``mc.method``'s
+    config default.
     """
     gen = stacked_drift(drift)
     cov = stacked_covariance(diff)

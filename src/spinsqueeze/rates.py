@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .exceptions import DomainError
 from .geometry import ArrayGeometry, BeamProfile
-from .special import erf, erf_inverse
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def overlap_efficiency(geom: ArrayGeometry, beam: BeamProfile) -> float:
             f"{beam.center}"
         )
     arg = geom.n_side * geom.lattice_const / (math.sqrt(2.0) * beam.waist)
-    e = erf(arg)
+    e = math.erf(arg)
     return e * e
 
 
@@ -98,12 +98,15 @@ def discrete_overlap(geom: ArrayGeometry, beam: BeamProfile) -> float:
 def waist_for_overlap(geom: ArrayGeometry, eta: float) -> float:
     """Waist that produces a requested overlap efficiency on this array.
 
-    Inverts the closed-form overlap, w = N a / (sqrt(2) erf^{-1}(sqrt(eta))).
+    Inverts the closed-form overlap, w = N a / (sqrt(2) erf^{-1}(sqrt(eta))),
+    through the normal quantile: sqrt(2) erf^{-1}(p) = -Phi^{-1}((1 - p)/2).
+    The ``1 - p`` form keeps eta just below 1 finite, where ``(1 + p)/2``
+    would round to 1.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie strictly inside (0, 1), got {eta}")
     return geom.n_side * geom.lattice_const / (
-        math.sqrt(2.0) * erf_inverse(math.sqrt(eta))
+        -NormalDist().inv_cdf(0.5 * (1.0 - math.sqrt(eta)))
     )
 
 

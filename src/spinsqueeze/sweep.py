@@ -65,10 +65,8 @@ def _resolve_detuning(config: ExperimentConfig) -> float:
         return 0.0
     if config.detuning_mode == "fixed":
         return config.detuning_value
-    rates = config.rates()
     return delta_prime(
         config.geometry,
-        rates,
         tol=config.kernel_tol,
         max_order=config.kernel_max_order,
     )
@@ -358,7 +356,6 @@ def preset_fig4(
     rates = config.rates()
     shift = delta_prime(
         config.geometry,
-        rates,
         tol=config.kernel_tol,
         max_order=config.kernel_max_order,
     )

@@ -142,11 +142,11 @@ def test_criterion_3_layer_count_asymptotes():
 
 def test_criterion_4_collective_shift():
     geom, _, rates = stack(lattice_const=0.68)
-    dilute = delta_prime(geom, rates) / rates.gamma0
+    dilute = delta_prime(geom) / rates.gamma0
     dilute_dev = abs(dilute / 1.6e-4 - 1.0)
 
     geom, _, rates = stack(lattice_const=0.95)
-    dense = delta_prime(geom, rates) / rates.gamma0
+    dense = delta_prime(geom) / rates.gamma0
     dense_dev = abs(abs(dense) / 0.35 - 1.0)
     ok = dilute_dev < 0.10 and dense_dev < 0.05
     _report(
@@ -172,7 +172,7 @@ def test_criterion_5_interacting_layers_match_analytic():
 
 def test_criterion_6_shift_compensated_dense_lattice():
     geom, _, rates = stack(lattice_const=0.95)
-    shift = delta_prime(geom, rates)
+    shift = delta_prime(geom)
     purity = 0.999
     worst = 0.0
     for n_photons in [0.01, 0.1, 1.0, 10.0, 100.0]:

@@ -13,7 +13,6 @@ from spinsqueeze.config import (
     load_config_file,
     parse_grid,
     resolve_config_path,
-    with_updates,
 )
 from spinsqueeze.exceptions import ConfigError
 from spinsqueeze.sweep import (
@@ -231,13 +230,6 @@ def test_rows_to_json_deterministic():
     assert parsed["rows"][0]["a"] == "x"
     assert parsed["meta"]["seed"] == 3
     assert payload.index('"a"') < payload.index('"b"')
-
-
-def test_with_updates_returns_modified_copy():
-    config = build_config()
-    changed = with_updates(config, model="analytic")
-    assert changed.model == "analytic"
-    assert config.model == "both"
 
 
 def test_preset_fig3b_summary_and_rows():

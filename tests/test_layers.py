@@ -207,19 +207,19 @@ def test_drift_matrix_flags_marginal_modes():
 
 def test_delta_prime_frozen_values():
     geom, rates = stack(lattice_const=0.68)
-    shift = delta_prime(geom, rates)
+    shift = delta_prime(geom)
     assert shift / rates.gamma0 == pytest.approx(1.6739993426e-4, rel=1e-9)
     assert shift > 0.0
 
     geom, rates = stack(lattice_const=0.95)
-    shift = delta_prime(geom, rates)
+    shift = delta_prime(geom)
     assert shift / rates.gamma0 == pytest.approx(-0.34873912038744403, rel=1e-10)
     assert shift == pytest.approx(-0.0922496756662409, rel=1e-10)
 
 
 def test_delta_prime_single_layer_is_zero():
-    geom, rates = stack(n_layers=1)
-    assert delta_prime(geom, rates) == 0.0
+    geom, _ = stack(n_layers=1)
+    assert delta_prime(geom) == 0.0
 
 
 def test_delta_prime_matches_direct_projection():
@@ -239,7 +239,7 @@ def test_delta_prime_matches_direct_projection():
                 total += kernel.eps_matrix[n, m] * np.exp(1j * phase * (n - m))
         assert abs(total.imag) < 1e-12 * abs(total.real)
         expected = total.real / n_z
-        assert delta_prime(geom, rates) == pytest.approx(expected, rel=1e-12)
+        assert delta_prime(geom) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lattice_const_domain():

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfinv
 
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
+    build_config,
     compute_rates,
     discrete_overlap,
     overlap_efficiency,
@@ -18,7 +20,6 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
-from spinsqueeze.special import erf
 
 
 def bench_geometry(**kwargs):
@@ -83,7 +84,7 @@ def test_beam_profile_validation_and_normalization():
 def test_overlap_efficiency_closed_form():
     geom = bench_geometry(n_layers=1)
     beam = BeamProfile(waist=15.0)
-    expected = erf(200 * 0.68 / (math.sqrt(2.0) * 15.0)) ** 2
+    expected = math.erf(200 * 0.68 / (math.sqrt(2.0) * 15.0)) ** 2
     assert overlap_efficiency(geom, beam) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DomainError):
         overlap_efficiency(geom, BeamProfile(waist=15.0, center=(1.0, 0.0)))
@@ -113,6 +114,22 @@ def test_waist_for_overlap_round_trip():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(DomainError):
             waist_for_overlap(geom, bad)
+
+
+@pytest.mark.parametrize(
+    "eta", [0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-12]
+)
+def test_waist_for_overlap_matches_reference_inverse(eta):
+    geom = bench_geometry(n_layers=1)
+    expected = 200 * 0.68 / (math.sqrt(2.0) * erfinv(math.sqrt(eta)))
+    assert waist_for_overlap(geom, eta) == pytest.approx(expected, rel=1e-13)
+
+
+def test_overlap_one_ulp_below_unity_builds():
+    # sqrt(eta) rounds to 1 - 2**-53 here, so (1 + sqrt(eta))/2 would
+    # round to 1 and leave the normal quantile undefined.
+    config = build_config({"beam.eta": "0.9999999999999999"})
+    assert math.isfinite(config.beam.waist) and config.beam.waist > 0.0
 
 
 def test_compute_rates_budget():
