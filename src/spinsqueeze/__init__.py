@@ -63,8 +63,11 @@ from .squeezed_input import (
 )
 from .steady import (
     SteadyStateMoments,
+    UnitResponse,
     collective_moments,
     solve_moments,
+    unit_response,
+    xi2_from_response,
     xi2_numeric,
 )
 from .sweep import fig_data, run_sweep
@@ -93,6 +96,7 @@ __all__ = [
     "SteadyStateMoments",
     "ThreeLevelSpec",
     "TruncationInfo",
+    "UnitResponse",
     "ValidityReport",
     "build_config",
     "collective_moments",
@@ -120,9 +124,11 @@ __all__ = [
     "stacked_covariance",
     "stacked_drift",
     "three_level_effective",
+    "unit_response",
     "validity_report",
     "waist_for_overlap",
     "xi2_analytic",
+    "xi2_from_response",
     "xi2_min",
     "xi2_min_vs_layers",
     "xi2_mismatch",

@@ -107,15 +107,27 @@ def noise_diffusions(
     geom: ArrayGeometry,
     rates: RateSet,
 ) -> DiffusionSet:
-    """Build the layer-space diffusion kernels of the driven stack.
+    """Build the layer-space diffusion kernels of the driven stack."""
+    n_phot, m_anom = field_moments(spec)
+    return moment_diffusions(n_phot, m_anom, geom, rates)
+
+
+def moment_diffusions(
+    n_phot: float,
+    m_anom: float,
+    geom: ArrayGeometry,
+    rates: RateSet,
+) -> DiffusionSet:
+    """Diffusion kernels for the input moments N = ``n_phot``, M = ``m_anom``.
 
     The travelling drive addresses layer n with phase k a_z n, so the
     occupation source depends on separations, cos(k a_z (n - m)), while
     the anomalous source depends on the total phase, cos(k a_z (n + m)).
     The commutator kernel is the phase-matched vacuum decay plus the
-    local extra loss.
+    local extra loss.  ``s_n`` is linear in N and ``s_m`` in M, which is
+    what lets one solve at N = M = 1 serve every input
+    (:func:`steady.unit_response`).
     """
-    n_phot, m_anom = field_moments(spec)
     n_z = geom.n_layers
     kaz = geom.axial_phase
     idx = np.arange(n_z)

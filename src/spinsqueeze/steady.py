@@ -17,7 +17,10 @@ matrix again.
 
 Everything observable is then a quadratic form of these matrices; the
 collective squeezing parameter projects them onto the phase-matched
-travelling mode.
+travelling mode.  The sources are linear in the input moments N and M,
+so one solve at N = M = 1 (:func:`unit_response`) gives the collective
+moments of every input to the same drift matrix, and
+:func:`xi2_from_response` evaluates each input in closed form.
 """
 
 from __future__ import annotations
@@ -33,10 +36,20 @@ from .analytic import SqueezingResult
 from .exceptions import PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
 from .layers import DriftMatrix
-from .squeezed_input import DiffusionSet
+from .rates import RateSet
+from .squeezed_input import (
+    DiffusionSet,
+    SqueezedVacuumSpec,
+    field_moments,
+    moment_diffusions,
+    quadrature_deficit,
+)
 
 RESIDUAL_HARD_LIMIT = 1e-8
 RESIDUAL_TARGET = 1e-10
+# Largest excess of purity * alpha over 1 that is taken for roundoff and
+# clamped; a positive steady state has |c_m| <= c_n.
+CONTRAST_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,6 +186,26 @@ def collective_moments(
     return float(pdp.real), complex(pp)
 
 
+def _check_occupation(pdp: float) -> None:
+    if pdp < -1e-10:
+        raise PhysicalityError(
+            f"collective occupation <P^dag P> = {pdp:.3e} is negative"
+        )
+
+
+def _squeezing_result(
+    pdp: float, pp: complex, xi2: float, xi2_anti: float
+) -> SqueezingResult:
+    """Package xi2 with the optimal angle 2 theta = pi - arg <P P>."""
+    theta = 0.0 if pp == 0 else 0.5 * ((math.pi - cmath.phase(pp)) % (2.0 * math.pi))
+    return SqueezingResult(
+        xi2=xi2,
+        theta_opt=theta,
+        xi2_anti=xi2_anti,
+        aux={"p_dag_p": pdp, "pp": pp},
+    )
+
+
 def xi2_numeric(
     moments: SteadyStateMoments,
     geom: ArrayGeometry,
@@ -183,17 +216,71 @@ def xi2_numeric(
     2 theta = pi - arg <P P>.
     """
     pdp, pp = collective_moments(moments, geom)
-    if pdp < -1e-10:
-        raise PhysicalityError(
-            f"collective occupation <P^dag P> = {pdp:.3e} is negative"
-        )
+    _check_occupation(pdp)
     mag = abs(pp)
     xi2 = 1.0 + 2.0 * pdp - 2.0 * mag
     xi2_anti = 1.0 + 2.0 * pdp + 2.0 * mag
-    theta = 0.0 if mag == 0.0 else 0.5 * ((math.pi - cmath.phase(pp)) % (2.0 * math.pi))
-    return SqueezingResult(
-        xi2=xi2,
-        theta_opt=theta,
-        xi2_anti=xi2_anti,
-        aux={"p_dag_p": pdp, "pp": pp},
-    )
+    return _squeezing_result(pdp, pp, xi2, xi2_anti)
+
+
+@dataclass(frozen=True)
+class UnitResponse:
+    """Collective moments of one drift matrix for unit input moments.
+
+    Every input (N, M) to the same drift matrix gives <P^dag P> = N c_n
+    and <P P> = M c_m.  ``c_n`` is the numeric counterpart of the
+    beam-splitter reflectivity r0; ``moments`` is the solve at
+    N = M = 1, residuals included.
+    """
+
+    c_n: float
+    c_m: complex
+    moments: SteadyStateMoments
+
+    @property
+    def alpha(self) -> float:
+        """Numeric squeezing contrast |c_m| / c_n (0 when c_n is not positive)."""
+        return abs(self.c_m) / self.c_n if self.c_n > 0.0 else 0.0
+
+
+def unit_response(
+    drift: DriftMatrix,
+    geom: ArrayGeometry,
+    rates: RateSet,
+) -> UnitResponse:
+    """Solve ``drift`` once for the sources at N = M = 1 and project.
+
+    The relative residuals are invariant under scaling a source, so the
+    residual check of this one solve stands for every input.
+    """
+    moments = solve_moments(drift, moment_diffusions(1.0, 1.0, geom, rates))
+    c_n, c_m = collective_moments(moments, geom)
+    return UnitResponse(c_n=c_n, c_m=c_m, moments=moments)
+
+
+def xi2_from_response(
+    response: UnitResponse,
+    spec: SqueezedVacuumSpec,
+) -> SqueezingResult:
+    """Squeezing parameter of one input from the unit response.
+
+    xi2 = 1 + 2 c_n quadrature_deficit(N, purity alpha), the beam-splitter
+    form with r0 -> c_n and alpha -> purity |c_m|/c_n, evaluated without
+    the cancellation of 1 + 2 <P^dag P> - 2 |<P P>|.  A contrast above 1
+    by at most ``CONTRAST_ROUNDOFF`` is clamped to 1; a larger one means
+    the solve is broken and raises :class:`PhysicalityError`.
+    """
+    n_phot, m_anom = field_moments(spec)
+    pdp = response.c_n * n_phot
+    _check_occupation(pdp)
+    coeff = spec.purity * response.alpha
+    if coeff > 1.0:
+        if coeff - 1.0 > CONTRAST_ROUNDOFF:
+            raise PhysicalityError(
+                f"squeezing contrast purity*|c_m|/c_n = {coeff!r} exceeds 1"
+            )
+        coeff = 1.0
+    root = math.sqrt(n_phot * (n_phot + 1.0))
+    xi2 = 1.0 + 2.0 * response.c_n * quadrature_deficit(n_phot, coeff)
+    xi2_anti = 1.0 + 2.0 * response.c_n * (n_phot + coeff * root)
+    return _squeezing_result(pdp, m_anom * response.c_m, xi2, xi2_anti)

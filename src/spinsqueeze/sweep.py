@@ -24,15 +24,15 @@ from .analytic import (
 )
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, SpinSqueezeError
-from .layers import delta_prime, drift_matrix, interaction_kernel
+from .layers import DriftMatrix, delta_prime, drift_matrix, interaction_kernel
 from .mc import simulate_xi2
-from .rates import compute_rates, validity_report
+from .rates import RateSet, compute_rates, validity_report
 from .squeezed_input import (
     SqueezedVacuumSpec,
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import solve_moments, xi2_numeric
+from .steady import unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -72,12 +72,29 @@ def _resolve_detuning(config: ExperimentConfig) -> float:
     )
 
 
+def _error_text(exc: SpinSqueezeError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _drift(config: ExperimentConfig, rates: RateSet, det: DetuningSpec) -> DriftMatrix:
+    kernel = interaction_kernel(
+        config.geometry,
+        rates,
+        tol=config.kernel_tol,
+        include_evanescent=config.include_evanescent,
+        max_order=config.kernel_max_order,
+    )
+    return drift_matrix(kernel, rates, det)
+
+
 def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
-    Returns one row dict per grid point, in grid order.  Solver errors
-    at individual points land in the row's ``error`` column instead of
-    aborting the whole sweep.
+    Returns one row dict per grid point, in grid order.  The numeric
+    model solves its drift matrix once, for unit sources, and evaluates
+    every grid point in closed form.  Solver errors land in the
+    ``error`` column of each row they affect instead of aborting the
+    whole sweep.
     """
     geom = config.geometry
     rates = config.rates()
@@ -87,15 +104,14 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
     want_mc = config.model == "mc-check"
 
     drift = None
-    if want_numeric or want_mc:
-        kernel = interaction_kernel(
-            geom,
-            rates,
-            tol=config.kernel_tol,
-            include_evanescent=config.include_evanescent,
-            max_order=config.kernel_max_order,
-        )
-        drift = drift_matrix(kernel, rates, det)
+    response = None
+    numeric_error = ""
+    if want_numeric:
+        drift = _drift(config, rates, det)
+        try:
+            response = unit_response(drift, geom, rates)
+        except SpinSqueezeError as exc:
+            numeric_error = _error_text(exc)
 
     def evaluate(item: tuple[int, float]) -> dict[str, Any]:
         index, n_photons = item
@@ -124,10 +140,11 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
                 row["xi2_analytic"] = analytic.xi2
                 row["theta_opt"] = analytic.theta_opt
                 row["xi2_anti"] = analytic.xi2_anti
+            if numeric_error:
+                row["error"] = numeric_error
+                return row
             if want_numeric:
-                diff = noise_diffusions(spec, geom, rates)
-                moments = solve_moments(drift, diff)
-                row["xi2_numeric"] = xi2_numeric(moments, geom).xi2
+                row["xi2_numeric"] = xi2_from_response(response, spec).xi2
             if want_mc:
                 diff = noise_diffusions(spec, geom, rates)
                 params = dataclasses.replace(
@@ -140,7 +157,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
                 row["mc_estimate"] = estimate
                 row["mc_stderr"] = stderr
         except SpinSqueezeError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"] = _error_text(exc)
         return row
 
     items = list(enumerate(config.n_photons_grid))
@@ -264,8 +281,9 @@ def preset_fig3b(
     """Optimal squeezing versus stack depth at a=0.68.
 
     The closed-form optimum is tabulated for every layer count from 1
-    to 100 together with its two asymptotes, and the steady-state solve
-    is run at the optimal photon number as an independent check.
+    to 100 together with its two asymptotes, and the steady-state model
+    is evaluated at the optimal photon number as an independent check:
+    one unit-source solve per layer count.
     """
     config = _base_preset(
         **{
@@ -301,17 +319,17 @@ def preset_fig3b(
         )
         try:
             case = dataclasses.replace(
-                config,
-                geometry=dataclasses.replace(config.geometry, n_layers=n_z),
-                n_photons_grid=(entry["n_photons_opt"],),
-                model="numeric",
+                config, geometry=dataclasses.replace(config.geometry, n_layers=n_z)
             )
-            numeric_rows = run_sweep(case)
-            row["xi2_numeric"] = numeric_rows[0]["xi2_numeric"]
-            if numeric_rows[0]["error"]:
-                row["error"] = numeric_rows[0]["error"]
+            rates = case.rates()
+            drift = _drift(case, rates, DetuningSpec(_resolve_detuning(case)))
+            response = unit_response(drift, case.geometry, rates)
+            spec = SqueezedVacuumSpec(
+                n_photons=entry["n_photons_opt"], purity=config.purity
+            )
+            row["xi2_numeric"] = xi2_from_response(response, spec).xi2
         except SpinSqueezeError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"] = _error_text(exc)
         rows.append(row)
 
     g10 = dataclasses.replace(config.geometry, n_layers=10)

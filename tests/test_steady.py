@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import layers
+import spinsqueeze
+from spinsqueeze import cli, layers, steady, sweep
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
@@ -30,7 +31,13 @@ from spinsqueeze import (
     xi2_numeric,
 )
 from spinsqueeze.exceptions import PhysicalityError
-from spinsqueeze.steady import SteadyStateMoments
+from spinsqueeze.squeezed_input import quadrature_deficit
+from spinsqueeze.steady import (
+    SteadyStateMoments,
+    UnitResponse,
+    unit_response,
+    xi2_from_response,
+)
 
 
 def stack(n_layers, lattice_const=0.68, layer_spacing=1.0, eta=0.99,
@@ -158,6 +165,145 @@ def test_schur_and_eigenbasis_routes_agree_on_random_stacks(
     assert result.xi2 * result.xi2_anti >= 1.0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 30),
+    lattice_const=st.floats(0.3, 0.95),
+    layer_spacing=st.floats(0.5, 1.5),
+    eff_detuning=st.floats(-2.0, 2.0),
+    log10_photons=st.floats(-2.0, 3.0),
+    purity=st.floats(0.0, 1.0),
+)
+def test_unit_response_matches_per_point_solve_on_random_stacks(
+    n_layers, lattice_const, layer_spacing, eff_detuning, log10_photons, purity
+):
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        layer_spacing=layer_spacing)
+    spec = SqueezedVacuumSpec(n_photons=10.0**log10_photons, purity=purity)
+    drift, diff = build_problem(geom, rates, spec, DetuningSpec(eff_detuning))
+    response = unit_response(drift, geom, rates)
+    result = xi2_from_response(response, spec)
+    direct = xi2_numeric(solve_moments(drift, diff), geom)
+    assert result.xi2 == pytest.approx(direct.xi2, rel=1e-9)
+    assert response.alpha <= 1.0 + 1e-12
+    assert result.xi2 * result.xi2_anti >= 1.0
+
+
+@pytest.mark.parametrize("lattice_const", ["0.68", "0.95"])
+@pytest.mark.parametrize("purity", ["1", "0.999"])
+@pytest.mark.parametrize("eff_detuning", ["0", "0.83"])
+def test_numeric_equals_analytic_without_evanescent_coupling(
+    lattice_const, purity, eff_detuning
+):
+    # At integer spacing without the evanescent part the stack is exactly
+    # the beam splitter: c_n = r0 and alpha_num = |r|/r0.  Per-point solves
+    # evaluated as 1 + 2<P^dag P> - 2|<P P>| miss this bound (2.3e-10 at
+    # a = 0.95, 100 layers, N = 1000).
+    for n_layers in ("1", "10", "100"):
+        config = build_config({
+            "geometry.lattice_const": lattice_const,
+            "geometry.n_layers": n_layers,
+            "input.purity": purity,
+            "input.n_photons": "log:0.01:1000:9",
+            "detuning.mode": "fixed",
+            "detuning.value": eff_detuning,
+            "kernel.include_evanescent": "false",
+            "model": "both",
+        })
+        for row in run_sweep(config):
+            assert row["error"] == ""
+            assert row["xi2_numeric"] == pytest.approx(row["xi2_analytic"], rel=1e-10)
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every spinsqueeze module binding."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinsqueeze") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_numeric_sweep_solves_once_for_unit_sources(monkeypatch):
+    sylvester = count_calls(monkeypatch, steady.solve_sylvester)
+    diffusions = count_calls(monkeypatch, spinsqueeze.noise_diffusions)
+    config = build_config({
+        "geometry.n_layers": "6",
+        "input.n_photons": "log:0.01:1000:25",
+        "model": "numeric",
+    })
+    rows = run_sweep(config)
+    assert [row["error"] for row in rows] == [""] * 25
+    assert (len(sylvester), len(diffusions)) == (2, 0)
+
+
+def test_unit_solve_failure_fills_every_row(monkeypatch, tmp_path):
+    monkeypatch.setattr(steady, "RESIDUAL_HARD_LIMIT", 0.0)
+    config = build_config({
+        "geometry.n_layers": "6",
+        "input.n_photons": "0.1,1,10",
+        "model": "both",
+    })
+    rows = run_sweep(config)
+    for row in rows:
+        assert row["error"].startswith("ResidualError: steady-state solve residual")
+        assert row["xi2_numeric"] == ""
+        assert row["xi2_analytic"] != ""
+    out = tmp_path / "table.csv"
+    code = cli.main(["numeric", "--set", "geometry.n_layers=6",
+                     "--set", "input.n_photons=0.1,1,10", "--out", str(out)])
+    assert code == 3
+    assert out.read_text().count("ResidualError: ") == 3
+
+
+def fake_response(alpha):
+    moments = SteadyStateMoments(
+        n_matrix=np.zeros((1, 1), dtype=complex),
+        m_matrix=np.zeros((1, 1), dtype=complex),
+        residual_n=0.0,
+        residual_m=0.0,
+    )
+    return UnitResponse(c_n=0.5, c_m=-0.5 * alpha, moments=moments)
+
+
+def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
+    config = build_config({
+        "geometry.n_layers": "2",
+        "input.n_photons": "0.1,10",
+        "model": "numeric",
+    })
+
+    def respond(alpha):
+        monkeypatch.setattr(sweep, "unit_response",
+                            lambda *args: fake_response(alpha))
+
+    respond(1.0 + 1e-6)
+    for row in run_sweep(config):
+        assert row["error"].startswith("PhysicalityError: squeezing contrast")
+        assert row["xi2_numeric"] == ""
+
+    respond(1.0 + 1e-13)
+    for row in run_sweep(config):
+        assert row["error"] == ""
+        n = row["n_photons"]
+        assert row["xi2_numeric"] == 1.0 + quadrature_deficit(n, 1.0)
+
+    # fig3b runs at purity 0.9999, so its contrast must exceed 1/0.9999.
+    respond(1.001)
+    monkeypatch.setattr(sweep, "_drift", lambda *args: None)
+    fig3b_rows, _, _ = sweep.preset_fig3b()
+    for row in fig3b_rows:
+        assert row["error"].startswith("PhysicalityError: squeezing contrast")
+        assert row["xi2_numeric"] == ""
+
+
 def test_each_drift_matrix_is_factorised_once(monkeypatch):
     calls = {"schur": 0, "eigvals": 0}
 
@@ -181,8 +327,9 @@ def test_each_drift_matrix_is_factorised_once(monkeypatch):
 
 def test_threads_share_the_schur_factors():
     # More threads than cores and a short switch interval interleave
-    # the solves that read one drift matrix's factors; any write to the
-    # shared factors would change a later point's result.
+    # the grid points, which all read one drift matrix and its unit
+    # response; any write to that shared state would change a later
+    # point's result.
     config = build_config({
         "geometry.n_layers": "20",
         "input.n_photons": "log:0.01:1000:40",
