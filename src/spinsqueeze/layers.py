@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .analytic import DetuningSpec
+from .blas import one_blas_thread
 from .exceptions import ConvergenceError, DomainError, StabilityError
 from .geometry import ArrayGeometry
 from .rates import RateSet
@@ -236,6 +237,7 @@ def interaction_kernel(
     )
 
 
+@one_blas_thread()
 def drift_matrix(
     kernel: LayerKernel,
     rates: RateSet,

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import ztrsyl
 
 from .analytic import SqueezingResult
+from .blas import one_blas_thread
 from .exceptions import PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
 from .layers import DriftMatrix
@@ -84,6 +85,7 @@ def _residual(
     return float(np.linalg.norm(res) / scale)
 
 
+@one_blas_thread()
 def solve_sylvester(
     r: np.ndarray,
     u: np.ndarray,
@@ -120,6 +122,7 @@ def _solve_eigenbasis(a_left: np.ndarray, a_right: np.ndarray, source: np.ndarra
     return vl @ (rhs / denom) @ vr.T
 
 
+@one_blas_thread()
 def solve_moments(
     drift: DriftMatrix,
     diff: DiffusionSet,
@@ -170,6 +173,7 @@ def solve_moments(
     )
 
 
+@one_blas_thread()
 def collective_moments(
     moments: SteadyStateMoments,
     geom: ArrayGeometry,
