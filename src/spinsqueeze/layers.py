@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import schur, toeplitz
 
 from .analytic import DetuningSpec
 from .blas import one_blas_thread
@@ -46,14 +46,12 @@ class TruncationInfo:
 class LayerKernel:
     """Complete inter-layer coupling matrix of the stack.
 
-    ``d_matrix`` combines the radiative coupling and ``iary`` times the
-    evanescent shift; ``eps_matrix`` keeps the evanescent part separate
-    for diagnostics.  Both have zero diagonal: single-layer physics
-    lives in the drift matrix, not in the kernel.
+    ``d_matrix`` combines the radiative coupling and ``i`` times the
+    evanescent shift, with zero diagonal: single-layer physics lives in
+    the drift matrix, not in the kernel.
     """
 
     d_matrix: np.ndarray
-    eps_matrix: np.ndarray
     truncation: TruncationInfo
 
 
@@ -192,6 +190,31 @@ def evanescent_range(geom: ArrayGeometry, order: int = 1) -> float:
     return a / (2.0 * math.pi * math.sqrt(order - a * a))
 
 
+@lru_cache(maxsize=64)
+def evanescent_series(
+    geom: ArrayGeometry,
+    tol: float,
+    max_order: int,
+) -> tuple[np.ndarray, TruncationInfo]:
+    """Evanescent coupling eps(s) for every separation s = 0 ... N_z - 1.
+
+    The one place the evanescent sum of a geometry is carried out; the
+    interaction kernel and the collective shift both read it.  eps[0]
+    is 0, since same-layer physics is not part of the kernel.  The
+    result is memoised per (geometry, tol, max_order) and shared by
+    every caller, so the array is read-only.
+    """
+    eps = np.zeros(geom.n_layers)
+    max_shell = 0
+    terms_total = 0
+    for sep in range(1, geom.n_layers):
+        eps[sep], shell, terms = _eps_sum(geom, sep, tol, max_order)
+        max_shell = max(max_shell, shell)
+        terms_total += terms
+    eps.setflags(write=False)
+    return eps, TruncationInfo(tol=tol, max_order=max_shell, terms_summed=terms_total)
+
+
 def interaction_kernel(
     geom: ArrayGeometry,
     rates: RateSet,
@@ -201,40 +224,21 @@ def interaction_kernel(
 ) -> LayerKernel:
     """Assemble the full inter-layer coupling matrix.
 
-    D[n, m] = (gamma0/2) e^{i k a_z |n-m|} + i eps[n, m] off the
-    diagonal and zero on it.  The kernel only depends on |n - m|, so the
-    evanescent sums are evaluated once per separation and spread along
-    the Toeplitz diagonals.
+    D[n, m] = (gamma0/2) e^{i k a_z |n-m|} + i eps(|n-m|) off the
+    diagonal and zero on it.  The kernel only depends on |n - m|, so it
+    is the complex symmetric Toeplitz matrix of one column.
     """
     n_z = geom.n_layers
-    gamma0 = rates.gamma0
-    kaz = geom.axial_phase
-
-    eps_by_sep = np.zeros(n_z)
-    max_shell = 0
-    terms_total = 0
     if include_evanescent:
-        for sep in range(1, n_z):
-            value, shell, terms = _eps_sum(geom, sep, tol, max_order)
-            eps_by_sep[sep] = value
-            max_shell = max(max_shell, shell)
-            terms_total += terms
-
-    idx = np.arange(n_z)
-    sep_matrix = np.abs(idx[:, None] - idx[None, :])
-    eps_matrix = eps_by_sep[sep_matrix]
-    np.fill_diagonal(eps_matrix, 0.0)
-
-    d_matrix = 0.5 * gamma0 * np.exp(1j * kaz * sep_matrix) + 1j * eps_matrix
-    np.fill_diagonal(d_matrix, 0.0)
-
-    return LayerKernel(
-        d_matrix=d_matrix,
-        eps_matrix=eps_matrix,
-        truncation=TruncationInfo(
-            tol=tol, max_order=max_shell, terms_summed=terms_total
-        ),
-    )
+        eps, truncation = evanescent_series(geom, tol, max_order)
+    else:
+        eps = np.zeros(n_z)
+        truncation = TruncationInfo(tol=tol, max_order=0, terms_summed=0)
+    seps = np.arange(n_z)
+    column = 0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase * seps) + 1j * eps
+    column[0] = 0.0
+    # Column and row both: toeplitz(column) alone conjugates the upper triangle.
+    return LayerKernel(d_matrix=toeplitz(column, column), truncation=truncation)
 
 
 @one_blas_thread()
@@ -280,7 +284,7 @@ def delta_prime(
     Projecting the evanescent part of the kernel onto the travelling
     collective mode gives
 
-        delta' = (1/N_z) sum_{n != m} eps[n, m] e^{i k a_z (n - m)}.
+        delta' = (1/N_z) sum_{n != m} eps(|n - m|) e^{i k a_z (n - m)}.
 
     eps depends only on s = |n - m|, which N_z - s ordered pairs share
     in each direction, so the sum folds into the real cosine series
@@ -292,9 +296,7 @@ def delta_prime(
     order.
     """
     n_z = geom.n_layers
+    eps, _ = evanescent_series(geom, tol, max_order)
     seps = np.arange(1, n_z)
-    eps_by_sep = np.array(
-        [_eps_sum(geom, int(sep), tol, max_order)[0] for sep in seps]
-    )
     weights = (n_z - seps) * np.cos(geom.axial_phase * seps)
-    return float(2.0 / n_z * np.dot(weights, eps_by_sep))
+    return float(2.0 / n_z * np.dot(weights, eps[1:]))

@@ -75,17 +75,15 @@ def stacked_covariance(diff: DiffusionSet) -> np.ndarray:
         xx = Re(Sigma + R)/2        xy = (Im R + Im Sigma)/2
         yx = (Im R - Im Sigma)/2    yy = Re(Sigma - R)/2.
 
-    For the phase convention used here both kernels are real, so the
-    cross blocks vanish; they are kept in full generality anyway.  The
-    result must be positive semidefinite for a physical drive.
+    :func:`squeezed_input.moment_diffusions` builds both kernels from
+    real cosines (the squeeze phase is zero), so the cross blocks
+    vanish and are set to zero.  The result must be positive
+    semidefinite for a physical drive.
     """
     sigma = diff.s_n + 0.5 * diff.comm
     r = diff.s_m
-    xx = 0.5 * (sigma + r).real
-    yy = 0.5 * (sigma - r).real
-    xy = 0.5 * (np.imag(r) + np.imag(sigma))
-    yx = 0.5 * (np.imag(r) - np.imag(sigma))
-    cov = np.block([[xx, xy], [yx, yy]])
+    zero = np.zeros_like(sigma)
+    cov = np.block([[0.5 * (sigma + r), zero], [zero, 0.5 * (sigma - r)]])
     cov = 0.5 * (cov + cov.T)
     min_eig = float(np.linalg.eigvalsh(cov).min())
     if min_eig < -1e-8:

@@ -23,26 +23,19 @@ from .rates import RateSet
 class SqueezedVacuumSpec:
     """Stationary squeezed-vacuum input field.
 
-    ``squeeze_phase`` is carried explicitly even though the rest of the
-    package fixes it to zero: the optimal measurement quadrature is
-    reported relative to it, so rotating the input is equivalent to
-    rotating the detector.
+    The squeeze phase is fixed to zero and the optimal measurement
+    quadrature is reported relative to it; rotating the input is
+    equivalent to rotating the detector.
     """
 
     n_photons: float
     purity: float = 1.0
-    squeeze_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_photons < 0.0:
             raise DomainError(f"n_photons must be non-negative, got {self.n_photons}")
         if not 0.0 <= self.purity <= 1.0:
             raise DomainError(f"purity must lie in [0, 1], got {self.purity}")
-        if self.squeeze_phase != 0.0:
-            raise DomainError(
-                "squeeze_phase is fixed to zero; rotate the detection "
-                "quadrature instead"
-            )
 
 
 def field_moments(spec: SqueezedVacuumSpec) -> tuple[float, float]:
@@ -92,9 +85,9 @@ class DiffusionSet:
 
     ``s_n`` drives the occupation-like moments, ``s_m`` the anomalous
     ones, and ``comm`` is the commutator (vacuum) kernel that fixes the
-    operator ordering.  All are (n_layers, n_layers) arrays; ``s_n`` and
-    ``comm`` are real symmetric, ``s_m`` real and symmetric as well
-    because the squeeze phase is fixed to zero.
+    operator ordering.  All are real symmetric (n_layers, n_layers)
+    arrays: the squeeze phase is fixed to zero, so the anomalous source
+    has no imaginary part either.
     """
 
     s_n: np.ndarray

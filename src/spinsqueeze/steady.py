@@ -108,50 +108,27 @@ def solve_sylvester(
     return np.dot(np.dot(u, y), v.conj().T)
 
 
-def _solve_eigenbasis(a_left: np.ndarray, a_right: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Sylvester solve by double diagonalisation.
-
-    Slower and less accurate than the Schur method for large systems
-    but completely independent of it, which makes it a useful
-    cross-check path.
-    """
-    wl, vl = np.linalg.eig(a_left)
-    wr, vr = np.linalg.eig(a_right.T)
-    rhs = np.linalg.solve(vl, -source @ np.linalg.inv(vr).T)
-    denom = wl[:, None] + wr[None, :]
-    return vl @ (rhs / denom) @ vr.T
-
-
 @one_blas_thread()
 def solve_moments(
     drift: DriftMatrix,
     diff: DiffusionSet,
-    method: str = "schur",
 ) -> SteadyStateMoments:
     """Solve the two steady-state Sylvester equations.
 
-    ``method`` selects the linear algebra route: "schur" runs the
-    Bartels-Stewart back substitution on the Schur factors that
+    Runs the Bartels-Stewart back substitution on the Schur factors that
     ``drift`` already carries, one :func:`solve_sylvester` call per
-    equation and no new factorisation; "eig" is an independent
-    eigenbasis solve kept for cross-validation.  Results are symmetrised
-    to remove roundoff asymmetry before the residual check.
+    equation and no new factorisation.  Results are symmetrised to
+    remove roundoff asymmetry before the residual check.
     """
     a = drift.matrix
-    if method == "schur":
-        # A^T = conj(A)^H with conj(A) = conj(Q) conj(T) conj(Q)^H, so
-        # both equations take conj(T), conj(Q) as their right factors.
-        t, q = drift.schur_t, drift.schur_q
-        t_conj, q_conj = t.conj(), q.conj()
-        n_mat = solve_sylvester(
-            t_conj, q_conj, t_conj, q_conj, -diff.s_n.astype(complex)
-        )
-        m_mat = solve_sylvester(t, q, t_conj, q_conj, -diff.s_m.astype(complex))
-    elif method == "eig":
-        n_mat = _solve_eigenbasis(a.conj(), a.T, diff.s_n.astype(complex))
-        m_mat = _solve_eigenbasis(a, a.T, diff.s_m.astype(complex))
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
+    # A^T = conj(A)^H with conj(A) = conj(Q) conj(T) conj(Q)^H, so both
+    # equations take conj(T), conj(Q) as their right factors.
+    t, q = drift.schur_t, drift.schur_q
+    t_conj, q_conj = t.conj(), q.conj()
+    n_mat = solve_sylvester(
+        t_conj, q_conj, t_conj, q_conj, -diff.s_n.astype(complex)
+    )
+    m_mat = solve_sylvester(t, q, t_conj, q_conj, -diff.s_m.astype(complex))
 
     n_mat = 0.5 * (n_mat + n_mat.conj().T)
     m_mat = 0.5 * (m_mat + m_mat.T)

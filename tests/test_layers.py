@@ -7,20 +7,24 @@ import math
 import numpy as np
 import pytest
 
+from spinsqueeze import layers
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
     DetuningSpec,
+    build_config,
     compute_rates,
     delta_prime,
     drift_matrix,
     evanescent_eps,
     evanescent_range,
     interaction_kernel,
+    run_sweep,
     single_layer_rate,
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import ConvergenceError, DomainError, StabilityError
+from spinsqueeze.sweep import preset_fig4
 
 
 def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
@@ -152,7 +156,7 @@ def test_interaction_kernel_structure():
 def test_interaction_kernel_without_evanescent_part():
     geom, rates = stack(n_layers=4)
     kernel = interaction_kernel(geom, rates, include_evanescent=False)
-    assert np.allclose(kernel.eps_matrix, 0.0)
+    assert kernel.truncation.terms_summed == 0
     assert kernel.d_matrix[0, 1] == pytest.approx(
         0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase), rel=1e-14
     )
@@ -227,8 +231,7 @@ def test_delta_prime_matches_direct_projection():
     # strongly coupled lattice constant of fig4; its imaginary part
     # cancels, which the cosine series in delta_prime relies on.
     for lattice_const, n_layers in ((0.9, 7), (0.95, 60)):
-        geom, rates = stack(lattice_const=lattice_const, n_layers=n_layers)
-        kernel = interaction_kernel(geom, rates)
+        geom, _ = stack(lattice_const=lattice_const, n_layers=n_layers)
         n_z = geom.n_layers
         phase = geom.axial_phase
         total = 0.0j
@@ -236,10 +239,49 @@ def test_delta_prime_matches_direct_projection():
             for m in range(n_z):
                 if n == m:
                     continue
-                total += kernel.eps_matrix[n, m] * np.exp(1j * phase * (n - m))
+                total += evanescent_eps(geom, n, m) * np.exp(1j * phase * (n - m))
         assert abs(total.imag) < 1e-12 * abs(total.real)
         expected = total.real / n_z
         assert delta_prime(geom) == pytest.approx(expected, rel=1e-12)
+
+
+def test_evanescent_series_is_summed_once_per_separation(monkeypatch):
+    # fig4 reads the a = 0.95, 10-layer series for delta' and for two
+    # kernels; a delta-prime-corrected sweep for delta' and one kernel.
+    calls = []
+    real_eps_sum = layers._eps_sum
+
+    def counted(*args):
+        calls.append(args[1])
+        return real_eps_sum(*args)
+
+    monkeypatch.setattr(layers, "_eps_sum", counted)
+    layers.evanescent_series.cache_clear()
+    preset_fig4()
+    assert sorted(calls) == list(range(1, 10))
+
+    calls.clear()
+    layers.evanescent_series.cache_clear()
+    config = build_config({
+        "geometry.n_layers": "10",
+        "detuning.mode": "delta-prime-corrected",
+        "model": "numeric",
+    })
+    rows = run_sweep(config)
+    assert [row["error"] for row in rows] == [""] * len(rows)
+    assert sorted(calls) == list(range(1, 10))
+
+
+def test_evanescent_series_is_read_only():
+    geom, _ = stack(n_layers=5)
+    eps, truncation = layers.evanescent_series(
+        geom, layers.DEFAULT_EPS_TOL, layers.DEFAULT_MAX_ORDER
+    )
+    assert eps[0] == 0.0
+    assert eps[1] == evanescent_eps(geom, 0, 1)
+    assert truncation.terms_summed > 0
+    with pytest.raises(ValueError):
+        eps[1] = 0.0
 
 
 def test_lattice_const_domain():

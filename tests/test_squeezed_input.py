@@ -30,8 +30,6 @@ def test_spec_validation():
         SqueezedVacuumSpec(n_photons=1.0, purity=1.2)
     with pytest.raises(DomainError):
         SqueezedVacuumSpec(n_photons=1.0, purity=-0.1)
-    with pytest.raises(DomainError):
-        SqueezedVacuumSpec(n_photons=1.0, squeeze_phase=0.3)
 
 
 def test_field_moments():

@@ -128,13 +128,46 @@ def test_matches_analytic_off_resonance():
     assert numeric == pytest.approx(1.5400676610146187, rel=1e-12)
 
 
+def eig_sylvester(a_left, a_right, source):
+    """Solve a_left X + X a_right + source = 0 by double diagonalisation."""
+    wl, vl = np.linalg.eig(a_left)
+    wr, vr = np.linalg.eig(a_right.T)
+    rhs = np.linalg.solve(vl, -source @ np.linalg.inv(vr).T)
+    denom = wl[:, None] + wr[None, :]
+    return vl @ (rhs / denom) @ vr.T
+
+
+def solve_eigenbasis(drift, diff):
+    """Steady-state moments in the eigenbasis of the drift matrix.
+
+    Slower and less accurate than the Schur route of ``solve_moments``
+    for large systems but independent of it, which makes it the
+    reference that route is checked against.  The results are
+    symmetrised and residual-checked the same way.
+    """
+    a = drift.matrix
+    n_mat = eig_sylvester(a.conj(), a.T, diff.s_n.astype(complex))
+    m_mat = eig_sylvester(a, a.T, diff.s_m.astype(complex))
+    n_mat = 0.5 * (n_mat + n_mat.conj().T)
+    m_mat = 0.5 * (m_mat + m_mat.T)
+    moments = SteadyStateMoments(
+        n_matrix=n_mat,
+        m_matrix=m_mat,
+        residual_n=steady._residual(a.conj(), a.T, n_mat, diff.s_n),
+        residual_m=steady._residual(a, a.T, m_mat, diff.s_m),
+    )
+    worst = max(moments.residual_n, moments.residual_m)
+    assert worst <= steady.RESIDUAL_HARD_LIMIT
+    return moments
+
+
 def test_eigenbasis_route_agrees():
     geom, rates = stack(8, layer_spacing=0.85)
     spec = SqueezedVacuumSpec(n_photons=4.0, purity=0.9)
     det = DetuningSpec(eff_detuning=-0.2)
     drift, diff = build_problem(geom, rates, spec, det)
-    via_schur = xi2_numeric(solve_moments(drift, diff, method="schur"), geom)
-    via_eig = xi2_numeric(solve_moments(drift, diff, method="eig"), geom)
+    via_schur = xi2_numeric(solve_moments(drift, diff), geom)
+    via_eig = xi2_numeric(solve_eigenbasis(drift, diff), geom)
     assert via_eig.xi2 == pytest.approx(via_schur.xi2, rel=1e-10)
     assert via_eig.theta_opt == pytest.approx(via_schur.theta_opt, abs=1e-10)
 
@@ -155,8 +188,8 @@ def test_schur_and_eigenbasis_routes_agree_on_random_stacks(
                         layer_spacing=layer_spacing)
     spec = SqueezedVacuumSpec(n_photons=10.0**log10_photons, purity=purity)
     drift, diff = build_problem(geom, rates, spec, DetuningSpec(eff_detuning))
-    via_schur = solve_moments(drift, diff, method="schur")
-    via_eig = solve_moments(drift, diff, method="eig")
+    via_schur = solve_moments(drift, diff)
+    via_eig = solve_eigenbasis(drift, diff)
     for ours, theirs in ((via_schur.n_matrix, via_eig.n_matrix),
                          (via_schur.m_matrix, via_eig.m_matrix)):
         assert np.abs(ours - theirs).max() <= 1e-9 * np.abs(ours).max()
@@ -197,7 +230,7 @@ def test_numeric_equals_analytic_without_evanescent_coupling(
 ):
     # At integer spacing without the evanescent part the stack is exactly
     # the beam splitter: c_n = r0 and alpha_num = |r|/r0.  Per-point solves
-    # evaluated as 1 + 2<P^dag P> - 2|<P P>| miss this bound (2.3e-10 at
+    # evaluated as 1 + 2<P^dag P> - 2|<P P>| miss this bound (2.9e-10 at
     # a = 0.95, 100 layers, N = 1000).
     for n_layers in ("1", "10", "100"):
         config = build_config({
