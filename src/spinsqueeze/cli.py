@@ -44,7 +44,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--workers", type=int, help="parallel grid workers")
+    parser.add_argument("--workers", type=int, help="threads for mc-check grid points")
     parser.add_argument("--seed", type=int, help="random seed for mc-check")
     parser.add_argument("--tol", type=float, help="evanescent kernel tolerance")
 

@@ -18,12 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .blas import one_blas_thread
 from .exceptions import DomainError, PhysicalityError, StabilityError
 from .geometry import ArrayGeometry
 from .layers import DriftMatrix
 from .squeezed_input import DiffusionSet
 
 _DIVERGENCE_BOUND = 1e12
+# Steps per block.  A block holds its normals, (n_traj, block, 2 N_z),
+# and its states, (block + 1, n_traj, 2 N_z), so these two buffers
+# bound the sampler's memory: 5 MB each for 64 trajectories of 10 layers.
 _BLOCK_STEPS = 512
 
 
@@ -132,6 +136,7 @@ def _step_operators(
     raise ValueError(f"unknown integrator {method!r}")
 
 
+@one_blas_thread()
 def simulate_xi2(
     drift: DriftMatrix,
     diff: DiffusionSet,
@@ -148,6 +153,15 @@ def simulate_xi2(
     ``method`` picks the integrator (see :func:`_step_operators`); the
     default, "exact", has no step bias and matches ``mc.method``'s
     config default.
+
+    The steps run in blocks of :data:`_BLOCK_STEPS`.  Each trajectory
+    fills its rows of a preallocated normal buffer from its own Philox
+    stream, one batched product writes the noise increments into rows
+    1..blen of a state buffer whose row 0 carries the state across
+    blocks, and each step adds ``states[t] @ phi.T`` to row t + 1.  The
+    rows past burn-in are projected onto P once per block.  These two
+    buffers, not the run length, set the peak memory.  The products are
+    too small for a second OpenBLAS thread to pay, so they run on one.
     """
     gen = stacked_drift(drift)
     cov = stacked_covariance(diff)
@@ -168,38 +182,50 @@ def simulate_xi2(
 
     phases = np.exp(1j * geom.axial_phase * np.arange(n_z)) / math.sqrt(n_z)
     proj = np.concatenate([phases, 1j * phases])
+    proj_xy = np.stack([proj.real, proj.imag], axis=1)
 
+    n_traj = params.n_traj
     gens = [
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
-        for j in range(params.n_traj)
+        for j in range(n_traj)
     ]
-    state = np.zeros((params.n_traj, n2))
-    acc_abs2 = np.zeros(params.n_traj)
-    acc_sq = np.zeros(params.n_traj, dtype=complex)
+    block = min(_BLOCK_STEPS, n_steps)
+    draws = np.empty((n_traj, block, n2))
+    states = np.zeros((block + 1, n_traj, n2))
+    drive = np.empty((n_traj, n2))
+    # Per trajectory, over the averaging window, with P = x + iy the
+    # collective amplitude: the sums of x^2 and y^2, and the sum of xy.
+    acc_sq = np.zeros((n_traj, 2))
+    acc_xy = np.zeros(n_traj)
 
     phi_t = phi.T
     noise_t = noise.T
     done = 0
     while done < n_steps:
-        blen = min(_BLOCK_STEPS, n_steps - done)
-        draws = np.stack([g.standard_normal((blen, n2)) for g in gens])
-        incr = draws @ noise_t
+        blen = min(block, n_steps - done)
+        for j, g in enumerate(gens):
+            g.standard_normal(out=draws[j, :blen])
+        np.matmul(draws[:, :blen].swapaxes(0, 1), noise_t, out=states[1 : blen + 1])
         for t in range(blen):
-            state = state @ phi_t + incr[:, t, :]
-            done_now = done + t + 1
-            if done_now > n_burn:
-                pc = state @ proj
-                acc_abs2 += pc.real**2 + pc.imag**2
-                acc_sq += pc * pc
+            np.matmul(states[t], phi_t, out=drive)
+            states[t + 1] += drive
+        first = max(1, n_burn - done + 1)
+        if first <= blen:
+            xy = states[first : blen + 1] @ proj_xy
+            acc_sq += np.einsum("sti,sti->ti", xy, xy)
+            acc_xy += np.einsum("st,st->t", xy[..., 0], xy[..., 1])
         done += blen
-        if float(np.max(np.abs(state))) > _DIVERGENCE_BOUND:
+        states[0] = states[blen]
+        # Written so that NaN, which compares False, also counts as divergence.
+        if not float(np.max(np.abs(states[0]))) <= _DIVERGENCE_BOUND:
             raise StabilityError(
                 "trajectory divergence; the drift matrix is unstable or dt "
                 "is far too large"
             )
 
-    a2 = acc_abs2 / n_avg
-    b = acc_sq / n_avg
+    # |P|^2 = x^2 + y^2 and P^2 = x^2 - y^2 + 2ixy.
+    a2 = (acc_sq[:, 0] + acc_sq[:, 1]) / n_avg
+    b = (acc_sq[:, 0] - acc_sq[:, 1] + 2j * acc_xy) / n_avg
     b_mean = complex(np.mean(b))
     if b_mean == 0:
         rotation = 1.0 + 0.0j

@@ -162,7 +162,9 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
 
     items = list(enumerate(config.n_photons_grid))
     n_workers = workers if workers is not None else config.workers
-    if n_workers > 1:
+    # Only trajectory points carry enough work to pay for a thread; the
+    # others are closed-form evaluations of the one unit solve.
+    if want_mc and n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(evaluate, items))
     else:

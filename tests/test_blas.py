@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from spinsqueeze import blas, build_config, layers, run_sweep, steady
+from spinsqueeze import blas, build_config, layers, mc, run_sweep, steady
 from spinsqueeze.steady import SteadyStateMoments, collective_moments
 from spinsqueeze.blas import one_blas_thread
 
@@ -112,4 +112,29 @@ def test_collective_projection_runs_on_one_thread(two_threads):
     pdp, pp = collective_moments(SteadyStateMoments(eye, eye, 0.0, 0.0), geom)
     assert seen == [(1,) * len(blas._controls())] * 2
     assert pdp == pytest.approx(1.0)
+    assert set(thread_counts()) == {2}
+
+
+def test_trajectories_run_on_one_thread(two_threads, monkeypatch):
+    # The step loop's GEMMs are (trajectories x 2 N_z) by (2 N_z x 2 N_z);
+    # a second thread only hands them back and forth.
+    seen = []
+    step_operators = mc._step_operators
+
+    def spy(*args, **kwargs):
+        seen.append(tuple(thread_counts()))
+        return step_operators(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_step_operators", spy)
+    config = build_config({
+        "geometry.n_layers": "3",
+        "input.n_photons": "1",
+        "model": "mc-check",
+        "mc.n_traj": "2",
+        "mc.t_burn": "0",
+        "mc.t_avg": "2",
+    })
+    rows = run_sweep(config)
+    assert rows[0]["error"] == ""
+    assert seen == [(1,) * len(blas._controls())]
     assert set(thread_counts()) == {2}

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from spinsqueeze import build_config, parse_config_text
+from spinsqueeze import build_config, parse_config_text, sweep
 from spinsqueeze.config import (
     ENV_CONFIG_DIR,
     load_config_file,
@@ -170,6 +171,28 @@ def test_run_sweep_workers_do_not_change_rows():
     serial = run_sweep(config, workers=1)
     threaded = run_sweep(config, workers=4)
     assert serial == threaded
+
+
+def test_only_trajectory_points_run_on_threads(monkeypatch):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recording)
+    for model in ("analytic", "numeric", "both"):
+        run_sweep(_small_sweep_config(model=model), workers=4)
+    assert pools == []
+    trajectories = _small_sweep_config(
+        model="mc-check",
+        **{"mc.n_traj": "2", "mc.t_burn": "0", "mc.t_avg": "2"},
+    )
+    rows = run_sweep(trajectories, workers=4)
+    assert pools == [4]
+    assert rows == run_sweep(trajectories, workers=1)
+    assert all(isinstance(row["mc_estimate"], float) for row in rows)
 
 
 def test_run_sweep_captures_per_point_errors():

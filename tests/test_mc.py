@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import (
     ArrayGeometry,
@@ -13,6 +17,7 @@ from spinsqueeze import (
     SqueezedVacuumSpec,
     compute_rates,
     drift_matrix,
+    unit_response,
     interaction_kernel,
     noise_diffusions,
     simulate_xi2,
@@ -21,11 +26,12 @@ from spinsqueeze import (
     stacked_covariance,
     stacked_drift,
     waist_for_overlap,
+    xi2_from_response,
     xi2_numeric,
 )
 from spinsqueeze.exceptions import DomainError, PhysicalityError, StabilityError
 from spinsqueeze.layers import DriftMatrix
-from spinsqueeze.mc import _psd_sqrt
+from spinsqueeze.mc import _BLOCK_STEPS, _psd_sqrt, _step_operators
 from spinsqueeze.squeezed_input import DiffusionSet
 
 
@@ -41,6 +47,41 @@ def stack(n_layers, layer_spacing=1.0, n_photons=1.0, purity=1.0):
     drift = drift_matrix(kernel, rates, DetuningSpec())
     diff = noise_diffusions(spec, geom, rates)
     return geom, drift, diff
+
+
+def simulate_per_step(drift, diff, geom, params, method):
+    """Reference sampler: the same Philox streams stepped one step at a
+    time, projecting the collective amplitude after every step.  Each
+    stream is read in order, so drawing it whole gives the same normals
+    as drawing it block by block."""
+    phi, noise = _step_operators(
+        stacked_drift(drift), stacked_covariance(diff), params.dt, method
+    )
+    n_z = geom.n_layers
+    n_burn = int(round(params.t_burn / params.dt))
+    n_avg = max(1, int(round(params.t_avg / params.dt)))
+    n_steps = n_burn + n_avg
+    phases = np.exp(1j * geom.axial_phase * np.arange(n_z)) / math.sqrt(n_z)
+    proj = np.concatenate([phases, 1j * phases])
+    gens = [
+        np.random.Generator(np.random.Philox(key=[params.seed, j]))
+        for j in range(params.n_traj)
+    ]
+    state = np.zeros((params.n_traj, 2 * n_z))
+    acc_abs2 = np.zeros(params.n_traj)
+    acc_sq = np.zeros(params.n_traj, dtype=complex)
+    incr = np.stack([g.standard_normal((n_steps, 2 * n_z)) for g in gens]) @ noise.T
+    for t in range(n_steps):
+        state = state @ phi.T + incr[:, t, :]
+        if t + 1 > n_burn:
+            pc = state @ proj
+            acc_abs2 += pc.real**2 + pc.imag**2
+            acc_sq += pc * pc
+    b = acc_sq / n_avg
+    b_mean = complex(np.mean(b))
+    rotation = 1.0 if b_mean == 0 else b_mean.conjugate() / abs(b_mean)
+    q = 2.0 * acc_abs2 / n_avg - 2.0 * (rotation * b).real
+    return float(np.mean(q)), float(np.std(q, ddof=1) / math.sqrt(params.n_traj))
 
 
 def test_mc_params_validation():
@@ -174,3 +215,81 @@ def test_divergent_drift_is_caught():
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
     with pytest.raises(StabilityError):
         simulate_xi2(runaway, diff, geom, params, method="euler")
+
+
+def test_nan_divergence_is_caught():
+    # This generator overflows to inf and then NaN inside the first
+    # block; NaN compares False against any bound.
+    geom, _, diff = stack(2)
+    matrix = np.array([[8 + 40j, 5 - 2j], [1 + 7j, 8 - 30j]])
+    runaway = DriftMatrix(
+        matrix=matrix, schur_t=matrix, schur_q=np.eye(2, dtype=complex)
+    )
+    params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
+    with pytest.raises(StabilityError), np.errstate(over="ignore", invalid="ignore"):
+        simulate_xi2(runaway, diff, geom, params, method="exact")
+
+
+# (layers, burn-in steps, averaged steps) around the block boundaries.
+BLOCK_CASES = {
+    "no-burn-in": (2, 0, 700),
+    "burn-in-ends-mid-second-block": (2, _BLOCK_STEPS + 188, 600),
+    "shorter-than-one-block": (2, 40, 200),
+    "final-partial-block": (3, 100, 2 * _BLOCK_STEPS + 37),
+    "single-layer": (1, 60, 900),
+}
+
+
+@pytest.mark.parametrize("method", ["exact", "euler"])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_loop_matches_per_step_reference(case, method):
+    n_layers, n_burn, n_avg = BLOCK_CASES[case]
+    geom, drift, diff = stack(n_layers, layer_spacing=0.9, n_photons=0.7, purity=0.95)
+    dt = 0.05
+    params = McParams(
+        dt=dt, t_burn=n_burn * dt, t_avg=n_avg * dt, n_traj=4, seed=11
+    )
+    assert int(round(params.t_burn / dt)) == n_burn
+    estimate, stderr = simulate_xi2(drift, diff, geom, params, method=method)
+    ref_estimate, ref_stderr = simulate_per_step(drift, diff, geom, params, method)
+    assert estimate == pytest.approx(ref_estimate, rel=1e-10, abs=0.0)
+    assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 5),
+    spacing=st.sampled_from([1.0, 0.85, 1.15]),
+    lattice_const=st.floats(0.55, 0.9),
+    n_photons=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    purity=st.floats(0.9, 1.0),
+    loss=st.floats(0.2, 1.0),
+    evanescent=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_trajectories_agree_with_numeric_on_random_stacks(
+    n_layers, spacing, lattice_const, n_photons, purity, loss, evanescent, seed
+):
+    geom = ArrayGeometry(
+        n_side=200, lattice_const=lattice_const, n_layers=n_layers,
+        layer_spacing=spacing,
+    )
+    beam = BeamProfile(waist=waist_for_overlap(geom, 0.99))
+    rates = compute_rates(
+        geom, beam, gamma_s=loss * single_layer_rate(lattice_const)
+    )
+    spec = SqueezedVacuumSpec(n_photons=n_photons, purity=purity)
+    kernel = interaction_kernel(geom, rates, include_evanescent=evanescent)
+    drift = drift_matrix(kernel, rates, DetuningSpec())
+    diff = noise_diffusions(spec, geom, rates)
+    truth = xi2_from_response(unit_response(drift, geom, rates), spec).xi2
+    # Burn in for ten lifetimes of the slowest mode, average over forty,
+    # and keep the exact step below half the fastest lifetime.
+    slowest = -float(np.max(drift.eigenvalues.real))
+    fastest = -float(np.min(drift.eigenvalues.real))
+    params = McParams(
+        dt=0.5 / max(1.0, fastest), t_burn=10.0 / slowest,
+        t_avg=40.0 / slowest, n_traj=16, seed=seed,
+    )
+    estimate, stderr = simulate_xi2(drift, diff, geom, params, method="exact")
+    assert abs(estimate - truth) <= 5.0 * stderr

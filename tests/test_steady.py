@@ -362,11 +362,15 @@ def test_threads_share_the_schur_factors():
     # More threads than cores and a short switch interval interleave
     # the grid points, which all read one drift matrix and its unit
     # response; any write to that shared state would change a later
-    # point's result.
+    # point's result.  Only trajectory points run on threads, so the
+    # sweep checks them with a small trajectory budget.
     config = build_config({
         "geometry.n_layers": "20",
         "input.n_photons": "log:0.01:1000:40",
-        "model": "numeric",
+        "model": "mc-check",
+        "mc.n_traj": "2",
+        "mc.t_burn": "0",
+        "mc.t_avg": "2",
     })
     serial = run_sweep(config, workers=1)
     interval = sys.getswitchinterval()
@@ -377,6 +381,7 @@ def test_threads_share_the_schur_factors():
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert all(row["error"] == "" for row in serial)
+    assert all(isinstance(row["mc_estimate"], float) for row in serial)
 
 
 def test_residuals_are_recorded_and_small():
