@@ -90,13 +90,9 @@ def _alpha_eff(
     rates: RateSet,
     spec: SqueezedVacuumSpec,
     det: DetuningSpec,
-    alpha_override: float | None,
 ) -> tuple[float, complex]:
     r = reflectivity_complex(rates, det)
-    if alpha_override is not None:
-        alpha = alpha_override
-    else:
-        alpha = spec.purity * abs(r) / rates.r0
+    alpha = spec.purity * abs(r) / rates.r0
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"effective squeezing efficiency {alpha} outside [0, 1]")
     return alpha, r
@@ -106,18 +102,16 @@ def xi2_analytic(
     rates: RateSet,
     spec: SqueezedVacuumSpec,
     det: DetuningSpec = DetuningSpec(),
-    alpha_override: float | None = None,
 ) -> SqueezingResult:
     """Beam-splitter prediction for the collective spin squeezing.
 
     xi2 = 1 + 2 r0 (N - alpha_eff sqrt(N(N+1))) with alpha_eff the
     product of source purity and the detuning-reduced reflectivity
-    contrast |r|/r0.  ``alpha_override`` substitutes alpha_eff directly,
-    which is how phenomenological source imperfections are modelled.
+    contrast |r|/r0, so an imperfect source enters through its purity.
     The optimal quadrature sits at theta = 0 by the phase convention of
     the input (anomalous moment taken real positive).
     """
-    alpha, r = _alpha_eff(rates, spec, det, alpha_override)
+    alpha, r = _alpha_eff(rates, spec, det)
     n = spec.n_photons
     root = math.sqrt(n * (n + 1.0))
     xi2 = 1.0 + 2.0 * rates.r0 * quadrature_deficit(n, alpha)
@@ -241,7 +235,7 @@ def xi2_three_level(
             aux={"alpha_eff": 0.0, "factor": 0j, **eff},
         )
 
-    alpha, r = _alpha_eff(aug, spec, det, None)
+    alpha, r = _alpha_eff(aug, spec, det)
     pole = 0.5 * eff["gamma_S"] + 0.5 * eff["gamma_S_loss"] + 1j * eff["delta_S"]
     factor = 1.0 / (1.0 - 1j * tls.two_photon_detuning / pole)
 
@@ -304,7 +298,7 @@ def xi2_mismatch(
     """
     if not 0.0 <= chi <= 1.0:
         raise DomainError(f"chi must lie in [0, 1], got {chi}")
-    alpha, r = _alpha_eff(rates, spec, det, None)
+    alpha, r = _alpha_eff(rates, spec, det)
     n = spec.n_photons
     root = math.sqrt(n * (n + 1.0))
     r0_eff = rates.r0 * chi * chi

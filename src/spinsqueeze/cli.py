@@ -46,7 +46,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--workers", type=int, help="threads for mc-check grid points")
     parser.add_argument("--seed", type=int, help="random seed for mc-check")
-    parser.add_argument("--tol", type=float, help="evanescent kernel tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +86,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
         overrides["workers"] = str(args.workers)
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if args.tol is not None:
-        overrides["kernel.tol"] = repr(args.tol)
     return overrides
 
 

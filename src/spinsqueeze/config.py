@@ -36,7 +36,6 @@ DEFAULTS: dict[str, str] = {
     "rates.gamma_s_over_gamma0": "0.1",
     "input.n_photons": "log:0.01:1000:25",
     "input.purity": "1.0",
-    "input.alpha_override": "",
     "detuning.mode": "on-resonance",
     "detuning.value": "0.0",
     "model": "both",
@@ -47,7 +46,6 @@ DEFAULTS: dict[str, str] = {
     "mc.t_burn": "50.0",
     "mc.t_avg": "500.0",
     "mc.n_traj": "64",
-    "mc.method": "exact",
     "seed": "0",
     "workers": "1",
     "output.path": "-",
@@ -57,7 +55,6 @@ DEFAULTS: dict[str, str] = {
 _DETUNING_MODES = ("on-resonance", "fixed", "delta-prime-corrected")
 _MODELS = ("analytic", "numeric", "both", "mc-check")
 _FORMATS = ("csv", "json")
-_MC_METHODS = ("euler", "exact")
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,6 @@ class ExperimentConfig:
     gamma_s: float
     n_photons_grid: tuple[float, ...]
     purity: float
-    alpha_override: float | None
     detuning_mode: str
     detuning_value: float
     model: str
@@ -77,8 +73,6 @@ class ExperimentConfig:
     kernel_tol: float
     kernel_max_order: int
     mc: McParams
-    mc_method: str
-    seed: int
     workers: int
     out_path: str
     out_format: str
@@ -276,13 +270,6 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
     if gamma_s < 0.0:
         raise ConfigError("rates: gamma_s must be non-negative")
 
-    alpha_raw = flat["input.alpha_override"]
-    alpha_override = None
-    if alpha_raw and alpha_raw.lower() != "none":
-        alpha_override = _parse_float(flat, "input.alpha_override")
-        if not 0.0 <= alpha_override <= 1.0:
-            raise ConfigError("key 'input.alpha_override': must lie in [0, 1]")
-
     purity = _parse_float(flat, "input.purity")
     if not 0.0 <= purity <= 1.0:
         raise ConfigError("key 'input.purity': must lie in [0, 1]")
@@ -315,7 +302,6 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
         gamma_s=gamma_s,
         n_photons_grid=parse_grid(flat["input.n_photons"]),
         purity=purity,
-        alpha_override=alpha_override,
         detuning_mode=_parse_choice(flat, "detuning.mode", _DETUNING_MODES),
         detuning_value=_parse_float(flat, "detuning.value"),
         model=_parse_choice(flat, "model", _MODELS),
@@ -323,8 +309,6 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
         kernel_tol=kernel_tol,
         kernel_max_order=kernel_max_order,
         mc=mc,
-        mc_method=_parse_choice(flat, "mc.method", _MC_METHODS),
-        seed=_parse_int(flat, "seed"),
         workers=workers,
         out_path=flat["output.path"],
         out_format=_parse_choice(flat, "output.format", _FORMATS),

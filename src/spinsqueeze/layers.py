@@ -22,7 +22,7 @@ from .analytic import DetuningSpec
 from .blas import one_blas_thread
 from .exceptions import ConvergenceError, DomainError, StabilityError
 from .geometry import ArrayGeometry
-from .rates import RateSet
+from .rates import RateSet, single_layer_rate
 
 DEFAULT_EPS_TOL = 1e-14
 DEFAULT_MAX_ORDER = 200
@@ -80,18 +80,21 @@ def _order_shells(
     lattice_const: float,
     dipole: tuple[float, float],
     cap: int,
-) -> tuple[tuple[int, float], ...]:
+) -> tuple[tuple[int, float, int, float], ...]:
     """Reciprocal-lattice shells of one layer, grouped by |m_perp|^2.
 
     For each non-zero integer order vector m_perp the transverse decay
-    constant and the polarisation weight depend only on |m_perp|^2 and
-    on (m_perp . d)^2, so the whole shell collapses to one coefficient:
+    constant and the polarisation weight depend only on s = |m_perp|^2
+    and on (m_perp . d)^2, so the whole shell collapses to one
+    coefficient:
 
         c(s) = sum_{|m|^2 = s} ((m . d)^2 / a^2 - 1) / sqrt(s / a^2 - 1)
 
-    Shells with s <= a^2 would be propagating orders rather than
-    evanescent ones; the subwavelength condition a < 1 guarantees every
-    non-zero order is evanescent, and the square root stays real.
+    Each shell is returned as (s, c(s), number of orders in the shell,
+    decay constant sqrt(s / a^2 - 1)).  Shells with s <= a^2 would be
+    propagating orders rather than evanescent ones; the subwavelength
+    condition a < 1 guarantees every non-zero order is evanescent, and
+    the square root stays real.
     """
     if not 0.0 < lattice_const < 1.0:
         raise DomainError(
@@ -100,7 +103,8 @@ def _order_shells(
         )
     a2 = lattice_const * lattice_const
     reach = int(math.isqrt(cap)) + 1
-    buckets: dict[int, float] = {}
+    coeffs: dict[int, float] = {}
+    counts: dict[int, int] = {}
     dx, dy = dipole
     for mx in range(-reach, reach + 1):
         for my in range(-reach, reach + 1):
@@ -109,8 +113,11 @@ def _order_shells(
                 continue
             dot = mx * dx + my * dy
             weight = (dot * dot / a2 - 1.0) / math.sqrt(s / a2 - 1.0)
-            buckets[s] = buckets.get(s, 0.0) + weight
-    return tuple(sorted(buckets.items()))
+            coeffs[s] = coeffs.get(s, 0.0) + weight
+            counts[s] = counts.get(s, 0) + 1
+    return tuple(
+        (s, coeffs[s], counts[s], math.sqrt(s / a2 - 1.0)) for s in sorted(coeffs)
+    )
 
 
 def _eps_sum(
@@ -128,36 +135,24 @@ def _eps_sum(
     if separation < 0:
         raise DomainError(f"separation must be non-negative, got {separation}")
     a = geom.lattice_const
-    gamma0 = 3.0 / (4.0 * math.pi) / (a * a)
     kaz_sep = geom.axial_phase * separation
     shells = _order_shells(a, geom.dipole_orientation, cap)
+    gamma0 = single_layer_rate(a)
 
     total = 0.0
     terms = 0
     last_shell = 0
-    for s, coeff in shells:
-        decay = math.sqrt(s / (a * a) - 1.0)
+    for s, coeff, count, decay in shells:
         tail = math.exp(-kaz_sep * decay)
         if tail < tol * (abs(total) + 1e-300) and last_shell > 0:
             return 0.25 * gamma0 * total, last_shell, terms
         total += coeff * tail
-        terms += _shell_multiplicity(s)
+        terms += count
         last_shell = s
     raise ConvergenceError(
         f"evanescent sum for separation {separation} still above tol "
         f"{tol} after shells up to |m|^2 = {cap}"
     )
-
-
-@lru_cache(maxsize=1024)
-def _shell_multiplicity(s: int) -> int:
-    reach = int(math.isqrt(s))
-    count = 0
-    for mx in range(-reach, reach + 1):
-        for my in range(-reach, reach + 1):
-            if mx * mx + my * my == s:
-                count += 1
-    return count
 
 
 def evanescent_eps(

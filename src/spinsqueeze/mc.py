@@ -7,7 +7,9 @@ exact, not approximate: the commutator kernel that fixes operator
 ordering is precisely twice the dissipative part of the drift, so the
 half-quantum of vacuum noise reproduces itself.  Squeezing estimates
 from trajectory time averages therefore converge to the same number as
-the Sylvester solve, through entirely different code.
+the Sylvester solve, through entirely different code.  Each step
+integrates the process exactly over dt, so the comparison carries no
+step-size bias.
 """
 
 from __future__ import annotations
@@ -108,32 +110,24 @@ def _step_operators(
     gen: np.ndarray,
     cov: np.ndarray,
     dt: float,
-    method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step propagator and noise factor for the chosen integrator.
+    """One-step propagator and noise factor of the exact OU step.
 
-    "euler" is the plain Euler-Maruyama step.  "exact" integrates the
-    OU process in closed form over dt: the propagator is the matrix
-    exponential and the increment covariance comes from the Van Loan
-    block-exponential identity, so the discretisation has no step-size
-    bias at all.
+    The process is integrated in closed form over dt: the propagator is
+    the matrix exponential and the increment covariance comes from the
+    Van Loan block-exponential identity, so the discretisation has no
+    step-size bias at all.
     """
     n2 = gen.shape[0]
-    if method == "euler":
-        phi = np.eye(n2) + gen * dt
-        noise = _psd_sqrt(cov * dt)
-        return phi, noise
-    if method == "exact":
-        block = np.zeros((2 * n2, 2 * n2))
-        block[:n2, :n2] = -gen
-        block[:n2, n2:] = cov
-        block[n2:, n2:] = gen.T
-        e = expm(block * dt)
-        phi = e[n2:, n2:].T
-        q = phi @ e[:n2, n2:]
-        q = 0.5 * (q + q.T)
-        return phi, _psd_sqrt(q)
-    raise ValueError(f"unknown integrator {method!r}")
+    block = np.zeros((2 * n2, 2 * n2))
+    block[:n2, :n2] = -gen
+    block[:n2, n2:] = cov
+    block[n2:, n2:] = gen.T
+    e = expm(block * dt)
+    phi = e[n2:, n2:].T
+    q = phi @ e[:n2, n2:]
+    q = 0.5 * (q + q.T)
+    return phi, _psd_sqrt(q)
 
 
 @one_blas_thread()
@@ -142,7 +136,6 @@ def simulate_xi2(
     diff: DiffusionSet,
     geom: ArrayGeometry,
     params: McParams,
-    method: str = "exact",
 ) -> tuple[float, float]:
     """Estimate the collective squeezing parameter from trajectories.
 
@@ -150,9 +143,8 @@ def simulate_xi2(
     |P|^2 and P^2 of the collective c-number amplitude per trajectory,
     picks the optimal quadrature from the pooled anomalous average, and
     takes the spread of the per-trajectory values as the error bar.
-    ``method`` picks the integrator (see :func:`_step_operators`); the
-    default, "exact", has no step bias and matches ``mc.method``'s
-    config default.
+    Each step is the exact OU step of :func:`_step_operators`, so the
+    estimate carries no step-size bias.
 
     The steps run in blocks of :data:`_BLOCK_STEPS`.  Each trajectory
     fills its rows of a preallocated normal buffer from its own Philox
@@ -165,14 +157,7 @@ def simulate_xi2(
     """
     gen = stacked_drift(drift)
     cov = stacked_covariance(diff)
-    if method == "euler":
-        budget = params.dt * float(np.linalg.norm(gen, 2))
-        if budget >= 0.1:
-            raise DomainError(
-                f"dt * ||A|| = {budget:.3f} is too coarse for Euler stepping; "
-                "reduce dt or use the exact integrator"
-            )
-    phi, noise = _step_operators(gen, cov, params.dt, method)
+    phi, noise = _step_operators(gen, cov, params.dt)
 
     n_z = geom.n_layers
     n2 = 2 * n_z
@@ -219,8 +204,7 @@ def simulate_xi2(
         # Written so that NaN, which compares False, also counts as divergence.
         if not float(np.max(np.abs(states[0]))) <= _DIVERGENCE_BOUND:
             raise StabilityError(
-                "trajectory divergence; the drift matrix is unstable or dt "
-                "is far too large"
+                "trajectory divergence; the drift matrix is unstable"
             )
 
     # |P|^2 = x^2 + y^2 and P^2 = x^2 - y^2 + 2ixy.

@@ -134,7 +134,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
             error="",
         )
         try:
-            analytic = xi2_analytic(rates, spec, det, config.alpha_override)
+            analytic = xi2_analytic(rates, spec, det)
             row["alpha_eff"] = analytic.aux["alpha_eff"]
             if want_analytic:
                 row["xi2_analytic"] = analytic.xi2
@@ -151,9 +151,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
                     config.mc,
                     seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
                 )
-                estimate, stderr = simulate_xi2(
-                    drift, diff, geom, params, method=config.mc_method
-                )
+                estimate, stderr = simulate_xi2(drift, diff, geom, params)
                 row["mc_estimate"] = estimate
                 row["mc_stderr"] = stderr
         except SpinSqueezeError as exc:

@@ -87,8 +87,8 @@ def test_criterion_2_optimal_squeezing():
     closed_dev = abs(value - 0.063627)
 
     def curve(n):
-        spec = SqueezedVacuumSpec(n_photons=n)
-        return xi2_analytic(rates, spec, alpha_override=0.999).xi2
+        spec = SqueezedVacuumSpec(n_photons=n, purity=0.999)
+        return xi2_analytic(rates, spec).xi2
 
     search = minimize_scalar(
         curve, bounds=(0.5, 200.0), method="bounded",
@@ -249,7 +249,7 @@ def test_criterion_8_trajectories_match_moment_solver():
             spec = SqueezedVacuumSpec(n_photons=n_photons)
             diff = noise_diffusions(spec, geom, rates)
             truth = xi2_numeric(solve_moments(drift, diff), geom).xi2
-            est, stderr = simulate_xi2(drift, diff, geom, params, method="exact")
+            est, stderr = simulate_xi2(drift, diff, geom, params)
             worst_z = max(worst_z, abs(est - truth) / stderr)
             worst_rel = max(worst_rel, stderr / est)
     ok = worst_z < 3.0 and worst_rel < 0.01
@@ -304,8 +304,8 @@ def test_criterion_9_physicality_and_determinism(tmp_path):
     paths_a = sorted(fig_data("fig4", out_dir=str(dir_a)))
     paths_b = sorted(fig_data("fig4", out_dir=str(dir_b)))
     params = McParams(dt=0.25, t_burn=10.0, t_avg=50.0, n_traj=16, seed=3)
-    first = simulate_xi2(drift, diff, geom, params, method="exact")
-    second = simulate_xi2(drift, diff, geom, params, method="exact")
+    first = simulate_xi2(drift, diff, geom, params)
+    second = simulate_xi2(drift, diff, geom, params)
     checks["determinism"] = first == second and all(
         open(pa, "rb").read() == open(pb, "rb").read()
         for pa, pb in zip(paths_a, paths_b)

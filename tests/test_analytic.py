@@ -81,33 +81,6 @@ def test_xi2_uncertainty_product():
         assert res.xi2 >= 1.0 - rates.r0 - 1e-9
 
 
-def test_alpha_override_matches_equivalent_detuning():
-    _, _, rates = bench_stack()
-    spec = SqueezedVacuumSpec(n_photons=2.5)
-    for contrast in (0.85, 0.999):
-        x = math.sqrt(1.0 / contrast**2 - 1.0)
-        det = DetuningSpec(eff_detuning=x * rates.gamma_coll / (2.0 * rates.r0))
-        via_det = xi2_analytic(rates, spec, det)
-        via_override = xi2_analytic(rates, spec, alpha_override=contrast)
-        assert via_det.xi2 == pytest.approx(via_override.xi2, rel=1e-12)
-        assert via_det.aux["alpha_eff"] == pytest.approx(contrast, rel=1e-12)
-    impure = SqueezedVacuumSpec(n_photons=2.5, purity=0.9)
-    x = math.sqrt(1.0 / 0.85**2 - 1.0)
-    det = DetuningSpec(eff_detuning=x * rates.gamma_coll / (2.0 * rates.r0))
-    assert xi2_analytic(rates, impure, det).xi2 == pytest.approx(
-        xi2_analytic(rates, impure, alpha_override=0.9 * 0.85).xi2, rel=1e-12
-    )
-
-
-def test_alpha_override_domain():
-    _, _, rates = bench_stack()
-    spec = SqueezedVacuumSpec(n_photons=1.0)
-    with pytest.raises(DomainError):
-        xi2_analytic(rates, spec, alpha_override=1.1)
-    with pytest.raises(DomainError):
-        xi2_analytic(rates, spec, alpha_override=-0.2)
-
-
 def test_xi2_min_frozen_values_and_bracketed_minimum():
     _, _, rates = bench_stack()
     for alpha, best, n_opt in [
@@ -123,8 +96,9 @@ def test_xi2_min_frozen_values_and_bracketed_minimum():
         # A dense scan of the curve must not find anything deeper.
         grid = np.logspace(-3, 4, 20001)
         scan = min(
-            xi2_analytic(rates, SqueezedVacuumSpec(n_photons=float(n)),
-                         alpha_override=alpha).xi2
+            xi2_analytic(
+                rates, SqueezedVacuumSpec(n_photons=float(n), purity=alpha)
+            ).xi2
             for n in grid
         )
         assert scan == pytest.approx(value, abs=1e-8)

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import spinsqueeze.cli as cli
+from spinsqueeze import sweep
+from spinsqueeze.exceptions import StabilityError
 
 
 def run_cli(*args, **kwargs):
@@ -137,20 +139,41 @@ def test_bad_config_file_reports_line(tmp_path):
     assert ":2" in proc.stderr
 
 
-def test_all_points_failing_exits_three():
-    proc = run_cli(
+def test_all_points_failing_exits_three(monkeypatch, capsys):
+    def diverge(*args):
+        raise StabilityError("synthetic divergence")
+
+    monkeypatch.setattr(sweep, "simulate_xi2", diverge)
+    code = cli.main([
         "mc-check",
         "--set", "input.n_photons=1,2",
-        "--set", "mc.method=euler",
-        "--set", "mc.dt=50",
-        "--set", "mc.t_avg=100",
         "--set", "geometry.n_layers=2",
-    )
-    assert proc.returncode == 3
-    assert "every grid point failed" in proc.stderr
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "every grid point failed" in captured.err
     # The table still lands on stdout with the error column filled in.
-    rows = parse_csv(proc.stdout)
-    assert all(row["error"].startswith("DomainError") for row in rows)
+    rows = parse_csv(captured.out)
+    assert len(rows) == 2
+    assert all(row["error"].startswith("StabilityError") for row in rows)
+    assert all(row["xi2_numeric"] != "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "line", ["mc.method = euler", "input.alpha_override = 0.9"]
+)
+def test_retired_config_keys_are_rejected(tmp_path, line):
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    proc = run_cli("sweep", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "unknown key" in proc.stderr
+
+
+def test_tol_flag_is_gone():
+    proc = run_cli("analytic", "--tol", "1e-10")
+    assert proc.returncode == 2
+    assert "--tol" in proc.stderr
 
 
 def test_partial_failure_warns_but_succeeds(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from spinsqueeze.config import (
     parse_grid,
     resolve_config_path,
 )
-from spinsqueeze.exceptions import ConfigError
+from spinsqueeze.exceptions import ConfigError, StabilityError
 from spinsqueeze.sweep import (
     SWEEP_COLUMNS,
     fig_data,
@@ -92,7 +92,6 @@ def test_build_config_defaults():
     assert config.geometry.n_layers == 10
     assert config.model == "both"
     assert config.purity == 1.0
-    assert config.alpha_override is None
     assert len(config.n_photons_grid) == 25
     # The default beam is specified through eta, so the waist solves the
     # requested overlap.
@@ -104,8 +103,9 @@ def test_build_config_exclusions_and_validation():
         build_config({"beam.waist": "40", "beam.eta": "0.9"})
     with pytest.raises(ConfigError):
         build_config({"rates.gamma_s": "0.01", "rates.gamma_s_over_gamma0": "0.1"})
-    with pytest.raises(ConfigError):
-        build_config({"input.alpha_override": "1.4"})
+    for retired in ("mc.method", "input.alpha_override"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            build_config({retired: "1"})
     with pytest.raises(ConfigError):
         build_config({"input.purity": "1.4"})
     with pytest.raises(ConfigError):
@@ -195,18 +195,19 @@ def test_only_trajectory_points_run_on_threads(monkeypatch):
     assert all(isinstance(row["mc_estimate"], float) for row in rows)
 
 
-def test_run_sweep_captures_per_point_errors():
-    config = _small_sweep_config(
-        model="mc-check",
-        **{"mc.method": "euler", "mc.dt": "50.0", "mc.t_avg": "100.0"},
-    )
-    rows = run_sweep(config)
+def test_run_sweep_captures_per_point_errors(monkeypatch):
+    def diverge(*args):
+        raise StabilityError("synthetic divergence")
+
+    monkeypatch.setattr(sweep, "simulate_xi2", diverge)
+    rows = run_sweep(_small_sweep_config(model="mc-check"))
     assert len(rows) == 3
     for row in rows:
-        assert row["error"].startswith("DomainError")
+        assert row["error"].startswith("StabilityError")
         assert row["mc_estimate"] == ""
         # Everything computed before the failure is still reported.
         assert row["xi2_field"] != ""
+        assert row["xi2_numeric"] != ""
 
 
 def test_run_sweep_mc_check_is_deterministic():

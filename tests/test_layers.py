@@ -169,6 +169,19 @@ def test_truncation_tolerance_is_honored():
     assert loose == pytest.approx(tight, rel=1e-5)
 
 
+@pytest.mark.parametrize(
+    "lattice_const, max_shell, terms", [(0.68, 18, 132), (0.95, 25, 148)]
+)
+def test_truncation_info_frozen_values(lattice_const, max_shell, terms):
+    # Largest shell |m_perp|^2 reached, and the lattice orders summed over
+    # the nine separations of a 10-layer stack.
+    geom, _ = stack(lattice_const=lattice_const)
+    _, truncation = layers.evanescent_series(geom, 1e-14, 200)
+    assert truncation == layers.TruncationInfo(
+        tol=1e-14, max_order=max_shell, terms_summed=terms
+    )
+
+
 def test_drift_matrix_entries_and_stability():
     geom, rates = stack(n_layers=5)
     det = DetuningSpec(eff_detuning=0.4)

@@ -49,13 +49,13 @@ def stack(n_layers, layer_spacing=1.0, n_photons=1.0, purity=1.0):
     return geom, drift, diff
 
 
-def simulate_per_step(drift, diff, geom, params, method):
+def simulate_per_step(drift, diff, geom, params):
     """Reference sampler: the same Philox streams stepped one step at a
     time, projecting the collective amplitude after every step.  Each
     stream is read in order, so drawing it whole gives the same normals
     as drawing it block by block."""
     phi, noise = _step_operators(
-        stacked_drift(drift), stacked_covariance(diff), params.dt, method
+        stacked_drift(drift), stacked_covariance(diff), params.dt
     )
     n_z = geom.n_layers
     n_burn = int(round(params.t_burn / params.dt))
@@ -149,60 +149,28 @@ def test_single_layer_matches_closed_form():
     geom, drift, diff = stack(1)
     truth = xi2_numeric(solve_moments(drift, diff), geom).xi2
     params = McParams(dt=0.2, t_burn=60.0, t_avg=1000.0, n_traj=192, seed=5)
-    estimate, stderr = simulate_xi2(drift, diff, geom, params, method="exact")
+    estimate, stderr = simulate_xi2(drift, diff, geom, params)
     assert stderr < 0.01 * truth
     assert abs(estimate - truth) < 3.0 * stderr
-
-
-def test_euler_bias_shrinks_when_dt_halves():
-    # Euler is weak order one here, so halving dt should roughly halve
-    # the distance to the Sylvester answer; both biases are resolved at
-    # many standard errors with this trajectory budget.
-    geom, drift, diff = stack(1)
-    truth = xi2_numeric(solve_moments(drift, diff), geom).xi2
-    errors = {}
-    for dt in (0.3, 0.15):
-        params = McParams(dt=dt, t_burn=60.0, t_avg=3000.0, n_traj=512, seed=7)
-        estimate, stderr = simulate_xi2(drift, diff, geom, params, method="euler")
-        errors[dt] = (estimate - truth, stderr)
-    coarse, coarse_err = errors[0.3]
-    fine, fine_err = errors[0.15]
-    assert abs(coarse) > 5.0 * coarse_err
-    assert abs(fine) < 0.8 * abs(coarse)
-    assert coarse * fine > 0.0
 
 
 def test_exact_integrator_has_no_step_bias():
     geom, drift, diff = stack(1)
     truth = xi2_numeric(solve_moments(drift, diff), geom).xi2
     params = McParams(dt=0.5, t_burn=60.0, t_avg=2000.0, n_traj=256, seed=9)
-    estimate, stderr = simulate_xi2(drift, diff, geom, params, method="exact")
+    estimate, stderr = simulate_xi2(drift, diff, geom, params)
     assert abs(estimate - truth) < 4.0 * stderr
 
 
 def test_deterministic_reruns_and_seed_sensitivity():
     geom, drift, diff = stack(2, n_photons=0.5)
     params = McParams(dt=0.25, t_burn=20.0, t_avg=150.0, n_traj=16, seed=3)
-    first = simulate_xi2(drift, diff, geom, params, method="exact")
-    second = simulate_xi2(drift, diff, geom, params, method="exact")
+    first = simulate_xi2(drift, diff, geom, params)
+    second = simulate_xi2(drift, diff, geom, params)
     assert first == second
     reseeded = McParams(dt=0.25, t_burn=20.0, t_avg=150.0, n_traj=16, seed=4)
-    third = simulate_xi2(drift, diff, geom, reseeded, method="exact")
+    third = simulate_xi2(drift, diff, geom, reseeded)
     assert third != first
-
-
-def test_euler_refuses_coarse_steps():
-    geom, drift, diff = stack(1)
-    params = McParams(dt=5.0, t_burn=10.0, t_avg=50.0, n_traj=4)
-    with pytest.raises(DomainError):
-        simulate_xi2(drift, diff, geom, params, method="euler")
-
-
-def test_unknown_integrator_is_rejected():
-    geom, drift, diff = stack(1)
-    params = McParams(dt=0.2, t_burn=1.0, t_avg=5.0, n_traj=4)
-    with pytest.raises(ValueError):
-        simulate_xi2(drift, diff, geom, params, method="heun")
 
 
 def test_divergent_drift_is_caught():
@@ -212,9 +180,10 @@ def test_divergent_drift_is_caught():
         schur_t=0.2 * np.eye(1, dtype=complex),
         schur_q=np.eye(1, dtype=complex),
     )
+    # Over the run the state grows by about e^(0.2 * 400) = e^80.
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
     with pytest.raises(StabilityError):
-        simulate_xi2(runaway, diff, geom, params, method="euler")
+        simulate_xi2(runaway, diff, geom, params)
 
 
 def test_nan_divergence_is_caught():
@@ -227,7 +196,7 @@ def test_nan_divergence_is_caught():
     )
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
     with pytest.raises(StabilityError), np.errstate(over="ignore", invalid="ignore"):
-        simulate_xi2(runaway, diff, geom, params, method="exact")
+        simulate_xi2(runaway, diff, geom, params)
 
 
 # (layers, burn-in steps, averaged steps) around the block boundaries.
@@ -240,9 +209,8 @@ BLOCK_CASES = {
 }
 
 
-@pytest.mark.parametrize("method", ["exact", "euler"])
 @pytest.mark.parametrize("case", BLOCK_CASES)
-def test_block_loop_matches_per_step_reference(case, method):
+def test_block_loop_matches_per_step_reference(case):
     n_layers, n_burn, n_avg = BLOCK_CASES[case]
     geom, drift, diff = stack(n_layers, layer_spacing=0.9, n_photons=0.7, purity=0.95)
     dt = 0.05
@@ -250,8 +218,8 @@ def test_block_loop_matches_per_step_reference(case, method):
         dt=dt, t_burn=n_burn * dt, t_avg=n_avg * dt, n_traj=4, seed=11
     )
     assert int(round(params.t_burn / dt)) == n_burn
-    estimate, stderr = simulate_xi2(drift, diff, geom, params, method=method)
-    ref_estimate, ref_stderr = simulate_per_step(drift, diff, geom, params, method)
+    estimate, stderr = simulate_xi2(drift, diff, geom, params)
+    ref_estimate, ref_stderr = simulate_per_step(drift, diff, geom, params)
     assert estimate == pytest.approx(ref_estimate, rel=1e-10, abs=0.0)
     assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
 
@@ -291,5 +259,5 @@ def test_trajectories_agree_with_numeric_on_random_stacks(
         dt=0.5 / max(1.0, fastest), t_burn=10.0 / slowest,
         t_avg=40.0 / slowest, n_traj=16, seed=seed,
     )
-    estimate, stderr = simulate_xi2(drift, diff, geom, params, method="exact")
+    estimate, stderr = simulate_xi2(drift, diff, geom, params)
     assert abs(estimate - truth) <= 5.0 * stderr
