@@ -10,10 +10,10 @@ an independent cross-check.
 
 from .analytic import (
     DetuningSpec,
-    SqueezingResult,
     ThreeLevelSpec,
     overlap_chi,
     reflectivity_complex,
+    squeezing_contrast,
     three_level_effective,
     xi2_analytic,
     xi2_min,
@@ -56,6 +56,8 @@ from .rates import (
 from .squeezed_input import (
     DiffusionSet,
     SqueezedVacuumSpec,
+    SqueezingResult,
+    beam_splitter,
     field_moments,
     input_quadrature_variance,
     noise_diffusions,
@@ -98,6 +100,7 @@ __all__ = [
     "TruncationInfo",
     "UnitResponse",
     "ValidityReport",
+    "beam_splitter",
     "build_config",
     "collective_moments",
     "compute_rates",
@@ -121,6 +124,7 @@ __all__ = [
     "simulate_xi2",
     "single_layer_rate",
     "solve_moments",
+    "squeezing_contrast",
     "stacked_covariance",
     "stacked_drift",
     "three_level_effective",

@@ -3,9 +3,11 @@
 The phase-matched stack acts on the paraxial drive as a beam splitter
 with power reflectivity r0: a fraction r0 of the input squeezed-vacuum
 correlations is written onto the collective spin, the rest is replaced
-by vacuum.  Everything in this module follows from that one picture,
-including the detuned response, the optimal photon number, the
-cascaded three-level variant, and readout mode mismatch.
+by vacuum.  Each prediction here is one call of
+:func:`squeezed_input.beam_splitter` with its own reflectivity and
+squeezing contrast: the detuned response (:func:`squeezing_contrast`),
+the cascaded three-level variant, and readout mode mismatch.  The
+optimal photon number follows from the same law in closed form.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
 from .exceptions import DomainError
 from .geometry import ArrayGeometry, BeamProfile
 from .rates import RateSet, compute_rates
-from .squeezed_input import SqueezedVacuumSpec, quadrature_deficit
+from .squeezed_input import SqueezedVacuumSpec, SqueezingResult, beam_splitter
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,6 @@ class ThreeLevelSpec:
             raise DomainError(f"gamma_se must be non-negative, got {self.gamma_se}")
 
 
-@dataclass(frozen=True)
-class SqueezingResult:
-    """A squeezing prediction together with its diagnostic intermediates.
-
-    ``xi2`` is the variance of the optimal quadrature relative to the
-    coherent-state reference, ``xi2_anti`` the orthogonal one, and
-    ``theta_opt`` the quadrature angle that attains ``xi2``.  ``aux``
-    carries model-specific intermediates (complex reflectivity,
-    effective rates and so on) keyed by name.
-    """
-
-    xi2: float
-    theta_opt: float
-    xi2_anti: float
-    aux: Mapping[str, Any]
-
-
 def reflectivity_complex(rates: RateSet, det: DetuningSpec) -> complex:
     """Complex amplitude reflectivity of the stack at a given detuning.
 
@@ -86,16 +70,16 @@ def reflectivity_complex(rates: RateSet, det: DetuningSpec) -> complex:
     return rates.r0 / (1.0 + 2.0j * det.eff_detuning * rates.r0 / rates.gamma_coll)
 
 
-def _alpha_eff(
+def squeezing_contrast(
     rates: RateSet,
     spec: SqueezedVacuumSpec,
     det: DetuningSpec,
-) -> tuple[float, complex]:
-    r = reflectivity_complex(rates, det)
-    alpha = spec.purity * abs(r) / rates.r0
+) -> float:
+    """Squeezing contrast purity |r| / r0: 1 for a pure source on resonance."""
+    alpha = spec.purity * abs(reflectivity_complex(rates, det)) / rates.r0
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"effective squeezing efficiency {alpha} outside [0, 1]")
-    return alpha, r
+    return alpha
 
 
 def xi2_analytic(
@@ -111,17 +95,8 @@ def xi2_analytic(
     The optimal quadrature sits at theta = 0 by the phase convention of
     the input (anomalous moment taken real positive).
     """
-    alpha, r = _alpha_eff(rates, spec, det)
-    n = spec.n_photons
-    root = math.sqrt(n * (n + 1.0))
-    xi2 = 1.0 + 2.0 * rates.r0 * quadrature_deficit(n, alpha)
-    xi2_anti = 1.0 + 2.0 * rates.r0 * (n + alpha * root)
-    return SqueezingResult(
-        xi2=xi2,
-        theta_opt=0.0,
-        xi2_anti=xi2_anti,
-        aux={"r": r, "alpha_eff": alpha, "r0": rates.r0},
-    )
+    alpha = squeezing_contrast(rates, spec, det)
+    return beam_splitter(rates.r0, spec.n_photons, alpha)
 
 
 def xi2_min(rates: RateSet, alpha_eff: float) -> tuple[float, float]:
@@ -228,28 +203,13 @@ def xi2_three_level(
 
     if tls.rabi == 0:
         # The spin level never couples to the field; it stays coherent.
-        return SqueezingResult(
-            xi2=1.0,
-            theta_opt=0.0,
-            xi2_anti=1.0,
-            aux={"alpha_eff": 0.0, "factor": 0j, **eff},
-        )
+        return beam_splitter(0.0, spec.n_photons, 0.0)
 
-    alpha, r = _alpha_eff(aug, spec, det)
+    alpha = squeezing_contrast(aug, spec, det)
     pole = 0.5 * eff["gamma_S"] + 0.5 * eff["gamma_S_loss"] + 1j * eff["delta_S"]
     factor = 1.0 / (1.0 - 1j * tls.two_photon_detuning / pole)
-
-    n = spec.n_photons
-    root = math.sqrt(n * (n + 1.0))
-    coeff = alpha * abs(factor)
-    xi2 = 1.0 + 2.0 * r0 * quadrature_deficit(n, coeff)
-    xi2_anti = 1.0 + 2.0 * r0 * (n + coeff * root)
-    theta = -0.5 * cmath.phase(factor)
-    return SqueezingResult(
-        xi2=xi2,
-        theta_opt=theta,
-        xi2_anti=xi2_anti,
-        aux={"r": r, "alpha_eff": alpha, "factor": factor, "r0": r0, **eff},
+    return beam_splitter(
+        r0, spec.n_photons, alpha * abs(factor), -0.5 * cmath.phase(factor)
     )
 
 
@@ -298,15 +258,5 @@ def xi2_mismatch(
     """
     if not 0.0 <= chi <= 1.0:
         raise DomainError(f"chi must lie in [0, 1], got {chi}")
-    alpha, r = _alpha_eff(rates, spec, det)
-    n = spec.n_photons
-    root = math.sqrt(n * (n + 1.0))
-    r0_eff = rates.r0 * chi * chi
-    xi2 = 1.0 + 2.0 * r0_eff * quadrature_deficit(n, alpha)
-    xi2_anti = 1.0 + 2.0 * r0_eff * (n + alpha * root)
-    return SqueezingResult(
-        xi2=xi2,
-        theta_opt=0.0,
-        xi2_anti=xi2_anti,
-        aux={"r": r, "alpha_eff": alpha, "chi": chi, "r0": rates.r0},
-    )
+    alpha = squeezing_contrast(rates, spec, det)
+    return beam_splitter(rates.r0 * chi * chi, spec.n_photons, alpha)

@@ -70,13 +70,43 @@ def quadrature_deficit(n: float, coeff: float) -> float:
     return n * (n * gap - coeff * coeff) / (n + coeff * root)
 
 
+@dataclass(frozen=True)
+class SqueezingResult:
+    """A squeezing prediction.
+
+    ``xi2`` is the variance of the optimal quadrature relative to the
+    coherent-state reference, ``xi2_anti`` the orthogonal one, and
+    ``theta_opt`` the quadrature angle that attains ``xi2``.
+    """
+
+    xi2: float
+    theta_opt: float
+    xi2_anti: float
+
+
+def beam_splitter(
+    reflectivity: float, n_photons: float, contrast: float, theta_opt: float = 0.0
+) -> SqueezingResult:
+    """The beam-splitter law that every squeezing route reduces to.
+
+    A fraction R = ``reflectivity`` of the input correlations reaches the
+    spin with contrast c = ``contrast`` in [0, 1] and the rest is vacuum,
+    so xi2 = 1 + 2 R (N - c sqrt(N(N+1))), evaluated by
+    :func:`quadrature_deficit`, and xi2_anti = 1 + 2 R (N + c sqrt(N(N+1))).
+    """
+    root = math.sqrt(n_photons * (n_photons + 1.0))
+    xi2 = 1.0 + 2.0 * reflectivity * quadrature_deficit(n_photons, contrast)
+    xi2_anti = 1.0 + 2.0 * reflectivity * (n_photons + contrast * root)
+    return SqueezingResult(xi2, theta_opt, xi2_anti)
+
+
 def input_quadrature_variance(spec: SqueezedVacuumSpec) -> float:
     """Squeezed quadrature variance of the bare field, 1 + 2(N - M).
 
-    Equals 1 for vacuum and approaches 1/(4N) from above for a strongly
-    squeezed pure state.
+    The beam-splitter law at full reflectivity.  Equals 1 for vacuum and
+    approaches 1/(4N) from above for a strongly squeezed pure state.
     """
-    return 1.0 + 2.0 * quadrature_deficit(spec.n_photons, spec.purity)
+    return beam_splitter(1.0, spec.n_photons, spec.purity).xi2
 
 
 @dataclass(frozen=True)

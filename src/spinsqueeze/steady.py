@@ -20,7 +20,9 @@ collective squeezing parameter projects them onto the phase-matched
 travelling mode.  The sources are linear in the input moments N and M,
 so one solve at N = M = 1 (:func:`unit_response`) gives the collective
 moments of every input to the same drift matrix, and
-:func:`xi2_from_response` evaluates each input in closed form.
+:func:`xi2_from_response` evaluates each input with the beam-splitter law
+(:func:`squeezed_input.beam_splitter`), reflectivity c_n and contrast
+purity |c_m|/c_n.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import ztrsyl
 
-from .analytic import SqueezingResult
 from .blas import one_blas_thread
 from .exceptions import PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
@@ -41,9 +42,10 @@ from .rates import RateSet
 from .squeezed_input import (
     DiffusionSet,
     SqueezedVacuumSpec,
+    SqueezingResult,
+    beam_splitter,
     field_moments,
     moment_diffusions,
-    quadrature_deficit,
 )
 
 RESIDUAL_HARD_LIMIT = 1e-8
@@ -174,17 +176,9 @@ def _check_occupation(pdp: float) -> None:
         )
 
 
-def _squeezing_result(
-    pdp: float, pp: complex, xi2: float, xi2_anti: float
-) -> SqueezingResult:
-    """Package xi2 with the optimal angle 2 theta = pi - arg <P P>."""
-    theta = 0.0 if pp == 0 else 0.5 * ((math.pi - cmath.phase(pp)) % (2.0 * math.pi))
-    return SqueezingResult(
-        xi2=xi2,
-        theta_opt=theta,
-        xi2_anti=xi2_anti,
-        aux={"p_dag_p": pdp, "pp": pp},
-    )
+def _theta_opt(pp: complex) -> float:
+    """Optimal quadrature angle, 2 theta = pi - arg <P P> (0 for <P P> = 0)."""
+    return 0.0 if pp == 0 else 0.5 * ((math.pi - cmath.phase(pp)) % (2.0 * math.pi))
 
 
 def xi2_numeric(
@@ -194,14 +188,15 @@ def xi2_numeric(
     """Squeezing parameter of the collective mode from solved moments.
 
     xi2 = 1 + 2 <P^dag P> - 2 |<P P>| at the optimal quadrature angle
-    2 theta = pi - arg <P P>.
+    2 theta = pi - arg <P P>.  This direct subtraction is the per-source
+    reference that :func:`xi2_from_response` is checked against.
     """
     pdp, pp = collective_moments(moments, geom)
     _check_occupation(pdp)
     mag = abs(pp)
     xi2 = 1.0 + 2.0 * pdp - 2.0 * mag
     xi2_anti = 1.0 + 2.0 * pdp + 2.0 * mag
-    return _squeezing_result(pdp, pp, xi2, xi2_anti)
+    return SqueezingResult(xi2, _theta_opt(pp), xi2_anti)
 
 
 @dataclass(frozen=True)
@@ -245,11 +240,11 @@ def xi2_from_response(
 ) -> SqueezingResult:
     """Squeezing parameter of one input from the unit response.
 
-    xi2 = 1 + 2 c_n quadrature_deficit(N, purity alpha), the beam-splitter
-    form with r0 -> c_n and alpha -> purity |c_m|/c_n, evaluated without
-    the cancellation of 1 + 2 <P^dag P> - 2 |<P P>|.  A contrast above 1
-    by at most ``CONTRAST_ROUNDOFF`` is clamped to 1; a larger one means
-    the solve is broken and raises :class:`PhysicalityError`.
+    The beam-splitter law with reflectivity c_n and contrast
+    purity |c_m|/c_n, which avoids the cancellation of
+    1 + 2 <P^dag P> - 2 |<P P>|.  A contrast above 1 by at most
+    ``CONTRAST_ROUNDOFF`` is clamped to 1; a larger one means the solve
+    is broken and raises :class:`PhysicalityError`.
     """
     n_phot, m_anom = field_moments(spec)
     pdp = response.c_n * n_phot
@@ -261,7 +256,6 @@ def xi2_from_response(
                 f"squeezing contrast purity*|c_m|/c_n = {coeff!r} exceeds 1"
             )
         coeff = 1.0
-    root = math.sqrt(n_phot * (n_phot + 1.0))
-    xi2 = 1.0 + 2.0 * response.c_n * quadrature_deficit(n_phot, coeff)
-    xi2_anti = 1.0 + 2.0 * response.c_n * (n_phot + coeff * root)
-    return _squeezing_result(pdp, m_anom * response.c_m, xi2, xi2_anti)
+    return beam_splitter(
+        response.c_n, n_phot, coeff, _theta_opt(m_anom * response.c_m)
+    )

@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from .analytic import (
     DetuningSpec,
+    squeezing_contrast,
     xi2_analytic,
     xi2_min,
     xi2_min_vs_layers,
@@ -92,9 +93,10 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
 
     Returns one row dict per grid point, in grid order.  The numeric
     model solves its drift matrix once, for unit sources, and evaluates
-    every grid point in closed form.  Solver errors land in the
-    ``error`` column of each row they affect instead of aborting the
-    whole sweep.
+    every grid point in closed form.  Solver errors, including an
+    unstable drift matrix or an evanescent sum that does not converge,
+    land in the ``error`` column of each row they affect instead of
+    aborting the whole sweep.
     """
     geom = config.geometry
     rates = config.rates()
@@ -107,8 +109,8 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
     response = None
     numeric_error = ""
     if want_numeric:
-        drift = _drift(config, rates, det)
         try:
+            drift = _drift(config, rates, det)
             response = unit_response(drift, geom, rates)
         except SpinSqueezeError as exc:
             numeric_error = _error_text(exc)
@@ -134,9 +136,9 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
             error="",
         )
         try:
-            analytic = xi2_analytic(rates, spec, det)
-            row["alpha_eff"] = analytic.aux["alpha_eff"]
+            row["alpha_eff"] = squeezing_contrast(rates, spec, det)
             if want_analytic:
+                analytic = xi2_analytic(rates, spec, det)
                 row["xi2_analytic"] = analytic.xi2
                 row["theta_opt"] = analytic.theta_opt
                 row["xi2_anti"] = analytic.xi2_anti
@@ -383,7 +385,7 @@ def preset_fig4(
         config, model="numeric", detuning_mode="on-resonance"
     )
     corrected_case = dataclasses.replace(
-        config, model="numeric", detuning_mode="fixed", detuning_value=shift
+        config, model="numeric", detuning_mode="delta-prime-corrected"
     )
     analytic_rows = run_sweep(analytic_case)
     resonant_rows = run_sweep(resonant_case)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from spinsqueeze import (
@@ -15,10 +17,13 @@ from spinsqueeze import (
     DetuningSpec,
     SqueezedVacuumSpec,
     ThreeLevelSpec,
+    beam_splitter,
     compute_rates,
+    input_quadrature_variance,
     overlap_chi,
     reflectivity_complex,
     single_layer_rate,
+    squeezing_contrast,
     three_level_effective,
     waist_for_overlap,
     xi2_analytic,
@@ -55,8 +60,30 @@ def test_xi2_analytic_frozen_point():
     res = xi2_analytic(rates, SqueezedVacuumSpec(n_photons=1.0))
     assert res.xi2 == pytest.approx(0.18797737277353632, rel=1e-13)
     assert res.theta_opt == 0.0
-    assert res.aux["alpha_eff"] == pytest.approx(1.0, rel=1e-15)
+    assert squeezing_contrast(
+        rates, SqueezedVacuumSpec(n_photons=1.0), DetuningSpec()
+    ) == 1.0
     assert res.xi2_anti > 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n_photons=st.floats(0.0, 1e6),
+    purity=st.floats(0.0, 1.0),
+    detuning=st.floats(-10.0, 10.0),
+)
+def test_every_closed_form_route_is_the_beam_splitter_law(
+    n_photons, purity, detuning
+):
+    _, _, rates = bench_stack()
+    spec = SqueezedVacuumSpec(n_photons=n_photons, purity=purity)
+    det = DetuningSpec(eff_detuning=detuning)
+    law = beam_splitter(rates.r0, n_photons, squeezing_contrast(rates, spec, det))
+    assert xi2_analytic(rates, spec, det) == law
+    assert xi2_mismatch(rates, spec, det, chi=1.0) == law
+    assert input_quadrature_variance(spec) == beam_splitter(1.0, n_photons, purity).xi2
+    off = xi2_three_level(rates, spec, det, ThreeLevelSpec(rabi=0j))
+    assert dataclasses.astuple(off) == (1.0, 0.0, 1.0)
 
 
 def test_xi2_analytic_large_n_asymptote():

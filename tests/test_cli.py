@@ -160,6 +160,41 @@ def test_all_points_failing_exits_three(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, override, prefix",
+    [
+        (
+            "sweep",
+            "rates.gamma_s_over_gamma0=0",
+            "StabilityError: drift matrix not strictly stable",
+        ),
+        (
+            "numeric",
+            "kernel.max_order=2",
+            "ConvergenceError: evanescent sum for separation 1",
+        ),
+    ],
+)
+def test_drift_errors_fill_the_error_column(capsys, command, override, prefix):
+    # Building the drift matrix fails for every row, but the closed-form
+    # columns do not need it: the table is written, not aborted.
+    code = cli.main([
+        command, "--set", override, "--set", "input.n_photons=1,10",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "every grid point failed" in captured.err
+    rows = parse_csv(captured.out)
+    assert [row["n_photons"] for row in rows] == ["1", "10"]
+    for row in rows:
+        assert row["error"].startswith(prefix)
+        assert row["alpha_eff"] == "1"
+        assert float(row["xi2_field"]) < 1.0
+        assert row["xi2_numeric"] == ""
+        if command == "sweep":
+            assert float(row["xi2_analytic"]) < 1.0
+
+
+@pytest.mark.parametrize(
     "line", ["mc.method = euler", "input.alpha_override = 0.9"]
 )
 def test_retired_config_keys_are_rejected(tmp_path, line):

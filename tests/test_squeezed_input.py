@@ -7,11 +7,14 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
     SqueezedVacuumSpec,
+    beam_splitter,
     compute_rates,
     field_moments,
     input_quadrature_variance,
@@ -21,6 +24,8 @@ from spinsqueeze import (
 )
 from spinsqueeze.exceptions import DomainError
 from spinsqueeze.squeezed_input import quadrature_deficit
+
+EPS = np.finfo(float).eps
 
 
 def test_spec_validation():
@@ -70,6 +75,36 @@ def test_quadrature_deficit_signs():
     assert quadrature_deficit(5.0, 0.0) == 5.0
     assert quadrature_deficit(5.0, 1.0) < 0.0
     assert quadrature_deficit(0.0, 1.0) == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    reflectivity=st.floats(0.0, 1.0),
+    n_photons=st.floats(0.0, 1e6),
+    contrast=st.floats(0.0, 1.0),
+)
+# At R = c = 1 the exact product is 1, so rounding has no slack there.
+@example(reflectivity=1.0, n_photons=1e4, contrast=1.0)
+@example(reflectivity=1.0, n_photons=16641.0, contrast=1.0)
+def test_beam_splitter_uncertainty_and_floor(reflectivity, n_photons, contrast):
+    res = beam_splitter(reflectivity, n_photons, contrast)
+    assert res.theta_opt == 0.0
+    # xi2 xi2_anti = 1 + 4RN(1 - R) >= 1 exactly.  The final sum 1 + 2R d
+    # rounds at the scale of 1, so xi2 carries an absolute error below one
+    # ulp of 1; at R = c = 1 and N = 1e6 that is 1e-10 of xi2 itself.
+    assert res.xi2 >= 1.0 / res.xi2_anti - 4.0 * EPS
+    # xi2 > 1 - R holds strictly because the deficit stays above -1/2 for
+    # finite N; after rounding, xi2 and 1 - R may meet when R is tiny.
+    assert quadrature_deficit(n_photons, contrast) > -0.5
+    assert res.xi2 >= 1.0 - reflectivity
+
+
+def test_beam_splitter_frozen_point():
+    # R = 1/2, N = 1, c = 1: 1 + (1 - sqrt 2) and 1 + (1 + sqrt 2).
+    res = beam_splitter(0.5, 1.0, 1.0, theta_opt=0.25)
+    assert res.xi2 == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-15)
+    assert res.xi2_anti == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
+    assert res.theta_opt == 0.25
 
 
 def _stack(n_layers=4, layer_spacing=0.8):
