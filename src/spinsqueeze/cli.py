@@ -18,19 +18,11 @@ import dataclasses
 import sys
 from typing import Any
 
-from .analytic import DetuningSpec
 from .config import ExperimentConfig, build_config, load_config_file
 from .exceptions import ConfigError, SpinSqueezeError
-from .layers import delta_prime, evanescent_range
+from .layers import evanescent_range
 from .rates import validity_report
-from .sweep import fig_data, rows_to_csv, rows_to_json, run_sweep
-
-_MODEL_BY_COMMAND = {
-    "analytic": "analytic",
-    "numeric": "numeric",
-    "mc-check": "mc-check",
-    "sweep": None,
-}
+from .sweep import fig_data, format_table, run_sweep, validity_columns
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -102,11 +94,7 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
     report = validity_report(
         config.geometry, config.beam, config.n_photons_grid[0], rates
     )
-    shift = delta_prime(
-        config.geometry,
-        tol=config.kernel_tol,
-        max_order=config.kernel_max_order,
-    )
+    shift = config.collective_shift()
     return [
         {
             "gamma0": rates.gamma0,
@@ -120,12 +108,7 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
             "evanescent_range_1": evanescent_range(config.geometry, 1),
             "n_eff": report.n_eff,
             "heisenberg_floor": report.heisenberg_floor,
-            "valid_all": report.all_ok,
-            "valid_layer_size": report.layer_size_ok,
-            "valid_rayleigh": report.rayleigh_ok,
-            "valid_phase_match": report.phase_match_ok,
-            "valid_evanescent": report.evanescent_ok,
-            "valid_linearization": report.linearization_ok,
+            **validity_columns(report),
         }
     ]
 
@@ -136,11 +119,7 @@ def _run_table_command(command: str, config: ExperimentConfig) -> int:
     else:
         rows = run_sweep(config)
 
-    if config.out_format == "csv":
-        payload = rows_to_csv(rows)
-    else:
-        payload = rows_to_json(rows)
-    _emit(payload, config.out_path)
+    _emit(format_table(rows, config.out_format), config.out_path)
 
     errored = [row for row in rows if row.get("error")]
     if errored and len(errored) == len(rows):
@@ -174,10 +153,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
             return 0
         config = build_config(overrides)
-        if args.command in _MODEL_BY_COMMAND:
-            forced = _MODEL_BY_COMMAND[args.command]
-            if forced is not None:
-                config = dataclasses.replace(config, model=forced)
+        if args.command in ("analytic", "numeric", "mc-check"):
+            config = dataclasses.replace(config, model=args.command)
         return _run_table_command(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConfigError, DomainError
 from .geometry import ArrayGeometry, BeamProfile
+from .layers import delta_prime
 from .mc import McParams
 from .rates import RateSet, compute_rates, single_layer_rate, waist_for_overlap
 
@@ -79,6 +80,12 @@ class ExperimentConfig:
 
     def rates(self) -> RateSet:
         return compute_rates(self.geometry, self.beam, self.gamma_s)
+
+    def collective_shift(self) -> float:
+        """Signed evanescent shift delta' of the phase-matched mode."""
+        return delta_prime(
+            self.geometry, tol=self.kernel_tol, max_order=self.kernel_max_order
+        )
 
 
 def resolve_config_path(name: str) -> str:

@@ -25,9 +25,9 @@ from .analytic import (
 )
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, SpinSqueezeError
-from .layers import DriftMatrix, delta_prime, drift_matrix, interaction_kernel
+from .layers import DriftMatrix, drift_matrix, interaction_kernel
 from .mc import simulate_xi2
-from .rates import RateSet, compute_rates, validity_report
+from .rates import RateSet, ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
     SqueezedVacuumSpec,
     input_quadrature_variance,
@@ -66,11 +66,19 @@ def _resolve_detuning(config: ExperimentConfig) -> float:
         return 0.0
     if config.detuning_mode == "fixed":
         return config.detuning_value
-    return delta_prime(
-        config.geometry,
-        tol=config.kernel_tol,
-        max_order=config.kernel_max_order,
-    )
+    return config.collective_shift()
+
+
+def validity_columns(report: ValidityReport) -> dict[str, bool]:
+    """The six ``valid_*`` output columns of a validity report."""
+    return {
+        "valid_all": report.all_ok,
+        "valid_layer_size": report.layer_size_ok,
+        "valid_rayleigh": report.rayleigh_ok,
+        "valid_phase_match": report.phase_match_ok,
+        "valid_evanescent": report.evanescent_ok,
+        "valid_linearization": report.linearization_ok,
+    }
 
 
 def _error_text(exc: SpinSqueezeError) -> str:
@@ -88,7 +96,7 @@ def _drift(config: ExperimentConfig, rates: RateSet, det: DetuningSpec) -> Drift
     return drift_matrix(kernel, rates, det)
 
 
-def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict[str, Any]]:
+def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
     Returns one row dict per grid point, in grid order.  The numeric
@@ -96,24 +104,25 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
     every grid point in closed form.  Solver errors, including an
     unstable drift matrix or an evanescent sum that does not converge,
     land in the ``error`` column of each row they affect instead of
-    aborting the whole sweep.
+    aborting the whole sweep.  A detuning that cannot be resolved fails
+    every row, which keeps only the columns that do not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
-    det = DetuningSpec(_resolve_detuning(config))
     want_numeric = config.model in ("numeric", "both", "mc-check")
     want_analytic = config.model in ("analytic", "both")
     want_mc = config.model == "mc-check"
 
-    drift = None
-    response = None
-    numeric_error = ""
-    if want_numeric:
-        try:
+    det = drift = response = None
+    # The detuning's error if det is None, else the numeric solve's.
+    setup_error = ""
+    try:
+        det = DetuningSpec(_resolve_detuning(config))
+        if want_numeric:
             drift = _drift(config, rates, det)
             response = unit_response(drift, geom, rates)
-        except SpinSqueezeError as exc:
-            numeric_error = _error_text(exc)
+    except SpinSqueezeError as exc:
+        setup_error = _error_text(exc)
 
     def evaluate(item: tuple[int, float]) -> dict[str, Any]:
         index, n_photons = item
@@ -123,18 +132,16 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
         row.update(
             n_photons=n_photons,
             purity=config.purity,
-            eff_detuning=det.eff_detuning,
             r0=rates.r0,
             xi2_field=input_quadrature_variance(spec),
-            valid_all=report.all_ok,
-            valid_layer_size=report.layer_size_ok,
-            valid_rayleigh=report.rayleigh_ok,
-            valid_phase_match=report.phase_match_ok,
-            valid_evanescent=report.evanescent_ok,
-            valid_linearization=report.linearization_ok,
+            **validity_columns(report),
             n_eff=report.n_eff,
             error="",
         )
+        if det is None:
+            row["error"] = setup_error
+            return row
+        row["eff_detuning"] = det.eff_detuning
         try:
             row["alpha_eff"] = squeezing_contrast(rates, spec, det)
             if want_analytic:
@@ -142,8 +149,8 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
                 row["xi2_analytic"] = analytic.xi2
                 row["theta_opt"] = analytic.theta_opt
                 row["xi2_anti"] = analytic.xi2_anti
-            if numeric_error:
-                row["error"] = numeric_error
+            if setup_error:
+                row["error"] = setup_error
                 return row
             if want_numeric:
                 row["xi2_numeric"] = xi2_from_response(response, spec).xi2
@@ -161,11 +168,10 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> list[dict
         return row
 
     items = list(enumerate(config.n_photons_grid))
-    n_workers = workers if workers is not None else config.workers
     # Only trajectory points carry enough work to pay for a thread; the
     # others are closed-form evaluations of the one unit solve.
-    if want_mc and n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if want_mc and config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(evaluate, items))
     else:
         rows = [evaluate(item) for item in items]
@@ -212,6 +218,15 @@ def rows_to_json(rows: list[dict[str, Any]], meta: dict[str, Any] | None = None)
     if meta is not None:
         payload["meta"] = {key: _jsonable(val) for key, val in meta.items()}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def format_table(
+    rows: list[dict[str, Any]], out_format: str, columns: list[str] | None = None
+) -> str:
+    """Serialise rows as CSV, in ``columns`` order if given, or else as JSON."""
+    if out_format == "csv":
+        return rows_to_csv(rows, columns)
+    return rows_to_json(rows)
 
 
 def _base_preset(**overrides: str) -> ExperimentConfig:
@@ -374,33 +389,25 @@ def preset_fig4(
         }
     )
     rates = config.rates()
-    shift = delta_prime(
-        config.geometry,
-        tol=config.kernel_tol,
-        max_order=config.kernel_max_order,
-    )
+    shift = config.collective_shift()
 
-    analytic_case = dataclasses.replace(config, model="analytic")
-    resonant_case = dataclasses.replace(
-        config, model="numeric", detuning_mode="on-resonance"
+    resonant_rows = run_sweep(
+        dataclasses.replace(config, model="both", detuning_mode="on-resonance")
     )
-    corrected_case = dataclasses.replace(
-        config, model="numeric", detuning_mode="delta-prime-corrected"
+    corrected_rows = run_sweep(
+        dataclasses.replace(
+            config, model="numeric", detuning_mode="delta-prime-corrected"
+        )
     )
-    analytic_rows = run_sweep(analytic_case)
-    resonant_rows = run_sweep(resonant_case)
-    corrected_rows = run_sweep(corrected_case)
 
     rows: list[dict[str, Any]] = []
-    for base, res, cor in zip(analytic_rows, resonant_rows, corrected_rows):
-        errors = "; ".join(
-            msg for msg in (base["error"], res["error"], cor["error"]) if msg
-        )
+    for res, cor in zip(resonant_rows, corrected_rows):
+        errors = "; ".join(msg for msg in (res["error"], cor["error"]) if msg)
         rows.append(
             {
-                "n_photons": base["n_photons"],
-                "r0": base["r0"],
-                "xi2_analytic": base["xi2_analytic"],
+                "n_photons": res["n_photons"],
+                "r0": res["r0"],
+                "xi2_analytic": res["xi2_analytic"],
                 "xi2_numeric_resonant": res["xi2_numeric"],
                 "xi2_numeric_corrected": cor["xi2_numeric"],
                 "error": errors,
@@ -441,20 +448,13 @@ def fig_data(
     rows, summary, columns = _PRESETS[figure_id](overrides)
     os.makedirs(out_dir, exist_ok=True)
 
-    paths: list[str] = []
-    if out_format == "csv":
-        table_path = os.path.join(out_dir, f"{figure_id}.csv")
-        payload = rows_to_csv(rows, columns)
-    else:
-        table_path = os.path.join(out_dir, f"{figure_id}.json")
-        payload = rows_to_json(rows)
+    extension = "csv" if out_format == "csv" else "json"
+    table_path = os.path.join(out_dir, f"{figure_id}.{extension}")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
-    paths.append(table_path)
+        fh.write(format_table(rows, out_format, columns))
 
     summary_path = os.path.join(out_dir, f"{figure_id}_summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    paths.append(summary_path)
-    return paths
+    return [table_path, summary_path]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -168,8 +169,8 @@ def test_run_sweep_respects_model_selector():
 
 def test_run_sweep_workers_do_not_change_rows():
     config = _small_sweep_config(**{"input.n_photons": "log:0.01:100:9"})
-    serial = run_sweep(config, workers=1)
-    threaded = run_sweep(config, workers=4)
+    serial = run_sweep(dataclasses.replace(config, workers=1))
+    threaded = run_sweep(dataclasses.replace(config, workers=4))
     assert serial == threaded
 
 
@@ -183,15 +184,15 @@ def test_only_trajectory_points_run_on_threads(monkeypatch):
 
     monkeypatch.setattr(sweep, "ThreadPoolExecutor", Recording)
     for model in ("analytic", "numeric", "both"):
-        run_sweep(_small_sweep_config(model=model), workers=4)
+        run_sweep(_small_sweep_config(model=model, workers="4"))
     assert pools == []
     trajectories = _small_sweep_config(
         model="mc-check",
         **{"mc.n_traj": "2", "mc.t_burn": "0", "mc.t_avg": "2"},
     )
-    rows = run_sweep(trajectories, workers=4)
+    rows = run_sweep(dataclasses.replace(trajectories, workers=4))
     assert pools == [4]
-    assert rows == run_sweep(trajectories, workers=1)
+    assert rows == run_sweep(dataclasses.replace(trajectories, workers=1))
     assert all(isinstance(row["mc_estimate"], float) for row in rows)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -372,11 +373,11 @@ def test_threads_share_the_schur_factors():
         "mc.t_burn": "0",
         "mc.t_avg": "2",
     })
-    serial = run_sweep(config, workers=1)
+    serial = run_sweep(dataclasses.replace(config, workers=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = run_sweep(config, workers=6)
+        threaded = run_sweep(dataclasses.replace(config, workers=6))
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
