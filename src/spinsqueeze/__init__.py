@@ -38,7 +38,7 @@ from .layers import (
     TruncationInfo,
     delta_prime,
     drift_matrix,
-    evanescent_eps,
+    evanescent_band,
     evanescent_range,
     interaction_kernel,
 )
@@ -107,7 +107,7 @@ __all__ = [
     "delta_prime",
     "discrete_overlap",
     "drift_matrix",
-    "evanescent_eps",
+    "evanescent_band",
     "evanescent_range",
     "fig_data",
     "field_moments",

@@ -21,7 +21,7 @@ from scipy.linalg import schur, toeplitz
 from .analytic import DetuningSpec
 from .blas import one_blas_thread
 from .exceptions import ConvergenceError, DomainError, StabilityError
-from .geometry import ArrayGeometry
+from .geometry import TWO_PI, ArrayGeometry
 from .rates import RateSet, single_layer_rate
 
 DEFAULT_EPS_TOL = 1e-14
@@ -33,8 +33,9 @@ class TruncationInfo:
     """How far the evanescent order sum was carried.
 
     ``max_order`` is the largest squared order index |m_perp|^2 that
-    contributed anywhere in the kernel and ``terms_summed`` counts the
-    individual lattice orders added up across all separations.
+    contributed anywhere in the evanescent band and ``terms_summed``
+    counts the individual lattice orders added up across its
+    separations.
     """
 
     tol: float
@@ -121,31 +122,26 @@ def _order_shells(
 
 
 def _eps_sum(
-    geom: ArrayGeometry,
+    shells: tuple[tuple[int, float, int, float], ...],
+    kaz: float,
     separation: int,
     tol: float,
     cap: int,
 ) -> tuple[float, int, int]:
-    """Evanescent coupling sum for one layer separation.
+    """Shell sum sum_s c(s) e^{-kappa_s k a_z sep} for one layer separation.
 
     Returns (value, last shell |m_perp|^2 used, terms summed).  The sum
     runs over shells of increasing order until the largest remaining
     exponential is negligible against the partial sum.
     """
-    if separation < 0:
-        raise DomainError(f"separation must be non-negative, got {separation}")
-    a = geom.lattice_const
-    kaz_sep = geom.axial_phase * separation
-    shells = _order_shells(a, geom.dipole_orientation, cap)
-    gamma0 = single_layer_rate(a)
-
+    kaz_sep = kaz * separation
     total = 0.0
     terms = 0
     last_shell = 0
     for s, coeff, count, decay in shells:
         tail = math.exp(-kaz_sep * decay)
         if tail < tol * (abs(total) + 1e-300) and last_shell > 0:
-            return 0.25 * gamma0 * total, last_shell, terms
+            return total, last_shell, terms
         total += coeff * tail
         terms += count
         last_shell = s
@@ -153,24 +149,6 @@ def _eps_sum(
         f"evanescent sum for separation {separation} still above tol "
         f"{tol} after shells up to |m|^2 = {cap}"
     )
-
-
-def evanescent_eps(
-    geom: ArrayGeometry,
-    n: int,
-    m: int,
-    tol: float = DEFAULT_EPS_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> float:
-    """Evanescent coupling between layers n and m, in single-atom units.
-
-    Purely real; decays exponentially with separation on the scale set
-    by :func:`evanescent_range`.  Diagonal entries are not part of the
-    inter-layer kernel and requesting one raises, because the defining
-    sum does not converge at zero separation.
-    """
-    value, _, _ = _eps_sum(geom, abs(n - m), tol, max_order)
-    return value
 
 
 def evanescent_range(geom: ArrayGeometry, order: int = 1) -> float:
@@ -185,27 +163,55 @@ def evanescent_range(geom: ArrayGeometry, order: int = 1) -> float:
     return a / (2.0 * math.pi * math.sqrt(order - a * a))
 
 
-@lru_cache(maxsize=64)
-def evanescent_series(
+def evanescent_band(
     geom: ArrayGeometry,
+    tol: float = DEFAULT_EPS_TOL,
+    max_order: int = DEFAULT_MAX_ORDER,
+) -> tuple[np.ndarray, TruncationInfo]:
+    """Evanescent coupling eps(s) between layers s = 0 ... w apart.
+
+    The one place the evanescent sum is carried out; the interaction
+    kernel and the collective shift both read it.  eps depends on the
+    lattice, the layer spacing and the dipole but not on the stack, so
+    one band serves every depth and ``n_side``.  eps[0] is 0, since
+    same-layer physics is not part of the kernel.  The band ends at the
+    last separation w before the bound sum_s |c(s)| e^{-kappa_s k a_z s}
+    on every later |eps| falls to ``tol`` |eps(1)|; a bound rather than
+    the value, because shells of opposite sign can cancel in eps itself.
+    The result is memoised and shared by every caller, so it is
+    read-only.
+    """
+    return _lattice_band(
+        geom.lattice_const, geom.layer_spacing, geom.dipole_orientation, tol, max_order
+    )
+
+
+@lru_cache(maxsize=64)
+def _lattice_band(
+    lattice_const: float,
+    layer_spacing: float,
+    dipole: tuple[float, float],
     tol: float,
     max_order: int,
 ) -> tuple[np.ndarray, TruncationInfo]:
-    """Evanescent coupling eps(s) for every separation s = 0 ... N_z - 1.
-
-    The one place the evanescent sum of a geometry is carried out; the
-    interaction kernel and the collective shift both read it.  eps[0]
-    is 0, since same-layer physics is not part of the kernel.  The
-    result is memoised per (geometry, tol, max_order) and shared by
-    every caller, so the array is read-only.
-    """
-    eps = np.zeros(geom.n_layers)
+    shells = _order_shells(lattice_const, dipole, max_order)
+    kaz = TWO_PI * layer_spacing
+    scale = 0.25 * single_layer_rate(lattice_const)
+    weights = scale * np.array([abs(coeff) for _, coeff, _, _ in shells])
+    decays = np.array([decay for _, _, _, decay in shells])
+    values = [0.0]
     max_shell = 0
     terms_total = 0
-    for sep in range(1, geom.n_layers):
-        eps[sep], shell, terms = _eps_sum(geom, sep, tol, max_order)
+    # Each bound term falls with s and underflows to 0 in the end, so the
+    # loop stops even when eps(1) is 0.
+    while len(values) < 2 or np.dot(
+        weights, np.exp(-kaz * len(values) * decays)
+    ) > tol * abs(values[1]):
+        total, shell, terms = _eps_sum(shells, kaz, len(values), tol, max_order)
+        values.append(scale * total)
         max_shell = max(max_shell, shell)
         terms_total += terms
+    eps = np.array(values)
     eps.setflags(write=False)
     return eps, TruncationInfo(tol=tol, max_order=max_shell, terms_summed=terms_total)
 
@@ -220,18 +226,19 @@ def interaction_kernel(
     """Assemble the full inter-layer coupling matrix.
 
     D[n, m] = (gamma0/2) e^{i k a_z |n-m|} + i eps(|n-m|) off the
-    diagonal and zero on it.  The kernel only depends on |n - m|, so it
-    is the complex symmetric Toeplitz matrix of one column.
+    diagonal and zero on it, with eps = 0 past the evanescent band.  The
+    kernel only depends on |n - m|, so it is the complex symmetric
+    Toeplitz matrix of one column.
     """
     n_z = geom.n_layers
-    if include_evanescent:
-        eps, truncation = evanescent_series(geom, tol, max_order)
-    else:
-        eps = np.zeros(n_z)
-        truncation = TruncationInfo(tol=tol, max_order=0, terms_summed=0)
-    seps = np.arange(n_z)
-    column = 0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase * seps) + 1j * eps
+    column = 0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase * np.arange(n_z))
     column[0] = 0.0
+    if include_evanescent:
+        eps, truncation = evanescent_band(geom, tol, max_order)
+        reach = min(len(eps), n_z)
+        column[1:reach] += 1j * eps[1:reach]
+    else:
+        truncation = TruncationInfo(tol=tol, max_order=0, terms_summed=0)
     # Column and row both: toeplitz(column) alone conjugates the upper triangle.
     return LayerKernel(d_matrix=toeplitz(column, column), truncation=truncation)
 
@@ -284,14 +291,15 @@ def delta_prime(
     eps depends only on s = |n - m|, which N_z - s ordered pairs share
     in each direction, so the sum folds into the real cosine series
 
-        delta' = (2/N_z) sum_{s=1}^{N_z-1} (N_z - s) eps(s) cos(k a_z s).
+        delta' = (2/N_z) sum_{s=1}^{N_z-1} (N_z - s) eps(s) cos(k a_z s),
 
+    of which only the separations inside the evanescent band count.
     The shift depends on the geometry alone.  Driving the stack at
     this shifted frequency restores the ideal mirror response to first
     order.
     """
     n_z = geom.n_layers
-    eps, _ = evanescent_series(geom, tol, max_order)
-    seps = np.arange(1, n_z)
+    eps, _ = evanescent_band(geom, tol, max_order)
+    seps = np.arange(1, min(len(eps), n_z))
     weights = (n_z - seps) * np.cos(geom.axial_phase * seps)
-    return float(2.0 / n_z * np.dot(weights, eps[1:]))
+    return float(2.0 / n_z * np.dot(weights, eps[seps]))

@@ -16,7 +16,7 @@ from spinsqueeze import (
     compute_rates,
     delta_prime,
     drift_matrix,
-    evanescent_eps,
+    evanescent_band,
     evanescent_range,
     interaction_kernel,
     run_sweep,
@@ -24,7 +24,7 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import ConvergenceError, DomainError, StabilityError
-from spinsqueeze.sweep import preset_fig4
+from spinsqueeze.sweep import preset_fig3b, preset_fig4
 
 
 def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
@@ -39,6 +39,24 @@ def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
     beam = BeamProfile(waist=waist_for_overlap(geom, eta))
     gamma_s = gamma_s_frac * single_layer_rate(lattice_const)
     return geom, compute_rates(geom, beam, gamma_s=gamma_s)
+
+
+def eps_at(geom, sep, **kwargs):
+    return evanescent_band(geom, **kwargs)[0][sep]
+
+
+def per_separation_eps(geom, n_layers, tol=1e-14, max_order=200):
+    """eps(s) for every s < n_layers, each summed on its own, as the
+    kernel was built before the band cut."""
+    shells = layers._order_shells(
+        geom.lattice_const, geom.dipole_orientation, max_order
+    )
+    scale = 0.25 * single_layer_rate(geom.lattice_const)
+    eps = np.zeros(n_layers)
+    for sep in range(1, n_layers):
+        total, _, _ = layers._eps_sum(shells, geom.axial_phase, sep, tol, max_order)
+        eps[sep] = scale * total
+    return eps
 
 
 def brute_force_eps(geom, sep, half_width=60):
@@ -69,24 +87,24 @@ def brute_force_eps(geom, sep, half_width=60):
 def test_evanescent_eps_against_brute_force(lattice_const, sep):
     geom, _ = stack(lattice_const=lattice_const)
     expected = brute_force_eps(geom, sep)
-    assert evanescent_eps(geom, 0, sep) == pytest.approx(
+    assert eps_at(geom, sep) == pytest.approx(
         expected, rel=1e-12
     )
 
 
 def test_evanescent_eps_frozen_values():
     geom, _ = stack(lattice_const=0.68)
-    assert evanescent_eps(geom, 0, 1) == pytest.approx(
+    assert eps_at(geom, 1) == pytest.approx(
         4.7969711046673066e-05, rel=1e-11
     )
-    assert evanescent_eps(geom, 0, 2) == pytest.approx(
+    assert eps_at(geom, 2) == pytest.approx(
         5.0825893601939931e-08, rel=1e-11
     )
     geom, _ = stack(lattice_const=0.95)
-    assert evanescent_eps(geom, 0, 1) == pytest.approx(
+    assert eps_at(geom, 1) == pytest.approx(
         -4.548237718991e-02, rel=1e-10
     )
-    assert evanescent_eps(geom, 0, 2) == pytest.approx(
+    assert eps_at(geom, 2) == pytest.approx(
         -5.770414316458e-03, rel=1e-10
     )
 
@@ -97,7 +115,7 @@ def test_evanescent_eps_dipole_orientation_drops_out():
     reference = None
     for dipole in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]:
         geom, _ = stack(lattice_const=0.8, dipole=dipole)
-        value = evanescent_eps(geom, 0, 1)
+        value = eps_at(geom, 1)
         if reference is None:
             reference = value
         else:
@@ -108,7 +126,7 @@ def test_evanescent_eps_decay_rate():
     # Magnitudes fall monotonically and the separation ratio settles on
     # the decay factor of the slowest shell once the faster ones die out.
     geom, _ = stack(lattice_const=0.9)
-    values = [evanescent_eps(geom, 0, sep) for sep in (1, 2, 3, 4)]
+    values = [eps_at(geom, sep) for sep in (1, 2, 3, 4)]
     magnitudes = [abs(v) for v in values]
     assert magnitudes == sorted(magnitudes, reverse=True)
     kappa_min = math.sqrt(1.0 / 0.81 - 1.0)
@@ -118,10 +136,8 @@ def test_evanescent_eps_decay_rate():
 
 def test_evanescent_eps_error_paths():
     geom, _ = stack()
-    with pytest.raises(ConvergenceError):
-        evanescent_eps(geom, 0, 0)
-    with pytest.raises(ConvergenceError):
-        evanescent_eps(geom, 0, 1, max_order=2)
+    with pytest.raises(ConvergenceError, match="evanescent sum for separation 1 "):
+        evanescent_band(geom, max_order=2)
 
 
 def test_evanescent_range_formula():
@@ -148,7 +164,7 @@ def test_interaction_kernel_structure():
         assert np.allclose(diag, diag[0])
         expected = 0.5 * rates.gamma0 * np.exp(
             1j * geom.axial_phase * sep
-        ) + 1j * evanescent_eps(geom, 0, sep)
+        ) + 1j * eps_at(geom, sep)
         assert diag[0] == pytest.approx(expected, rel=1e-12)
     assert kernel.truncation.max_order >= 1
 
@@ -164,19 +180,19 @@ def test_interaction_kernel_without_evanescent_part():
 
 def test_truncation_tolerance_is_honored():
     geom, _ = stack()
-    loose = evanescent_eps(geom, 0, 1, tol=1e-6)
-    tight = evanescent_eps(geom, 0, 1, tol=1e-14)
+    loose = eps_at(geom, 1, tol=1e-6)
+    tight = eps_at(geom, 1, tol=1e-14)
     assert loose == pytest.approx(tight, rel=1e-5)
 
 
 @pytest.mark.parametrize(
-    "lattice_const, max_shell, terms", [(0.68, 18, 132), (0.95, 25, 148)]
+    "lattice_const, max_shell, terms", [(0.68, 18, 108), (0.95, 25, 176)]
 )
 def test_truncation_info_frozen_values(lattice_const, max_shell, terms):
     # Largest shell |m_perp|^2 reached, and the lattice orders summed over
-    # the nine separations of a 10-layer stack.
+    # the band's separations: 5 at a = 0.68 and 16 at a = 0.95.
     geom, _ = stack(lattice_const=lattice_const)
-    _, truncation = layers.evanescent_series(geom, 1e-14, 200)
+    _, truncation = evanescent_band(geom, 1e-14, 200)
     assert truncation == layers.TruncationInfo(
         tol=1e-14, max_order=max_shell, terms_summed=terms
     )
@@ -247,34 +263,66 @@ def test_delta_prime_matches_direct_projection():
         geom, _ = stack(lattice_const=lattice_const, n_layers=n_layers)
         n_z = geom.n_layers
         phase = geom.axial_phase
+        eps = per_separation_eps(geom, n_z)
         total = 0.0j
         for n in range(n_z):
             for m in range(n_z):
                 if n == m:
                     continue
-                total += evanescent_eps(geom, n, m) * np.exp(1j * phase * (n - m))
+                total += eps[abs(n - m)] * np.exp(1j * phase * (n - m))
         assert abs(total.imag) < 1e-12 * abs(total.real)
         expected = total.real / n_z
         assert delta_prime(geom) == pytest.approx(expected, rel=1e-12)
 
 
-def test_evanescent_series_is_summed_once_per_separation(monkeypatch):
-    # fig4 reads the a = 0.95, 10-layer series for delta' and for two
-    # kernels; a delta-prime-corrected sweep for delta' and one kernel.
+@pytest.mark.parametrize("lattice_const", [0.68, 0.72, 0.95])
+@pytest.mark.parametrize("layer_spacing", [0.5, 1.0, 2.0])
+def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
+    # Past the band the kernel is radiative only; every entry it drops is
+    # below tol |eps(1)|, at any depth.
+    tol = 1e-14
+    geom, _ = stack(lattice_const=lattice_const, n_layers=100,
+                    layer_spacing=layer_spacing)
+    reference = per_separation_eps(geom, 100, tol=tol)
+    band, _ = evanescent_band(geom, tol)
+    assert 2 < len(band) < 100
+    assert np.array_equal(band, reference[: len(band)])
+    for n_z in (2, 3, 17, 100):
+        geom_nz, rates = stack(lattice_const=lattice_const, n_layers=n_z,
+                               layer_spacing=layer_spacing)
+        evanescent = (
+            interaction_kernel(geom_nz, rates, tol=tol).d_matrix
+            - interaction_kernel(geom_nz, rates, include_evanescent=False).d_matrix
+        )
+        idx = np.arange(n_z)
+        expected = 1j * reference[np.abs(idx[:, None] - idx[None, :])]
+        assert np.max(np.abs(evanescent - expected)) <= tol * abs(reference[1])
+
+
+def test_evanescent_band_is_summed_once_per_lattice(monkeypatch):
+    # fig3b's hundred depths share one a = 0.68 band; fig4 reads the
+    # a = 0.95 band for delta' and for both kernels, and a
+    # delta-prime-corrected sweep for delta' and its kernel.
     calls = []
     real_eps_sum = layers._eps_sum
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return real_eps_sum(*args)
 
     monkeypatch.setattr(layers, "_eps_sum", counted)
-    layers.evanescent_series.cache_clear()
-    preset_fig4()
-    assert sorted(calls) == list(range(1, 10))
+    layers._lattice_band.cache_clear()
+    preset_fig3b()
+    width = len(evanescent_band(stack(lattice_const=0.68)[0])[0]) - 1
+    assert sorted(calls) == list(range(1, width + 1))
 
     calls.clear()
-    layers.evanescent_series.cache_clear()
+    layers._lattice_band.cache_clear()
+    preset_fig4()
+    assert sorted(calls) == list(range(1, 17))
+
+    calls.clear()
+    layers._lattice_band.cache_clear()
     config = build_config({
         "geometry.n_layers": "10",
         "detuning.mode": "delta-prime-corrected",
@@ -282,16 +330,19 @@ def test_evanescent_series_is_summed_once_per_separation(monkeypatch):
     })
     rows = run_sweep(config)
     assert [row["error"] for row in rows] == [""] * len(rows)
-    assert sorted(calls) == list(range(1, 10))
+    assert sorted(calls) == list(range(1, 6))
 
 
-def test_evanescent_series_is_read_only():
-    geom, _ = stack(n_layers=5)
-    eps, truncation = layers.evanescent_series(
-        geom, layers.DEFAULT_EPS_TOL, layers.DEFAULT_MAX_ORDER
+def test_evanescent_band_is_read_only_and_depth_free():
+    shallow, _ = stack(n_layers=2)
+    eps, truncation = evanescent_band(shallow)
+    layers._lattice_band.cache_clear()
+    deep_eps, deep_truncation = evanescent_band(
+        ArrayGeometry(n_side=17, lattice_const=0.68, n_layers=100)
     )
+    assert np.array_equal(eps, deep_eps) and truncation == deep_truncation
+    assert evanescent_band(shallow)[0] is deep_eps
     assert eps[0] == 0.0
-    assert eps[1] == evanescent_eps(geom, 0, 1)
     assert truncation.terms_summed > 0
     with pytest.raises(ValueError):
         eps[1] = 0.0
@@ -300,4 +351,4 @@ def test_evanescent_series_is_read_only():
 def test_lattice_const_domain():
     wide = ArrayGeometry(n_side=10, lattice_const=1.2, n_layers=2)
     with pytest.raises(DomainError):
-        evanescent_eps(wide, 0, 1)
+        evanescent_band(wide)
