@@ -61,7 +61,6 @@ from .squeezed_input import (
     field_moments,
     input_quadrature_variance,
     noise_diffusions,
-    quadrature_deficit,
 )
 from .steady import (
     SteadyStateMoments,
@@ -118,7 +117,6 @@ __all__ = [
     "overlap_chi",
     "overlap_efficiency",
     "parse_config_text",
-    "quadrature_deficit",
     "reflectivity_complex",
     "run_sweep",
     "simulate_xi2",

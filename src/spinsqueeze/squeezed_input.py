@@ -48,28 +48,6 @@ def field_moments(spec: SqueezedVacuumSpec) -> tuple[float, float]:
     return n, m
 
 
-def quadrature_deficit(n: float, coeff: float) -> float:
-    """Numerically stable evaluation of n - coeff * sqrt(n(n+1)).
-
-    The direct difference loses all significant digits for coeff near 1
-    and large n, exactly the regime where squeezing is strongest.  The
-    ratio form below is algebraically identical and keeps full relative
-    precision for every coeff in [0, 1]:
-
-        n - c sqrt(n(n+1)) = n (n (1 - c^2) - c^2) / (n + c sqrt(n(n+1)))
-
-    with 1 - c^2 evaluated as (1 - c)(1 + c), which stays fully accurate
-    when c sits within an ulp of 1.
-    """
-    if not 0.0 <= coeff <= 1.0:
-        raise DomainError(f"deficit coefficient must lie in [0, 1], got {coeff}")
-    if n == 0.0:
-        return 0.0
-    root = math.sqrt(n * (n + 1.0))
-    gap = (1.0 - coeff) * (1.0 + coeff)
-    return n * (n * gap - coeff * coeff) / (n + coeff * root)
-
-
 @dataclass(frozen=True)
 class SqueezingResult:
     """A squeezing prediction.
@@ -91,12 +69,25 @@ def beam_splitter(
 
     A fraction R = ``reflectivity`` of the input correlations reaches the
     spin with contrast c = ``contrast`` in [0, 1] and the rest is vacuum,
-    so xi2 = 1 + 2 R (N - c sqrt(N(N+1))), evaluated by
-    :func:`quadrature_deficit`, and xi2_anti = 1 + 2 R (N + c sqrt(N(N+1))).
+    so xi2 = 1 + 2 R (N - c sqrt(N(N+1))) and
+    xi2_anti = 1 + 2 R (N + c sqrt(N(N+1))).  The direct difference
+    cancels where squeezing is strongest, for c near 1 and large N, so
+    xi2 is evaluated as (1 - R) + R v with the field variance in ratio
+    form,
+
+        v = (1 + 4 N (N+1) (1 - c)(1 + c)) / (1 + 2N + 2c sqrt(N(N+1))),
+
+    which keeps full relative precision for every c in [0, 1].
     """
-    root = math.sqrt(n_photons * (n_photons + 1.0))
-    xi2 = 1.0 + 2.0 * reflectivity * quadrature_deficit(n_photons, contrast)
-    xi2_anti = 1.0 + 2.0 * reflectivity * (n_photons + contrast * root)
+    if not 0.0 <= contrast <= 1.0:
+        raise DomainError(f"squeezing contrast must lie in [0, 1], got {contrast}")
+    n = n_photons
+    root = math.sqrt(n * (n + 1.0))
+    field = (1.0 + 4.0 * n * (n + 1.0) * (1.0 - contrast) * (1.0 + contrast)) / (
+        1.0 + 2.0 * n + 2.0 * contrast * root
+    )
+    xi2 = (1.0 - reflectivity) + reflectivity * field
+    xi2_anti = 1.0 + 2.0 * reflectivity * (n + contrast * root)
     return SqueezingResult(xi2, theta_opt, xi2_anti)
 
 

@@ -23,7 +23,6 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
-from spinsqueeze.squeezed_input import quadrature_deficit
 
 EPS = np.finfo(float).eps
 
@@ -56,25 +55,30 @@ def test_input_variance_frozen_values():
     assert input_quadrature_variance(SqueezedVacuumSpec(n_photons=0.0)) == 1.0
 
 
-def test_quadrature_deficit_is_cancellation_free():
-    # High-precision reference for n - c sqrt(n (n + 1)); the naive float
-    # expression loses everything past n ~ 1e8.
+def test_beam_splitter_is_cancellation_free():
+    # 60-digit reference for 1 + 2R(N - c sqrt(N(N+1))); the direct float
+    # expression loses digits for c near 1 past N ~ 1e3 and all of them
+    # past N ~ 1e8.
     getcontext().prec = 60
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    for _ in range(300):
         n = float(10.0 ** rng.uniform(-2.0, 12.0))
-        c = float(rng.choice([1.0, 1.0 - 1e-12, 0.9999, 0.9]))
+        c = float(rng.choice([1.0, 1.0 - 1e-12, 0.9999, 0.9, rng.uniform()]))
+        r = float(rng.choice([1.0, 1.0 - 1e-9, rng.uniform()]))
         dn = Decimal(n)
-        exact = dn - Decimal(c) * (dn * (dn + 1)).sqrt()
-        assert quadrature_deficit(n, c) == pytest.approx(
-            float(exact), rel=1e-13, abs=1e-300
-        )
+        exact = 1 + 2 * Decimal(r) * (dn - Decimal(c) * (dn * (dn + 1)).sqrt())
+        assert beam_splitter(r, n, c).xi2 == pytest.approx(float(exact), rel=1e-15)
 
 
-def test_quadrature_deficit_signs():
-    assert quadrature_deficit(5.0, 0.0) == 5.0
-    assert quadrature_deficit(5.0, 1.0) < 0.0
-    assert quadrature_deficit(0.0, 1.0) == 0.0
+def test_beam_splitter_limits_and_domain():
+    # No contrast passes the photon number on as noise, full contrast
+    # squeezes, and vacuum input leaves the coherent-state variance.
+    assert beam_splitter(0.5, 5.0, 0.0).xi2 == pytest.approx(6.0, rel=1e-15)
+    assert beam_splitter(0.5, 5.0, 1.0).xi2 < 1.0
+    assert beam_splitter(0.3, 0.0, 1.0).xi2 == pytest.approx(1.0, rel=1e-15)
+    for contrast in (-1e-12, 1.0 + 1e-12):
+        with pytest.raises(DomainError):
+            beam_splitter(0.5, 1.0, contrast)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -89,13 +93,12 @@ def test_quadrature_deficit_signs():
 def test_beam_splitter_uncertainty_and_floor(reflectivity, n_photons, contrast):
     res = beam_splitter(reflectivity, n_photons, contrast)
     assert res.theta_opt == 0.0
-    # xi2 xi2_anti = 1 + 4RN(1 - R) >= 1 exactly.  The final sum 1 + 2R d
-    # rounds at the scale of 1, so xi2 carries an absolute error below one
-    # ulp of 1; at R = c = 1 and N = 1e6 that is 1e-10 of xi2 itself.
-    assert res.xi2 >= 1.0 / res.xi2_anti - 4.0 * EPS
-    # xi2 > 1 - R holds strictly because the deficit stays above -1/2 for
-    # finite N; after rounding, xi2 and 1 - R may meet when R is tiny.
-    assert quadrature_deficit(n_photons, contrast) > -0.5
+    # xi2 xi2_anti = 1 + 4RN(1 - R) >= 1 exactly, and both factors keep
+    # full relative precision.
+    assert res.xi2 * res.xi2_anti >= 1.0 - 1e-15
+    # The field variance stays positive for finite N, so xi2 > 1 - R;
+    # after rounding, xi2 and 1 - R may meet when R is tiny.
+    assert beam_splitter(1.0, n_photons, contrast).xi2 > 0.0
     assert res.xi2 >= 1.0 - reflectivity
 
 

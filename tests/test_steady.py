@@ -32,7 +32,6 @@ from spinsqueeze import (
     xi2_numeric,
 )
 from spinsqueeze.exceptions import PhysicalityError
-from spinsqueeze.squeezed_input import quadrature_deficit
 from spinsqueeze.steady import (
     SteadyStateMoments,
     UnitResponse,
@@ -327,7 +326,7 @@ def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
     for row in run_sweep(config):
         assert row["error"] == ""
         n = row["n_photons"]
-        assert row["xi2_numeric"] == 1.0 + quadrature_deficit(n, 1.0)
+        assert row["xi2_numeric"] == spinsqueeze.beam_splitter(0.5, n, 1.0).xi2
 
     # fig3b runs at purity 0.9999, so its contrast must exceed 1/0.9999.
     respond(1.001)
