@@ -33,9 +33,8 @@ class TruncationInfo:
     """How far the evanescent order sum was carried.
 
     ``max_order`` is the largest squared order index |m_perp|^2 that
-    contributed anywhere in the evanescent band and ``terms_summed``
-    counts the individual lattice orders added up across its
-    separations.
+    contributed anywhere in the band and ``terms_summed`` counts the
+    individual lattice orders added up across its separations.
     """
 
     tol: float
@@ -171,15 +170,13 @@ def evanescent_band(
     """Evanescent coupling eps(s) between layers s = 0 ... w apart.
 
     The one place the evanescent sum is carried out; the interaction
-    kernel and the collective shift both read it.  eps depends on the
-    lattice, the layer spacing and the dipole but not on the stack, so
-    one band serves every depth and ``n_side``.  eps[0] is 0, since
-    same-layer physics is not part of the kernel.  The band ends at the
-    last separation w before the bound sum_s |c(s)| e^{-kappa_s k a_z s}
-    on every later |eps| falls to ``tol`` |eps(1)|; a bound rather than
-    the value, because shells of opposite sign can cancel in eps itself.
-    The result is memoised and shared by every caller, so it is
-    read-only.
+    kernel and the collective shift both read it.  eps[0] is 0, since
+    same-layer physics is not part of the kernel.  The band ends before
+    the first s where the bound sum_s |c(s)| e^{-kappa_s k a_z s} on
+    every later |eps| falls below ``tol`` |eps(1)|: a bound, because
+    shells of opposite sign can cancel in eps itself.  It depends on
+    the lattice, spacing and dipole but not on the depth or ``n_side``,
+    so one memoised, read-only band serves every stack.
     """
     return _lattice_band(
         geom.lattice_const, geom.layer_spacing, geom.dipole_orientation, tol, max_order
@@ -196,24 +193,18 @@ def _lattice_band(
 ) -> tuple[np.ndarray, TruncationInfo]:
     shells = _order_shells(lattice_const, dipole, max_order)
     kaz = TWO_PI * layer_spacing
-    scale = 0.25 * single_layer_rate(lattice_const)
-    weights = scale * np.array([abs(coeff) for _, coeff, _, _ in shells])
+    weights = np.array([abs(coeff) for _, coeff, _, _ in shells])
     decays = np.array([decay for _, _, _, decay in shells])
-    values = [0.0]
-    max_shell = 0
-    terms_total = 0
-    # Each bound term falls with s and underflows to 0 in the end, so the
-    # loop stops even when eps(1) is 0.
-    while len(values) < 2 or np.dot(
-        weights, np.exp(-kaz * len(values) * decays)
-    ) > tol * abs(values[1]):
-        total, shell, terms = _eps_sum(shells, kaz, len(values), tol, max_order)
-        values.append(scale * total)
-        max_shell = max(max_shell, shell)
-        terms_total += terms
-    eps = np.array(values)
+    sums = [_eps_sum(shells, kaz, 1, tol, max_order)]
+    floor = tol * abs(sums[0][0])
+    # Every bound term falls with s and underflows to 0 in the end, so the
+    # loop stops even where eps(1) is 0.
+    while np.dot(weights, np.exp(-kaz * (len(sums) + 1) * decays)) > floor:
+        sums.append(_eps_sum(shells, kaz, len(sums) + 1, tol, max_order))
+    totals, last_shells, terms = zip(*sums)
+    eps = 0.25 * single_layer_rate(lattice_const) * np.array((0.0, *totals))
     eps.setflags(write=False)
-    return eps, TruncationInfo(tol=tol, max_order=max_shell, terms_summed=terms_total)
+    return eps, TruncationInfo(tol, max(last_shells), sum(terms))
 
 
 def interaction_kernel(

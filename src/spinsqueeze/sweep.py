@@ -261,9 +261,7 @@ def preset_fig3a(
     rows: list[dict[str, Any]] = []
     for alpha in (1.0, 0.999):
         case = dataclasses.replace(config, purity=alpha)
-        for row in run_sweep(case):
-            row_out = {"alpha_case": alpha, **row}
-            rows.append(row_out)
+        rows.extend({"alpha_case": alpha, **row} for row in run_sweep(case))
 
     rates = config.rates()
     floor, _ = xi2_min(rates, 1.0)

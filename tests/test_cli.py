@@ -194,6 +194,31 @@ def test_drift_errors_fill_the_error_column(capsys, command, override, prefix):
             assert float(row["xi2_analytic"]) < 1.0
 
 
+def test_unresolvable_detuning_fills_every_row(capsys):
+    # The delta-prime-corrected detuning needs the evanescent sum.  When
+    # it does not converge, every row carries the error and keeps the
+    # columns that do not depend on the detuning.
+    code = cli.main([
+        "sweep",
+        "--set", "detuning.mode=delta-prime-corrected",
+        "--set", "kernel.max_order=2",
+        "--set", "input.n_photons=1,10",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "every grid point failed" in captured.err
+    rows = parse_csv(captured.out)
+    assert [row["n_photons"] for row in rows] == ["1", "10"]
+    kept = ["purity", "r0", "xi2_field", "n_eff"]
+    kept += [column for column in sweep.SWEEP_COLUMNS if column.startswith("valid_")]
+    for row in rows:
+        assert row["error"].startswith(
+            "ConvergenceError: evanescent sum for separation 1"
+        )
+        assert all(row[column] != "" for column in kept)
+        assert row["eff_detuning"] == row["xi2_analytic"] == row["xi2_numeric"] == ""
+
+
 @pytest.mark.parametrize(
     "line", ["mc.method = euler", "input.alpha_override = 0.9"]
 )

@@ -299,10 +299,26 @@ def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
         assert np.max(np.abs(evanescent - expected)) <= tol * abs(reference[1])
 
 
-def test_evanescent_band_is_summed_once_per_lattice(monkeypatch):
-    # fig3b's hundred depths share one a = 0.68 band; fig4 reads the
-    # a = 0.95 band for delta' and for both kernels, and a
-    # delta-prime-corrected sweep for delta' and its kernel.
+def test_band_runs_past_a_zero_of_eps():
+    # Just above a = 1/sqrt(2) the first two shells have opposite signs.
+    # At this lattice constant (a root of eps(2) at spacing 0.5) eps(2)
+    # vanishes while eps(3) does not: a stop on the value would end the
+    # band at s = 2, the bound on the remaining shells does not.
+    geom, _ = stack(lattice_const=0.7091684019476291, n_layers=40,
+                    layer_spacing=0.5)
+    reference = per_separation_eps(geom, 40)
+    floor = 1e-14 * abs(reference[1])
+    assert abs(reference[2]) < floor < abs(reference[3])
+    band, _ = evanescent_band(geom)
+    assert np.array_equal(band, reference[: len(band)])
+    assert np.all(np.abs(reference[len(band):]) <= floor)
+
+
+def test_evanescent_series_is_summed_once_per_separation(monkeypatch):
+    # Once per separation of the band, not once per depth: fig3b's
+    # hundred depths share one a = 0.68 band, fig4 reads the a = 0.95
+    # band for delta' and for both kernels, and a delta-prime-corrected
+    # sweep for delta' and its kernel.
     calls = []
     real_eps_sum = layers._eps_sum
 
@@ -333,7 +349,8 @@ def test_evanescent_band_is_summed_once_per_lattice(monkeypatch):
     assert sorted(calls) == list(range(1, 6))
 
 
-def test_evanescent_band_is_read_only_and_depth_free():
+def test_evanescent_series_is_read_only():
+    # The memoised band is shared by every caller and every depth.
     shallow, _ = stack(n_layers=2)
     eps, truncation = evanescent_band(shallow)
     layers._lattice_band.cache_clear()

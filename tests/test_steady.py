@@ -248,6 +248,33 @@ def test_numeric_equals_analytic_without_evanescent_coupling(
             assert row["xi2_numeric"] == pytest.approx(row["xi2_analytic"], rel=1e-10)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 60),
+    lattice_const=st.floats(0.3, 0.97),
+    purity=st.floats(0.0, 1.0),
+    n_photons=st.floats(0.0, 1e4),
+    eff_detuning=st.floats(-5.0, 5.0),
+    gamma_s_frac=st.floats(1e-3, 10.0),
+)
+def test_numeric_equals_analytic_on_random_stacks(
+    n_layers, lattice_const, purity, n_photons, eff_detuning, gamma_s_frac
+):
+    # The identity of the fixed grid above, over the whole parameter
+    # space: with the evanescent part off at integer spacing, the unit
+    # response is the closed-form beam splitter.
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        gamma_s_frac=gamma_s_frac)
+    spec = SqueezedVacuumSpec(n_photons=n_photons, purity=purity)
+    det = DetuningSpec(eff_detuning=eff_detuning)
+    kernel = interaction_kernel(geom, rates, include_evanescent=False)
+    response = unit_response(drift_matrix(kernel, rates, det), geom, rates)
+    numeric = xi2_from_response(response, spec)
+    analytic = xi2_analytic(rates, spec, det)
+    assert numeric.xi2 == pytest.approx(analytic.xi2, rel=1e-10)
+    assert numeric.xi2_anti == pytest.approx(analytic.xi2_anti, rel=1e-10)
+
+
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every spinsqueeze module binding."""
     calls = []
