@@ -85,27 +85,28 @@ def brute_force_eps(geom, sep, half_width=60):
 @pytest.mark.parametrize("lattice_const", [0.68, 0.95])
 @pytest.mark.parametrize("sep", [1, 2, 3])
 def test_evanescent_eps_against_brute_force(lattice_const, sep):
+    # abs=0 throughout: eps is far below pytest's default abs of 1e-12.
     geom, _ = stack(lattice_const=lattice_const)
     expected = brute_force_eps(geom, sep)
     assert eps_at(geom, sep) == pytest.approx(
-        expected, rel=1e-12
+        expected, rel=1e-12, abs=0.0
     )
 
 
 def test_evanescent_eps_frozen_values():
     geom, _ = stack(lattice_const=0.68)
     assert eps_at(geom, 1) == pytest.approx(
-        4.7969711046673066e-05, rel=1e-11
+        4.7969711046673066e-05, rel=1e-11, abs=0.0
     )
     assert eps_at(geom, 2) == pytest.approx(
-        5.0825893601939931e-08, rel=1e-11
+        5.0825893601939931e-08, rel=1e-11, abs=0.0
     )
     geom, _ = stack(lattice_const=0.95)
     assert eps_at(geom, 1) == pytest.approx(
-        -4.548237718991e-02, rel=1e-10
+        -4.548237718991e-02, rel=1e-10, abs=0.0
     )
     assert eps_at(geom, 2) == pytest.approx(
-        -5.770414316458e-03, rel=1e-10
+        -5.770414316458e-03, rel=1e-10, abs=0.0
     )
 
 
@@ -119,7 +120,7 @@ def test_evanescent_eps_dipole_orientation_drops_out():
         if reference is None:
             reference = value
         else:
-            assert value == pytest.approx(reference, rel=1e-12)
+            assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_evanescent_eps_decay_rate():
@@ -182,7 +183,7 @@ def test_truncation_tolerance_is_honored():
     geom, _ = stack()
     loose = eps_at(geom, 1, tol=1e-6)
     tight = eps_at(geom, 1, tol=1e-14)
-    assert loose == pytest.approx(tight, rel=1e-5)
+    assert loose == pytest.approx(tight, rel=1e-5, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -241,7 +242,7 @@ def test_drift_matrix_flags_marginal_modes():
 def test_delta_prime_frozen_values():
     geom, rates = stack(lattice_const=0.68)
     shift = delta_prime(geom)
-    assert shift / rates.gamma0 == pytest.approx(1.6739993426e-4, rel=1e-9)
+    assert shift / rates.gamma0 == pytest.approx(1.6739993426e-4, rel=1e-9, abs=0.0)
     assert shift > 0.0
 
     geom, rates = stack(lattice_const=0.95)
@@ -272,7 +273,7 @@ def test_delta_prime_matches_direct_projection():
                 total += eps[abs(n - m)] * np.exp(1j * phase * (n - m))
         assert abs(total.imag) < 1e-12 * abs(total.real)
         expected = total.real / n_z
-        assert delta_prime(geom) == pytest.approx(expected, rel=1e-12)
+        assert delta_prime(geom) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("lattice_const", [0.68, 0.72, 0.95])
