@@ -17,11 +17,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import DomainError
 from .geometry import ArrayGeometry, BeamProfile
-from .rates import RateSet, compute_rates
+from .rates import RateSet, compute_rates, discrete_overlap
 from .squeezed_input import SqueezedVacuumSpec, SqueezingResult, beam_splitter
 
 
@@ -236,10 +234,11 @@ def overlap_chi(
     wsum = wf * wf + wu * wu
     numerator = 2.0 * wf * wu / wsum * math.exp(-d2 / wsum) / geom.lattice_const
 
-    coords = geom.layer_coordinates()
-    u = drive.amplitude(coords[:, 0], coords[:, 1])
-    f = readout.amplitude(coords[:, 0], coords[:, 1])
-    denom2 = (geom.lattice_const ** 2 * float(np.sum(u * u))) * float(np.sum(f * f))
+    denom2 = (
+        discrete_overlap(geom, drive)
+        * discrete_overlap(geom, readout)
+        / geom.lattice_const ** 2
+    )
     if denom2 <= 0.0:
         raise DomainError("overlap denominator vanished; beams miss the array")
     return numerator / math.sqrt(denom2)

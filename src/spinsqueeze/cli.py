@@ -6,9 +6,10 @@ rate set for a configuration, ``analytic``, ``numeric`` and
 config selects, and the ``fig3a``/``fig3b``/``fig4`` presets reproduce
 the reference parameter studies.
 
-Exit codes: 0 on success (also when only some sweep points failed, with
-a warning on stderr), 2 for configuration problems, 3 when every point
-of a sweep failed or a single-point command hit a solver error.
+Exit codes: 0 on success (also when only some points of a sweep or a
+figure table failed, with a warning on stderr), 2 for configuration
+problems, 3 when every point failed or a single-point command hit a
+solver error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import ExperimentConfig, build_config, load_config_file
 from .exceptions import ConfigError, SpinSqueezeError
 from .layers import evanescent_range
 from .rates import validity_report
-from .sweep import fig_data, format_table, run_sweep, validity_columns
+from .sweep import PRESETS, format_table, run_sweep, validity_columns, write_figure
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,9 +119,12 @@ def _run_table_command(command: str, config: ExperimentConfig) -> int:
         rows = _rates_rows(config)
     else:
         rows = run_sweep(config)
-
     _emit(format_table(rows, config.out_format), config.out_path)
+    return _exit_code(rows)
 
+
+def _exit_code(rows: list[dict[str, Any]]) -> int:
+    """Exit code of a written table; failed rows are reported on stderr."""
     errored = [row for row in rows if row.get("error")]
     if errored and len(errored) == len(rows):
         print("error: every grid point failed", file=sys.stderr)
@@ -138,21 +142,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         overrides = _collect_overrides(args)
-        if args.command in ("fig3a", "fig3b", "fig4"):
-            out_dir = args.out if args.out and args.out != "-" else "."
-            fig_overrides = {
-                k: v
-                for k, v in overrides.items()
-                if k not in ("output.path", "output.format")
-            }
-            out_format = args.format or "csv"
-            paths = fig_data(
-                args.command, fig_overrides or None, out_dir, out_format
-            )
-            for path in paths:
-                print(path)
-            return 0
         config = build_config(overrides)
+        if args.command in PRESETS:
+            figure = PRESETS[args.command](overrides)
+            out_dir = config.out_path if config.out_path not in ("", "-") else "."
+            for path in write_figure(args.command, figure, out_dir, config.out_format):
+                print(path)
+            return _exit_code(figure[0])
         if args.command in ("analytic", "numeric", "mc-check"):
             config = dataclasses.replace(config, model=args.command)
         return _run_table_command(args.command, config)

@@ -205,6 +205,8 @@ def parse_grid(raw: str, key: str = "input.n_photons") -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: bad grid spec {raw!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"key {key!r}: empty grid")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: grid values must be finite")
     if any(v < 0.0 for v in values):
         raise ConfigError(f"key {key!r}: grid values must be non-negative")
     if any(b <= a for a, b in zip(values, values[1:])):

@@ -32,9 +32,9 @@ DEFAULT_MAX_ORDER = 200
 class TruncationInfo:
     """How far the evanescent order sum was carried.
 
-    ``max_order`` is the largest squared order index |m_perp|^2 that
-    contributed anywhere in the band and ``terms_summed`` counts the
-    individual lattice orders added up across its separations.
+    ``max_order`` is the squared order index |m_perp|^2 of the last shell
+    kept in the band and ``terms_summed`` counts the individual lattice
+    orders added up across its separations.
     """
 
     tol: float
@@ -120,36 +120,6 @@ def _order_shells(
     )
 
 
-def _eps_sum(
-    shells: tuple[tuple[int, float, int, float], ...],
-    kaz: float,
-    separation: int,
-    tol: float,
-    cap: int,
-) -> tuple[float, int, int]:
-    """Shell sum sum_s c(s) e^{-kappa_s k a_z sep} for one layer separation.
-
-    Returns (value, last shell |m_perp|^2 used, terms summed).  The sum
-    runs over shells of increasing order until the largest remaining
-    exponential is negligible against the partial sum.
-    """
-    kaz_sep = kaz * separation
-    total = 0.0
-    terms = 0
-    last_shell = 0
-    for s, coeff, count, decay in shells:
-        tail = math.exp(-kaz_sep * decay)
-        if tail < tol * (abs(total) + 1e-300) and last_shell > 0:
-            return total, last_shell, terms
-        total += coeff * tail
-        terms += count
-        last_shell = s
-    raise ConvergenceError(
-        f"evanescent sum for separation {separation} still above tol "
-        f"{tol} after shells up to |m|^2 = {cap}"
-    )
-
-
 def evanescent_range(geom: ArrayGeometry, order: int = 1) -> float:
     """1/e range of an evanescent diffraction order, in wavelengths.
 
@@ -171,10 +141,11 @@ def evanescent_band(
 
     The one place the evanescent sum is carried out; the interaction
     kernel and the collective shift both read it.  eps[0] is 0, since
-    same-layer physics is not part of the kernel.  The band ends before
-    the first s where the bound sum_s |c(s)| e^{-kappa_s k a_z s} on
-    every later |eps| falls below ``tol`` |eps(1)|: a bound, because
-    shells of opposite sign can cancel in eps itself.  It depends on
+    same-layer physics is not part of the kernel.  One bound on |eps(s)|,
+    B(s) = sum_m |c(m)| e^{-kappa_m k a_z s}, cuts the shells (their part
+    of B(1)) and the separations (B(w + 1) over all shells) at ``tol``
+    |eps(1)|, so every eps dropped or omitted is within that floor.  The
+    last shell below ``max_order`` must be under it.  The band depends on
     the lattice, spacing and dipole but not on the depth or ``n_side``,
     so one memoised, read-only band serves every stack.
     """
@@ -192,19 +163,31 @@ def _lattice_band(
     max_order: int,
 ) -> tuple[np.ndarray, TruncationInfo]:
     shells = _order_shells(lattice_const, dipole, max_order)
+    orders, coeffs, counts, decays = (np.array(col) for col in zip(*shells))
     kaz = TWO_PI * layer_spacing
-    weights = np.array([abs(coeff) for _, coeff, _, _ in shells])
-    decays = np.array([decay for _, _, _, decay in shells])
-    sums = [_eps_sum(shells, kaz, 1, tol, max_order)]
-    floor = tol * abs(sums[0][0])
+    # Every shell's term is largest at s = 1, so shells whose summed
+    # magnitude there is below the floor may be dropped at every s.
+    first = coeffs * np.exp(-kaz * decays)
+    floor = tol * abs(first.sum())
+    if abs(first[-1]) > floor:
+        raise ConvergenceError(
+            f"evanescent sum for separation 1 still above tol {tol} after "
+            f"shells up to |m|^2 = {max_order}"
+        )
+    tails = np.cumsum(np.abs(first)[::-1])[::-1]
+    kept = max(1, int(np.count_nonzero(tails > floor)))
     # Every bound term falls with s and underflows to 0 in the end, so the
     # loop stops even where eps(1) is 0.
-    while np.dot(weights, np.exp(-kaz * (len(sums) + 1) * decays)) > floor:
-        sums.append(_eps_sum(shells, kaz, len(sums) + 1, tol, max_order))
-    totals, last_shells, terms = zip(*sums)
-    eps = 0.25 * single_layer_rate(lattice_const) * np.array((0.0, *totals))
+    width = 1
+    while np.dot(np.abs(coeffs), np.exp(-kaz * (width + 1) * decays)) > floor:
+        width += 1
+    seps = np.arange(1, width + 1)
+    sums = coeffs[:kept] @ np.exp(-kaz * np.outer(decays[:kept], seps))
+    eps = 0.25 * single_layer_rate(lattice_const) * np.concatenate(([0.0], sums))
     eps.setflags(write=False)
-    return eps, TruncationInfo(tol, max(last_shells), sum(terms))
+    return eps, TruncationInfo(
+        tol, int(orders[kept - 1]), int(counts[:kept].sum()) * width
+    )
 
 
 def interaction_kernel(

@@ -32,8 +32,10 @@ class SqueezedVacuumSpec:
     purity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_photons < 0.0:
-            raise DomainError(f"n_photons must be non-negative, got {self.n_photons}")
+        if not 0.0 <= self.n_photons < math.inf:
+            raise DomainError(
+                f"n_photons must be finite and non-negative, got {self.n_photons}"
+            )
         if not 0.0 <= self.purity <= 1.0:
             raise DomainError(f"purity must lie in [0, 1], got {self.purity}")
 

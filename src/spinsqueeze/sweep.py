@@ -422,7 +422,9 @@ def preset_fig4(
     return rows, summary, FIG4_COLUMNS
 
 
-_PRESETS: dict[str, Callable[[dict[str, str] | None], tuple[list[dict[str, Any]], dict[str, float], list[str]]]] = {
+Figure = tuple[list[dict[str, Any]], dict[str, float], list[str]]
+
+PRESETS: dict[str, Callable[[dict[str, str] | None], Figure]] = {
     "fig3a": preset_fig3a,
     "fig3b": preset_fig3b,
     "fig4": preset_fig4,
@@ -439,11 +441,21 @@ def fig_data(
 
     Returns the list of file paths written.
     """
-    if figure_id not in _PRESETS:
+    if figure_id not in PRESETS:
         raise ConfigError(
-            f"unknown figure id {figure_id!r}; expected one of {sorted(_PRESETS)}"
+            f"unknown figure id {figure_id!r}; expected one of {sorted(PRESETS)}"
         )
-    rows, summary, columns = _PRESETS[figure_id](overrides)
+    return write_figure(figure_id, PRESETS[figure_id](overrides), out_dir, out_format)
+
+
+def write_figure(
+    figure_id: str, figure: Figure, out_dir: str = ".", out_format: str = "csv"
+) -> list[str]:
+    """Write a figure preset's table and JSON summary into ``out_dir``.
+
+    Returns the list of file paths written.
+    """
+    rows, summary, columns = figure
     os.makedirs(out_dir, exist_ok=True)
 
     extension = "csv" if out_format == "csv" else "json"

@@ -279,6 +279,56 @@ def test_out_file_writing(tmp_path):
     assert b"\r\n" in content
 
 
+@pytest.mark.parametrize(
+    "command, value", [("sweep", "inf"), ("sweep", "nan"), ("mc-check", "inf")]
+)
+def test_non_finite_photon_numbers_are_config_errors(capsys, command, value):
+    code = cli.main([command, "--set", f"input.n_photons={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'input.n_photons': grid values must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_fig_commands_honour_the_output_config(tmp_path, capsys):
+    code = cli.main([
+        "fig3a", "--set", "output.format=json", "--out", str(tmp_path / "set"),
+    ])
+    assert code == 0
+    assert len(json.loads((tmp_path / "set" / "fig3a.json").read_text())["rows"]) == 50
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text(
+        f"output.format = json\noutput.path = {tmp_path / 'file'}\n", encoding="utf-8"
+    )
+    assert cli.main(["fig4", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.split() == [
+        str(tmp_path / "set" / "fig3a.json"),
+        str(tmp_path / "set" / "fig3a_summary.json"),
+        str(tmp_path / "file" / "fig4.json"),
+        str(tmp_path / "file" / "fig4_summary.json"),
+    ]
+    assert json.loads((tmp_path / "file" / "fig4.json").read_text())["rows"]
+
+
+def test_fig_commands_validate_their_config(tmp_path, capsys):
+    code = cli.main([
+        "fig3a", "--set", "output.format=xml", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "'output.format'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_fig_command_fails_when_every_row_fails(tmp_path, capsys):
+    code = cli.main(["fig3b", "--set", "kernel.max_order=2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "every grid point failed" in captured.err
+    rows = parse_csv((tmp_path / "fig3b.csv").read_text())
+    assert len(rows) == 100
+    assert all(row["error"].startswith("ConvergenceError") for row in rows)
+
+
 def test_fig_preset_writes_files(tmp_path):
     proc = run_cli("fig4", "--out", str(tmp_path))
     assert proc.returncode == 0

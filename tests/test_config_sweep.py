@@ -80,7 +80,8 @@ def test_parse_grid_forms():
 
 @pytest.mark.parametrize(
     "raw",
-    ["", "5,2", "lin:1:0:5", "log:0:10:5", "log:1:10:1", "abc", "1,,2,x"],
+    ["", "5,2", "lin:1:0:5", "log:0:10:5", "log:1:10:1", "abc", "1,,2,x",
+     "inf", "nan", "1,inf", "lin:0:nan:3"],
 )
 def test_parse_grid_rejects_bad_specs(raw):
     with pytest.raises(ConfigError):
@@ -267,6 +268,18 @@ def test_preset_fig3b_summary_and_rows():
     ten = rows[9]
     assert ten["xi2_min"] == pytest.approx(0.03366372697550407, rel=1e-10)
     assert ten["n_photons_opt"] == pytest.approx(34.85622297595726, rel=1e-10)
+
+
+def test_preset_fig3b_refuses_an_infinite_optimum():
+    # A pure source has no finite optimal photon number; each depth's
+    # numeric check reports that instead of writing nan.
+    rows, _, _ = preset_fig3b({"input.purity": "1"})
+    assert all(row["n_photons_opt"] == math.inf for row in rows)
+    assert all(row["xi2_numeric"] == "" for row in rows)
+    assert all(
+        row["error"].startswith("DomainError: n_photons must be finite")
+        for row in rows
+    )
 
 
 def test_fig_data_roundtrip_and_rerun_bytes(tmp_path):

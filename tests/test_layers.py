@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import layers
 from spinsqueeze import (
@@ -45,41 +47,40 @@ def eps_at(geom, sep, **kwargs):
     return evanescent_band(geom, **kwargs)[0][sep]
 
 
-def per_separation_eps(geom, n_layers, tol=1e-14, max_order=200):
-    """eps(s) for every s < n_layers, each summed on its own, as the
-    kernel was built before the band cut."""
-    shells = layers._order_shells(
-        geom.lattice_const, geom.dipole_orientation, max_order
-    )
-    scale = 0.25 * single_layer_rate(geom.lattice_const)
-    eps = np.zeros(n_layers)
-    for sep in range(1, n_layers):
-        total, _, _ = layers._eps_sum(shells, geom.axial_phase, sep, tol, max_order)
-        eps[sep] = scale * total
-    return eps
-
-
-def brute_force_eps(geom, sep, half_width=60):
-    """Direct lattice sum over transverse diffraction orders.
+def brute_force_eps(geom, seps, half_width=60):
+    """eps(s) for each s in ``seps`` as a direct lattice sum.
 
     Every nonzero order of a subwavelength lattice is evanescent, so the
     sum runs over all integer pairs in a window wide enough that the
-    exponential has long since cut it off.
+    exponential has long since cut it off, each sum exactly rounded.
     """
     a = geom.lattice_const
     gamma0 = 3.0 / (4.0 * math.pi * a * a)
+    m = np.arange(-half_width, half_width + 1)
+    mx, my = (grid.ravel() for grid in np.meshgrid(m, m))
+    nonzero = (mx != 0) | (my != 0)
+    mx, my = mx[nonzero], my[nonzero]
+    kappa = np.sqrt((mx * mx + my * my) / (a * a) - 1.0)
     dx, dy = geom.dipole_orientation
-    kaz_sep = geom.axial_phase * sep
-    total = 0.0
-    for mx in range(-half_width, half_width + 1):
-        for my in range(-half_width, half_width + 1):
-            if mx == 0 and my == 0:
-                continue
-            s = mx * mx + my * my
-            kappa = math.sqrt(s / (a * a) - 1.0)
-            dot = mx * dx + my * dy
-            total += (dot * dot / (a * a) - 1.0) / kappa * math.exp(-kaz_sep * kappa)
-    return 0.25 * gamma0 * total
+    weight = ((mx * dx + my * dy) ** 2 / (a * a) - 1.0) / kappa
+    return np.array([
+        0.25 * gamma0 * math.fsum(weight * np.exp(-geom.axial_phase * sep * kappa))
+        for sep in seps
+    ])
+
+
+def reference_eps(geom, n_seps):
+    """Brute-force eps(s) for s = 0 ... n_seps - 1, with eps(0) = 0."""
+    return np.concatenate(([0.0], brute_force_eps(geom, range(1, n_seps))))
+
+
+def assert_band_within_bound(geom, tol=1e-14, max_order=200, past=4):
+    # Every entry the band holds, and every one past it (read as 0), is
+    # within tol |eps(1)| of the lattice sum.
+    band, _ = evanescent_band(geom, tol, max_order)
+    reference = reference_eps(geom, len(band) + past)
+    band = np.concatenate((band, np.zeros(past)))
+    assert np.max(np.abs(band - reference)) <= tol * abs(reference[1])
 
 
 @pytest.mark.parametrize("lattice_const", [0.68, 0.95])
@@ -87,7 +88,7 @@ def brute_force_eps(geom, sep, half_width=60):
 def test_evanescent_eps_against_brute_force(lattice_const, sep):
     # abs=0 throughout: eps is far below pytest's default abs of 1e-12.
     geom, _ = stack(lattice_const=lattice_const)
-    expected = brute_force_eps(geom, sep)
+    expected = brute_force_eps(geom, [sep])[0]
     assert eps_at(geom, sep) == pytest.approx(
         expected, rel=1e-12, abs=0.0
     )
@@ -187,11 +188,11 @@ def test_truncation_tolerance_is_honored():
 
 
 @pytest.mark.parametrize(
-    "lattice_const, max_shell, terms", [(0.68, 18, 108), (0.95, 25, 176)]
+    "lattice_const, max_shell, terms", [(0.68, 20, 340), (0.95, 29, 1536)]
 )
 def test_truncation_info_frozen_values(lattice_const, max_shell, terms):
-    # Largest shell |m_perp|^2 reached, and the lattice orders summed over
-    # the band's separations: 5 at a = 0.68 and 16 at a = 0.95.
+    # Last shell |m_perp|^2 kept, and the lattice orders summed over the
+    # band's separations: 5 at a = 0.68 and 16 at a = 0.95.
     geom, _ = stack(lattice_const=lattice_const)
     _, truncation = evanescent_band(geom, 1e-14, 200)
     assert truncation == layers.TruncationInfo(
@@ -264,7 +265,7 @@ def test_delta_prime_matches_direct_projection():
         geom, _ = stack(lattice_const=lattice_const, n_layers=n_layers)
         n_z = geom.n_layers
         phase = geom.axial_phase
-        eps = per_separation_eps(geom, n_z)
+        eps = reference_eps(geom, n_z)
         total = 0.0j
         for n in range(n_z):
             for m in range(n_z):
@@ -279,15 +280,18 @@ def test_delta_prime_matches_direct_projection():
 @pytest.mark.parametrize("lattice_const", [0.68, 0.72, 0.95])
 @pytest.mark.parametrize("layer_spacing", [0.5, 1.0, 2.0])
 def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
-    # Past the band the kernel is radiative only; every entry it drops is
-    # below tol |eps(1)|, at any depth.
+    # Inside the band and past it, where the kernel is radiative only,
+    # every evanescent entry is within tol |eps(1)| of the lattice sum,
+    # at any depth.
     tol = 1e-14
     geom, _ = stack(lattice_const=lattice_const, n_layers=100,
                     layer_spacing=layer_spacing)
-    reference = per_separation_eps(geom, 100, tol=tol)
+    reference = reference_eps(geom, 100)
     band, _ = evanescent_band(geom, tol)
     assert 2 < len(band) < 100
-    assert np.array_equal(band, reference[: len(band)])
+    floor = tol * abs(reference[1])
+    assert np.max(np.abs(band - reference[: len(band)])) <= floor
+    assert np.all(np.abs(reference[len(band):]) <= floor)
     for n_z in (2, 3, 17, 100):
         geom_nz, rates = stack(lattice_const=lattice_const, n_layers=n_z,
                                layer_spacing=layer_spacing)
@@ -297,57 +301,65 @@ def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
         )
         idx = np.arange(n_z)
         expected = 1j * reference[np.abs(idx[:, None] - idx[None, :])]
-        assert np.max(np.abs(evanescent - expected)) <= tol * abs(reference[1])
+        assert np.max(np.abs(evanescent - expected)) <= floor
 
 
 def test_band_runs_past_a_zero_of_eps():
     # Just above a = 1/sqrt(2) the first two shells have opposite signs.
-    # At this lattice constant (a root of eps(2) at spacing 0.5) eps(2)
-    # vanishes while eps(3) does not: a stop on the value would end the
-    # band at s = 2, the bound on the remaining shells does not.
-    geom, _ = stack(lattice_const=0.7091684019476291, n_layers=40,
+    # At this lattice constant (the root of the brute-force eps(2) at
+    # spacing 0.5) eps(2) vanishes while eps(3) does not: a stop on the
+    # value would end the band at s = 2, the bound on the remaining
+    # shells does not.
+    geom, _ = stack(lattice_const=0.7091684019476292, n_layers=40,
                     layer_spacing=0.5)
-    reference = per_separation_eps(geom, 40)
+    reference = reference_eps(geom, 40)
     floor = 1e-14 * abs(reference[1])
     assert abs(reference[2]) < floor < abs(reference[3])
     band, _ = evanescent_band(geom)
-    assert np.array_equal(band, reference[: len(band)])
+    assert len(band) > 3
+    assert np.max(np.abs(band - reference[: len(band)])) <= floor
     assert np.all(np.abs(reference[len(band):]) <= floor)
 
 
-def test_evanescent_series_is_summed_once_per_separation(monkeypatch):
-    # Once per separation of the band, not once per depth: fig3b's
-    # hundred depths share one a = 0.68 band, fig4 reads the a = 0.95
-    # band for delta' and for both kernels, and a delta-prime-corrected
-    # sweep for delta' and its kernel.
-    calls = []
-    real_eps_sum = layers._eps_sum
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    lattice_const=st.floats(0.3, 0.97),
+    layer_spacing=st.floats(0.4, 2.5),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_band_within_tol_of_brute_force(lattice_const, layer_spacing, angle):
+    geom, _ = stack(lattice_const=lattice_const, layer_spacing=layer_spacing,
+                    dipole=(math.cos(angle), math.sin(angle)))
+    assert_band_within_bound(geom)
 
-    def counted(*args):
-        calls.append(args[2])
-        return real_eps_sum(*args)
 
-    monkeypatch.setattr(layers, "_eps_sum", counted)
-    layers._lattice_band.cache_clear()
-    preset_fig3b()
-    width = len(evanescent_band(stack(lattice_const=0.68)[0])[0]) - 1
-    assert sorted(calls) == list(range(1, width + 1))
+def test_order_cap_refuses_an_unconverged_sum():
+    # At a short spacing the shells decay slowly: the sum needs shells
+    # up to |m|^2 = 244, past the default cap of 200.
+    geom, _ = stack(lattice_const=0.5, layer_spacing=0.2)
+    with pytest.raises(ConvergenceError, match="after shells up to \\|m\\|\\^2 = 200"):
+        evanescent_band(geom)
+    assert_band_within_bound(geom, max_order=400)
 
-    calls.clear()
-    layers._lattice_band.cache_clear()
-    preset_fig4()
-    assert sorted(calls) == list(range(1, 17))
 
-    calls.clear()
-    layers._lattice_band.cache_clear()
+def test_evanescent_series_is_summed_once_per_separation():
+    # One band per lattice, not one per depth: fig3b's hundred depths
+    # share one a = 0.68 band, fig4 reads the a = 0.95 band for delta'
+    # and for both kernels, and a delta-prime-corrected sweep for delta'
+    # and its kernel.
     config = build_config({
         "geometry.n_layers": "10",
         "detuning.mode": "delta-prime-corrected",
         "model": "numeric",
     })
-    rows = run_sweep(config)
-    assert [row["error"] for row in rows] == [""] * len(rows)
-    assert sorted(calls) == list(range(1, 6))
+    runs = (
+        lambda: preset_fig3b()[0], lambda: preset_fig4()[0], lambda: run_sweep(config)
+    )
+    for run in runs:
+        layers._lattice_band.cache_clear()
+        rows = run()
+        assert [row["error"] for row in rows] == [""] * len(rows)
+        assert layers._lattice_band.cache_info().misses == 1
 
 
 def test_evanescent_series_is_read_only():

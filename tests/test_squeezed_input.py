@@ -28,8 +28,9 @@ EPS = np.finfo(float).eps
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        SqueezedVacuumSpec(n_photons=-0.1)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SqueezedVacuumSpec(n_photons=bad)
     with pytest.raises(DomainError):
         SqueezedVacuumSpec(n_photons=1.0, purity=1.2)
     with pytest.raises(DomainError):
