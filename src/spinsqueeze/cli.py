@@ -23,7 +23,14 @@ from .config import ExperimentConfig, build_config, load_config_file
 from .exceptions import ConfigError, SpinSqueezeError
 from .layers import evanescent_range
 from .rates import validity_report
-from .sweep import PRESETS, format_table, run_sweep, validity_columns, write_figure
+from .sweep import (
+    PRESETS,
+    figure_config,
+    format_table,
+    run_sweep,
+    validity_columns,
+    write_figure,
+)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,13 +149,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         overrides = _collect_overrides(args)
-        config = build_config(overrides)
         if args.command in PRESETS:
-            figure = PRESETS[args.command](overrides)
+            config = figure_config(args.command, overrides)
+            figure = PRESETS[args.command].build(config)
             out_dir = config.out_path if config.out_path not in ("", "-") else "."
             for path in write_figure(args.command, figure, out_dir, config.out_format):
                 print(path)
             return _exit_code(figure[0])
+        config = build_config(overrides)
         if args.command in ("analytic", "numeric", "mc-check"):
             config = dataclasses.replace(config, model=args.command)
         return _run_table_command(args.command, config)

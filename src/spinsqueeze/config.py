@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConfigError, DomainError
 from .geometry import ArrayGeometry, BeamProfile
-from .layers import delta_prime
+from .layers import DEFAULT_EPS_TOL, DEFAULT_MAX_ORDER, delta_prime
 from .mc import McParams
 from .rates import RateSet, compute_rates, single_layer_rate, waist_for_overlap
 
@@ -41,8 +41,8 @@ DEFAULTS: dict[str, str] = {
     "detuning.value": "0.0",
     "model": "both",
     "kernel.include_evanescent": "true",
-    "kernel.tol": "1e-14",
-    "kernel.max_order": "200",
+    "kernel.tol": repr(DEFAULT_EPS_TOL),
+    "kernel.max_order": str(DEFAULT_MAX_ORDER),
     "mc.dt": "0.05",
     "mc.t_burn": "50.0",
     "mc.t_avg": "500.0",
@@ -56,6 +56,11 @@ DEFAULTS: dict[str, str] = {
 _DETUNING_MODES = ("on-resonance", "fixed", "delta-prime-corrected")
 _MODELS = ("analytic", "numeric", "both", "mc-check")
 _FORMATS = ("csv", "json")
+# Pairs of keys that set the same quantity two ways.
+_ALTERNATIVES = (
+    ("beam.waist", "beam.eta"),
+    ("rates.gamma_s", "rates.gamma_s_over_gamma0"),
+)
 
 
 @dataclass(frozen=True)
@@ -218,13 +223,22 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Merge overrides onto the defaults and build the typed config.
 
     Each value is parsed and validated individually; the first failure
-    is reported as a :class:`ConfigError` naming the key.
+    is reported as a :class:`ConfigError` naming the key.  Of two keys
+    that set the same quantity (``_ALTERNATIVES``), one given a value
+    here replaces the default of the other; giving both is an error.
     """
+    overrides = overrides or {}
     flat = dict(DEFAULTS)
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key not in DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
         flat[key] = value
+    for pair in _ALTERNATIVES:
+        for key, other in (pair, pair[::-1]):
+            if overrides.get(key) and other not in overrides:
+                flat[other] = ""
+        if all(flat[key] for key in pair):
+            raise ConfigError(f"set either {pair[0]!r} or {pair[1]!r}, not both")
 
     dipole_raw = flat["geometry.dipole"]
     try:
@@ -246,14 +260,10 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
-    waist_raw = flat["beam.waist"]
-    eta_raw = flat["beam.eta"]
-    if waist_raw and eta_raw:
-        raise ConfigError("set either 'beam.waist' or 'beam.eta', not both")
     try:
-        if waist_raw:
+        if flat["beam.waist"]:
             beam = BeamProfile(waist=_parse_float(flat, "beam.waist"))
-        elif eta_raw:
+        elif flat["beam.eta"]:
             beam = BeamProfile(
                 waist=waist_for_overlap(geometry, _parse_float(flat, "beam.eta"))
             )
@@ -262,15 +272,9 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(f"beam: {exc}") from exc
 
-    gs_raw = flat["rates.gamma_s"]
-    gs_rel_raw = flat["rates.gamma_s_over_gamma0"]
-    if gs_raw and gs_rel_raw:
-        raise ConfigError(
-            "set either 'rates.gamma_s' or 'rates.gamma_s_over_gamma0', not both"
-        )
-    if gs_raw:
+    if flat["rates.gamma_s"]:
         gamma_s = _parse_float(flat, "rates.gamma_s")
-    elif gs_rel_raw:
+    elif flat["rates.gamma_s_over_gamma0"]:
         gamma_s = _parse_float(flat, "rates.gamma_s_over_gamma0") * single_layer_rate(
             geometry.lattice_const
         )

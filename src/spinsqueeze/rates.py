@@ -174,7 +174,7 @@ def validity_report(
     geom: ArrayGeometry,
     beam: BeamProfile,
     n_photons: float,
-    rates: RateSet | None = None,
+    rates: RateSet,
 ) -> ValidityReport:
     """Check the assumptions behind the scalar reflectivity picture.
 
@@ -185,9 +185,6 @@ def validity_report(
     lattice constant (otherwise evanescent coupling dominates), and the
     photon number must stay below the saturation scale of the array.
     """
-    if rates is None:
-        rates = compute_rates(geom, beam)
-
     layer_size = geom.n_side * geom.lattice_const
     layer_size_ok = layer_size >= 10.0
 

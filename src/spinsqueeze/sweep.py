@@ -14,7 +14,7 @@ import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .analytic import (
     DetuningSpec,
@@ -33,7 +33,7 @@ from .squeezed_input import (
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import unit_response, xi2_from_response
+from .steady import UnitResponse, unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -60,6 +60,9 @@ SWEEP_COLUMNS = [
 
 _PER_POINT_SEED_STRIDE = 1000003
 
+# A figure preset's table rows, its JSON summary and its column order.
+Figure = tuple[list[dict[str, Any]], dict[str, float], list[str]]
+
 
 def _resolve_detuning(config: ExperimentConfig) -> float:
     if config.detuning_mode == "on-resonance":
@@ -85,7 +88,11 @@ def _error_text(exc: SpinSqueezeError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _drift(config: ExperimentConfig, rates: RateSet, det: DetuningSpec) -> DriftMatrix:
+def _unit_solve(
+    config: ExperimentConfig, rates: RateSet, det: DetuningSpec
+) -> tuple[DriftMatrix, UnitResponse]:
+    """The numeric step: the config's kernel, its drift matrix at ``det``
+    and that matrix's response to unit sources."""
     kernel = interaction_kernel(
         config.geometry,
         rates,
@@ -93,7 +100,8 @@ def _drift(config: ExperimentConfig, rates: RateSet, det: DetuningSpec) -> Drift
         include_evanescent=config.include_evanescent,
         max_order=config.kernel_max_order,
     )
-    return drift_matrix(kernel, rates, det)
+    drift = drift_matrix(kernel, rates, det)
+    return drift, unit_response(drift, config.geometry, rates)
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
@@ -119,8 +127,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     try:
         det = DetuningSpec(_resolve_detuning(config))
         if want_numeric:
-            drift = _drift(config, rates, det)
-            response = unit_response(drift, geom, rates)
+            drift, response = _unit_solve(config, rates, det)
     except SpinSqueezeError as exc:
         setup_error = _error_text(exc)
 
@@ -136,7 +143,6 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             xi2_field=input_quadrature_variance(spec),
             **validity_columns(report),
             n_eff=report.n_eff,
-            error="",
         )
         if det is None:
             row["error"] = setup_error
@@ -172,10 +178,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     # others are closed-form evaluations of the one unit solve.
     if want_mc and config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(evaluate, items))
-    else:
-        rows = [evaluate(item) for item in items]
-    return rows
+            return list(pool.map(evaluate, items))
+    return [evaluate(item) for item in items]
 
 
 def format_value(value: Any) -> str:
@@ -201,9 +205,7 @@ def rows_to_csv(rows: list[dict[str, Any]], columns: list[str] | None = None) ->
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (float, bool, int, str)) or value is None:
         return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
@@ -229,35 +231,13 @@ def format_table(
     return rows_to_json(rows)
 
 
-def _base_preset(**overrides: str) -> ExperimentConfig:
-    flat = {
-        "geometry.n_side": "200",
-        "geometry.n_layers": "10",
-        "geometry.layer_spacing": "1.0",
-        "beam.eta": "0.99",
-        "rates.gamma_s_over_gamma0": "0.1",
-    }
-    flat.update(overrides)
-    return build_config(flat)
-
-
-def preset_fig3a(
-    overrides: dict[str, str] | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, float], list[str]]:
+def preset_fig3a(config: ExperimentConfig) -> Figure:
     """Squeezing versus photon number at a=0.68, two source qualities.
 
     Both the closed form and the steady-state solve are evaluated for a
     perfect source and for one with 0.1% excess noise; each grid point
     appears once per source case, tagged by the ``alpha_case`` column.
     """
-    config = _base_preset(
-        **{
-            "geometry.lattice_const": "0.68",
-            "input.n_photons": "log:0.01:1000:25",
-            "model": "both",
-            **(overrides or {}),
-        }
-    )
     rows: list[dict[str, Any]] = []
     for alpha in (1.0, 0.999):
         case = dataclasses.replace(config, purity=alpha)
@@ -290,9 +270,7 @@ FIG3B_COLUMNS = [
 ]
 
 
-def preset_fig3b(
-    overrides: dict[str, str] | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, float], list[str]]:
+def preset_fig3b(config: ExperimentConfig) -> Figure:
     """Optimal squeezing versus stack depth at a=0.68.
 
     The closed-form optimum is tabulated for every layer count from 1
@@ -300,45 +278,18 @@ def preset_fig3b(
     is evaluated at the optimal photon number as an independent check:
     one unit-source solve per layer count.
     """
-    config = _base_preset(
-        **{
-            "geometry.lattice_const": "0.68",
-            "input.purity": "0.9999",
-            "model": "both",
-            **(overrides or {}),
-        }
-    )
-    alpha_eff = config.purity
-    layer_counts = list(range(1, 101))
-    table = xi2_min_vs_layers(
-        config.geometry,
-        config.beam,
-        config.gamma_s,
-        alpha_eff,
-        layer_counts,
-    )
-
     rows: list[dict[str, Any]] = []
-    for entry in table:
+    for entry in xi2_min_vs_layers(
+        config.geometry, config.beam, config.gamma_s, config.purity, list(range(1, 101))
+    ):
         n_z = int(entry["n_layers"])
-        row: dict[str, Any] = {key: "" for key in FIG3B_COLUMNS}
-        row.update(
-            n_layers=n_z,
-            eta=entry["eta"],
-            r0=entry["r0"],
-            n_photons_opt=entry["n_photons_opt"],
-            xi2_min=entry["xi2_min"],
-            asym_small_nz=entry["asym_small_nz"],
-            asym_large_nz=entry["asym_large_nz"],
-            error="",
-        )
+        row = {**dict.fromkeys(FIG3B_COLUMNS, ""), **entry, "n_layers": n_z}
         try:
             case = dataclasses.replace(
                 config, geometry=dataclasses.replace(config.geometry, n_layers=n_z)
             )
-            rates = case.rates()
-            drift = _drift(case, rates, DetuningSpec(_resolve_detuning(case)))
-            response = unit_response(drift, case.geometry, rates)
+            det = DetuningSpec(_resolve_detuning(case))
+            _, response = _unit_solve(case, case.rates(), det)
             spec = SqueezedVacuumSpec(
                 n_photons=entry["n_photons_opt"], purity=config.purity
             )
@@ -353,7 +304,7 @@ def preset_fig3b(
         "r0_Nz10": r10.r0,
         "asymptote_large_Nz": 1.0 - r10.eta,
         "asymptote_small_Nz_coeff": config.gamma_s / r10.gamma0,
-        "alpha_eff": alpha_eff,
+        "alpha_eff": config.purity,
     }
     return rows, summary, FIG3B_COLUMNS
 
@@ -368,24 +319,13 @@ FIG4_COLUMNS = [
 ]
 
 
-def preset_fig4(
-    overrides: dict[str, str] | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, float], list[str]]:
+def preset_fig4(config: ExperimentConfig) -> Figure:
     """Detuning compensation at a=0.95, where evanescent coupling is strong.
 
     Three curves over the photon grid: the on-resonance closed form,
     the steady-state solve driven at the bare resonance, and the
     steady-state solve driven at the shifted collective resonance.
     """
-    config = _base_preset(
-        **{
-            "geometry.lattice_const": "0.95",
-            "input.purity": "0.999",
-            "input.n_photons": "log:0.01:1000:13",
-            "model": "both",
-            **(overrides or {}),
-        }
-    )
     rates = config.rates()
     shift = config.collective_shift()
 
@@ -422,13 +362,42 @@ def preset_fig4(
     return rows, summary, FIG4_COLUMNS
 
 
-Figure = tuple[list[dict[str, Any]], dict[str, float], list[str]]
+class Preset(NamedTuple):
+    """A figure preset: the keys that define it and its function of the config."""
 
-PRESETS: dict[str, Callable[[dict[str, str] | None], Figure]] = {
-    "fig3a": preset_fig3a,
-    "fig3b": preset_fig3b,
-    "fig4": preset_fig4,
+    keys: dict[str, str]
+    build: Callable[[ExperimentConfig], Figure]
+
+
+PRESETS: dict[str, Preset] = {
+    "fig3a": Preset(
+        {"geometry.lattice_const": "0.68", "input.n_photons": "log:0.01:1000:25"},
+        preset_fig3a,
+    ),
+    "fig3b": Preset(
+        {"geometry.lattice_const": "0.68", "input.purity": "0.9999"},
+        preset_fig3b,
+    ),
+    "fig4": Preset(
+        {
+            "geometry.lattice_const": "0.95",
+            "input.purity": "0.999",
+            "input.n_photons": "log:0.01:1000:13",
+        },
+        preset_fig4,
+    ),
 }
+
+
+def figure_config(
+    figure_id: str, overrides: dict[str, str] | None = None
+) -> ExperimentConfig:
+    """Build a figure's config: its preset keys, under the caller's keys."""
+    if figure_id not in PRESETS:
+        raise ConfigError(
+            f"unknown figure id {figure_id!r}; expected one of {sorted(PRESETS)}"
+        )
+    return build_config({**PRESETS[figure_id].keys, **(overrides or {})})
 
 
 def fig_data(
@@ -441,11 +410,9 @@ def fig_data(
 
     Returns the list of file paths written.
     """
-    if figure_id not in PRESETS:
-        raise ConfigError(
-            f"unknown figure id {figure_id!r}; expected one of {sorted(PRESETS)}"
-        )
-    return write_figure(figure_id, PRESETS[figure_id](overrides), out_dir, out_format)
+    config = figure_config(figure_id, overrides)
+    figure = PRESETS[figure_id].build(config)
+    return write_figure(figure_id, figure, out_dir, out_format)
 
 
 def write_figure(

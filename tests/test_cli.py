@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spinsqueeze.cli as cli
-from spinsqueeze import sweep
+from spinsqueeze import build_config, sweep
 from spinsqueeze.exceptions import StabilityError
 
 
@@ -308,6 +308,54 @@ def test_fig_commands_honour_the_output_config(tmp_path, capsys):
         str(tmp_path / "file" / "fig4_summary.json"),
     ]
     assert json.loads((tmp_path / "file" / "fig4.json").read_text())["rows"]
+
+
+@pytest.mark.parametrize("figure_id", ["fig3a", "fig3b", "fig4"])
+def test_fig_command_builds_its_config_once(figure_id, monkeypatch, tmp_path):
+    calls = []
+    build = cli.build_config
+
+    def counted(overrides=None):
+        calls.append(overrides)
+        return build(overrides)
+
+    # One counter behind both bindings: the CLI's and the presets' own.
+    monkeypatch.setattr(cli, "build_config", counted)
+    monkeypatch.setattr(sweep, "build_config", counted)
+    grid = [] if figure_id == "fig3b" else ["--set", "input.n_photons=1"]
+    assert cli.main([figure_id, *grid, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert calls[0]["output.path"] == str(tmp_path)
+    preset = sweep.PRESETS[figure_id].keys
+    assert calls[0]["geometry.lattice_const"] == preset["geometry.lattice_const"]
+
+
+def test_caller_keys_override_preset_keys(tmp_path):
+    code = cli.main(["fig4", "--set", "input.n_photons=1,10", "--out", str(tmp_path)])
+    assert code == 0
+    rows = parse_csv((tmp_path / "fig4.csv").read_text())
+    assert [float(row["n_photons"]) for row in rows] == [1.0, 10.0]
+
+
+@pytest.mark.parametrize("line", ["rates.gamma_s = 0.05", "beam.waist = 50"])
+@pytest.mark.parametrize("source", ["file", "set"])
+def test_alternative_key_replaces_the_default(tmp_path, capsys, source, line):
+    key, _, value = (part.strip() for part in line.partition("="))
+    if source == "file":
+        cfg = tmp_path / "alt.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        argv = ["rates", "--config", str(cfg)]
+    else:
+        argv = ["rates", "--set", f"{key}={value}"]
+    assert cli.main(argv) == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    expected = build_config({key: value}).rates()
+    assert float(row["gamma_s"]) == expected.gamma_s
+    assert float(row["eta"]) == expected.eta
+    # Setting its alternative as well is still refused.
+    other = {"rates.gamma_s": "rates.gamma_s_over_gamma0", "beam.waist": "beam.eta"}
+    assert cli.main([*argv, "--set", f"{other[key]}=0.5"]) == 2
+    assert "not both" in capsys.readouterr().err
 
 
 def test_fig_commands_validate_their_config(tmp_path, capsys):

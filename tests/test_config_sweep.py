@@ -20,6 +20,7 @@ from spinsqueeze.exceptions import ConfigError, StabilityError
 from spinsqueeze.sweep import (
     SWEEP_COLUMNS,
     fig_data,
+    figure_config,
     format_value,
     preset_fig3b,
     rows_to_csv,
@@ -122,6 +123,21 @@ def test_build_config_exclusions_and_validation():
         build_config({"geometry.n_side": "12.5"})
     with pytest.raises(ConfigError):
         build_config({"kernel.tol": "-1e-10"})
+
+
+def test_gamma_s_alone_replaces_the_relative_default():
+    config = build_config({"rates.gamma_s": "0.05"})
+    assert config.gamma_s == 0.05
+    with pytest.raises(ConfigError, match="not both"):
+        build_config({"rates.gamma_s": "0.05", "rates.gamma_s_over_gamma0": "0.1"})
+
+
+def test_waist_alone_replaces_the_eta_default():
+    config = build_config({"beam.waist": "50"})
+    assert config.beam.waist == 50.0
+    assert config.rates().eta != build_config().rates().eta
+    with pytest.raises(ConfigError, match="not both"):
+        build_config({"beam.waist": "50", "beam.eta": "0.99"})
 
 
 def test_resolve_config_path_env_dir(tmp_path, monkeypatch):
@@ -259,7 +275,7 @@ def test_rows_to_json_deterministic():
 
 
 def test_preset_fig3b_summary_and_rows():
-    rows, summary, columns = preset_fig3b()
+    rows, summary, columns = preset_fig3b(figure_config("fig3b"))
     assert summary["r0_Nz10"] == pytest.approx(0.9801980198019802, rel=1e-14)
     assert summary["asymptote_large_Nz"] == pytest.approx(0.01, rel=1e-12)
     assert summary["asymptote_small_Nz_coeff"] == pytest.approx(0.1, rel=1e-14)
@@ -273,13 +289,42 @@ def test_preset_fig3b_summary_and_rows():
 def test_preset_fig3b_refuses_an_infinite_optimum():
     # A pure source has no finite optimal photon number; each depth's
     # numeric check reports that instead of writing nan.
-    rows, _, _ = preset_fig3b({"input.purity": "1"})
+    rows, _, _ = preset_fig3b(figure_config("fig3b", {"input.purity": "1"}))
     assert all(row["n_photons_opt"] == math.inf for row in rows)
     assert all(row["xi2_numeric"] == "" for row in rows)
     assert all(
         row["error"].startswith("DomainError: n_photons must be finite")
         for row in rows
     )
+
+
+def test_fig3b_numeric_check_is_the_sweep_at_the_optimum():
+    config = figure_config("fig3b")
+    assert config.geometry.n_layers == 10
+    ten = preset_fig3b(config)[0][9]
+    assert ten["n_layers"] == 10
+    row, = run_sweep(dataclasses.replace(
+        config, model="numeric", n_photons_grid=(ten["n_photons_opt"],)
+    ))
+    assert row["error"] == ""
+    assert ten["xi2_numeric"] == row["xi2_numeric"]
+
+
+def test_fig_data_builds_its_config_once(monkeypatch, tmp_path):
+    calls = []
+    build = sweep.build_config
+
+    def counted(overrides=None):
+        calls.append(overrides)
+        return build(overrides)
+
+    monkeypatch.setattr(sweep, "build_config", counted)
+    fig_data("fig4", {"input.n_photons": "1", "input.purity": "0.9"}, str(tmp_path))
+    assert calls == [{
+        "geometry.lattice_const": "0.95",
+        "input.purity": "0.9",
+        "input.n_photons": "1",
+    }]
 
 
 def test_fig_data_roundtrip_and_rerun_bytes(tmp_path):

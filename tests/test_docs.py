@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from spinsqueeze.config import DEFAULTS
+from spinsqueeze.sweep import PRESETS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +33,16 @@ def test_config_reference_lists_every_key_with_its_default():
         documented.append((key_cell.strip("`"), default))
     assert len(documented) == len(dict(documented)), "a key is listed twice"
     assert dict(documented) == DEFAULTS
+
+
+def test_config_reference_lists_every_preset_with_its_keys():
+    text = (ROOT / "docs" / "config.md").read_text(encoding="utf-8")
+    section = text.split("## Figure presets\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if not cells or cells[0] in ("figure", "---"):
+            continue
+        pairs = re.findall(r"`([^`=]+)=([^`]*)`", cells[1])
+        documented[cells[0]] = dict(pairs)
+    assert documented == {fid: preset.keys for fid, preset in PRESETS.items()}

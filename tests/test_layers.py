@@ -26,7 +26,7 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import ConvergenceError, DomainError, StabilityError
-from spinsqueeze.sweep import preset_fig3b, preset_fig4
+from spinsqueeze.sweep import figure_config, preset_fig3b, preset_fig4
 
 
 def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
@@ -353,7 +353,9 @@ def test_evanescent_series_is_summed_once_per_separation():
         "model": "numeric",
     })
     runs = (
-        lambda: preset_fig3b()[0], lambda: preset_fig4()[0], lambda: run_sweep(config)
+        lambda: preset_fig3b(figure_config("fig3b"))[0],
+        lambda: preset_fig4(figure_config("fig4"))[0],
+        lambda: run_sweep(config),
     )
     for run in runs:
         layers._lattice_band.cache_clear()

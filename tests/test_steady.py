@@ -356,9 +356,10 @@ def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
         assert row["xi2_numeric"] == spinsqueeze.beam_splitter(0.5, n, 1.0).xi2
 
     # fig3b runs at purity 0.9999, so its contrast must exceed 1/0.9999.
-    respond(1.001)
-    monkeypatch.setattr(sweep, "_drift", lambda *args: None)
-    fig3b_rows, _, _ = sweep.preset_fig3b()
+    monkeypatch.setattr(
+        sweep, "_unit_solve", lambda *args: (None, fake_response(1.001))
+    )
+    fig3b_rows, _, _ = sweep.preset_fig3b(sweep.figure_config("fig3b"))
     for row in fig3b_rows:
         assert row["error"].startswith("PhysicalityError: squeezing contrast")
         assert row["xi2_numeric"] == ""
