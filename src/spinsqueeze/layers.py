@@ -143,9 +143,10 @@ def evanescent_band(
     kernel and the collective shift both read it.  eps[0] is 0, since
     same-layer physics is not part of the kernel.  One bound on |eps(s)|,
     B(s) = sum_m |c(m)| e^{-kappa_m k a_z s}, cuts the shells (their part
-    of B(1)) and the separations (B(w + 1) over all shells) at ``tol``
-    |eps(1)|, so every eps dropped or omitted is within that floor.  The
-    last shell below ``max_order`` must be under it.  The band depends on
+    of B(1)) at half of ``tol`` |eps(1)|, leaving the other half for
+    rounding, and the separations (B(w + 1) over all shells) at the whole
+    floor, so every eps kept or omitted is within it.  The last shell
+    below ``max_order`` must be under the floor.  The band depends on
     the lattice, spacing and dipole but not on the depth or ``n_side``,
     so one memoised, read-only band serves every stack.
     """
@@ -166,7 +167,8 @@ def _lattice_band(
     orders, coeffs, counts, decays = (np.array(col) for col in zip(*shells))
     kaz = TWO_PI * layer_spacing
     # Every shell's term is largest at s = 1, so shells whose summed
-    # magnitude there is below the floor may be dropped at every s.
+    # magnitude there is below half the floor may be dropped at every s;
+    # the other half is left for the rounding of the kept sum.
     first = coeffs * np.exp(-kaz * decays)
     floor = tol * abs(first.sum())
     if abs(first[-1]) > floor:
@@ -175,7 +177,7 @@ def _lattice_band(
             f"shells up to |m|^2 = {max_order}"
         )
     tails = np.cumsum(np.abs(first)[::-1])[::-1]
-    kept = max(1, int(np.count_nonzero(tails > floor)))
+    kept = max(1, int(np.count_nonzero(tails > 0.5 * floor)))
     # Every bound term falls with s and underflows to 0 in the end, so the
     # loop stops even where eps(1) is 0.
     width = 1
