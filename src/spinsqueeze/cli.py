@@ -121,15 +121,6 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
     ]
 
 
-def _run_table_command(command: str, config: ExperimentConfig) -> int:
-    if command == "rates":
-        rows = _rates_rows(config)
-    else:
-        rows = run_sweep(config)
-    _emit(format_table(rows, config.out_format), config.out_path)
-    return _exit_code(rows)
-
-
 def _exit_code(rows: list[dict[str, Any]]) -> int:
     """Exit code of a written table; failed rows are reported on stderr."""
     errored = [row for row in rows if row.get("error")]
@@ -159,7 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(overrides)
         if args.command in ("analytic", "numeric", "mc-check"):
             config = dataclasses.replace(config, model=args.command)
-        return _run_table_command(args.command, config)
+        if args.command == "rates":
+            rows = _rates_rows(config)
+        else:
+            rows = run_sweep(config)
+        _emit(format_table(rows, config.out_format), config.out_path)
+        return _exit_code(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -101,6 +101,7 @@ def _unit_solve(
         max_order=config.kernel_max_order,
     )
     drift = drift_matrix(kernel, rates, det)
+    del kernel  # N_z x N_z, freed before the solve, where the memory peaks
     return drift, unit_response(drift, config.geometry, rates)
 
 
@@ -289,7 +290,8 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
                 config, geometry=dataclasses.replace(config.geometry, n_layers=n_z)
             )
             det = DetuningSpec(_resolve_detuning(case))
-            _, response = _unit_solve(case, case.rates(), det)
+            # Hold no drift across depths: the last one would outlive its use.
+            response = _unit_solve(case, case.rates(), det)[1]
             spec = SqueezedVacuumSpec(
                 n_photons=entry["n_photons_opt"], purity=config.purity
             )
