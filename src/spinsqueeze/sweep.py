@@ -206,7 +206,9 @@ def rows_to_csv(rows: list[dict[str, Any]], columns: list[str] | None = None) ->
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, (float, bool, int, str)) or value is None:
+    if isinstance(value, float):
+        return value
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
