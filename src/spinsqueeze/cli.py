@@ -143,8 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in PRESETS:
             config = figure_config(args.command, overrides)
             figure = PRESETS[args.command].build(config)
-            out_dir = config.out_path if config.out_path not in ("", "-") else "."
-            for path in write_figure(args.command, figure, out_dir, config.out_format):
+            for path in write_figure(args.command, figure, config):
                 print(path)
             return _exit_code(figure[0])
         config = build_config(overrides)

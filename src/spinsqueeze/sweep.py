@@ -25,15 +25,15 @@ from .analytic import (
 )
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, SpinSqueezeError
-from .layers import DriftMatrix, drift_matrix, interaction_kernel
+from .layers import drift_matrix, interaction_kernel
 from .mc import simulate_xi2
-from .rates import RateSet, ValidityReport, compute_rates, validity_report
+from .rates import ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
     SqueezedVacuumSpec,
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import UnitResponse, unit_response, xi2_from_response
+from .steady import unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -60,8 +60,8 @@ SWEEP_COLUMNS = [
 
 _PER_POINT_SEED_STRIDE = 1000003
 
-# A figure preset's table rows, its JSON summary and its column order.
-Figure = tuple[list[dict[str, Any]], dict[str, float], list[str]]
+# A figure preset's table rows, in column order, and its JSON summary.
+Figure = tuple[list[dict[str, Any]], dict[str, float]]
 
 
 def _resolve_detuning(config: ExperimentConfig) -> float:
@@ -88,29 +88,13 @@ def _error_text(exc: SpinSqueezeError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _unit_solve(
-    config: ExperimentConfig, rates: RateSet, det: DetuningSpec
-) -> tuple[DriftMatrix, UnitResponse]:
-    """The numeric step: the config's kernel, its drift matrix at ``det``
-    and that matrix's response to unit sources."""
-    kernel = interaction_kernel(
-        config.geometry,
-        rates,
-        tol=config.kernel_tol,
-        include_evanescent=config.include_evanescent,
-        max_order=config.kernel_max_order,
-    )
-    drift = drift_matrix(kernel, rates, det)
-    del kernel  # N_z x N_z, freed before the solve, where the memory peaks
-    return drift, unit_response(drift, config.geometry, rates)
-
-
 def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
-    Returns one row dict per grid point, in grid order.  The numeric
-    model solves its drift matrix once, for unit sources, and evaluates
-    every grid point in closed form.  Solver errors, including an
+    Returns one row dict per grid point, in grid order.  This is the one
+    place a model is evaluated, and the figure presets are built from its
+    rows.  The numeric model solves its drift matrix once, for unit
+    sources, and evaluates every grid point in closed form.  Solver errors, including an
     unstable drift matrix or an evanescent sum that does not converge,
     land in the ``error`` column of each row they affect instead of
     aborting the whole sweep.  A detuning that cannot be resolved fails
@@ -128,7 +112,16 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     try:
         det = DetuningSpec(_resolve_detuning(config))
         if want_numeric:
-            drift, response = _unit_solve(config, rates, det)
+            kernel = interaction_kernel(
+                geom,
+                rates,
+                tol=config.kernel_tol,
+                include_evanescent=config.include_evanescent,
+                max_order=config.kernel_max_order,
+            )
+            drift = drift_matrix(kernel, rates, det)
+            del kernel  # N_z x N_z, freed before the solve, where the memory peaks
+            response = unit_response(drift, geom, rates)
     except SpinSqueezeError as exc:
         setup_error = _error_text(exc)
 
@@ -193,10 +186,9 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[dict[str, Any]], columns: list[str] | None = None) -> str:
-    """Serialise rows as RFC-4180 CSV with a header row."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
+def rows_to_csv(rows: list[dict[str, Any]]) -> str:
+    """Serialise rows as RFC-4180 CSV, headed by the first row's keys."""
+    columns = list(rows[0].keys()) if rows else []
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(columns)
@@ -225,12 +217,10 @@ def rows_to_json(rows: list[dict[str, Any]], meta: dict[str, Any] | None = None)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def format_table(
-    rows: list[dict[str, Any]], out_format: str, columns: list[str] | None = None
-) -> str:
-    """Serialise rows as CSV, in ``columns`` order if given, or else as JSON."""
+def format_table(rows: list[dict[str, Any]], out_format: str) -> str:
+    """Serialise rows as CSV or as JSON."""
     if out_format == "csv":
-        return rows_to_csv(rows, columns)
+        return rows_to_csv(rows)
     return rows_to_json(rows)
 
 
@@ -257,7 +247,7 @@ def preset_fig3a(config: ExperimentConfig) -> Figure:
         "eta": rates.eta,
         "gamma0": rates.gamma0,
     }
-    return rows, summary, ["alpha_case", *SWEEP_COLUMNS]
+    return rows, summary
 
 
 FIG3B_COLUMNS = [
@@ -279,7 +269,7 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
     The closed-form optimum is tabulated for every layer count from 1
     to 100 together with its two asymptotes, and the steady-state model
     is evaluated at the optimal photon number as an independent check:
-    one unit-source solve per layer count.
+    a one-point numeric sweep per layer count.
     """
     rows: list[dict[str, Any]] = []
     for entry in xi2_min_vs_layers(
@@ -287,18 +277,17 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
     ):
         n_z = int(entry["n_layers"])
         row = {**dict.fromkeys(FIG3B_COLUMNS, ""), **entry, "n_layers": n_z}
+        case = dataclasses.replace(
+            config,
+            geometry=dataclasses.replace(config.geometry, n_layers=n_z),
+            model="numeric",
+            n_photons_grid=(entry["n_photons_opt"],),
+        )
         try:
-            case = dataclasses.replace(
-                config, geometry=dataclasses.replace(config.geometry, n_layers=n_z)
-            )
-            det = DetuningSpec(_resolve_detuning(case))
-            # Hold no drift across depths: the last one would outlive its use.
-            response = _unit_solve(case, case.rates(), det)[1]
-            spec = SqueezedVacuumSpec(
-                n_photons=entry["n_photons_opt"], purity=config.purity
-            )
-            row["xi2_numeric"] = xi2_from_response(response, spec).xi2
-        except SpinSqueezeError as exc:
+            (check,) = run_sweep(case)
+            row["xi2_numeric"] = check["xi2_numeric"]
+            row["error"] = check["error"]
+        except SpinSqueezeError as exc:  # an infinite optimum has no input
             row["error"] = _error_text(exc)
         rows.append(row)
 
@@ -310,17 +299,7 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
         "asymptote_small_Nz_coeff": config.gamma_s / r10.gamma0,
         "alpha_eff": config.purity,
     }
-    return rows, summary, FIG3B_COLUMNS
-
-
-FIG4_COLUMNS = [
-    "n_photons",
-    "r0",
-    "xi2_analytic",
-    "xi2_numeric_resonant",
-    "xi2_numeric_corrected",
-    "error",
-]
+    return rows, summary
 
 
 def preset_fig4(config: ExperimentConfig) -> Figure:
@@ -363,7 +342,7 @@ def preset_fig4(config: ExperimentConfig) -> Figure:
         "r0": rates.r0,
         "lattice_const": config.geometry.lattice_const,
     }
-    return rows, summary, FIG4_COLUMNS
+    return rows, summary
 
 
 class Preset(NamedTuple):
@@ -404,35 +383,31 @@ def figure_config(
     return build_config({**PRESETS[figure_id].keys, **(overrides or {})})
 
 
-def fig_data(
-    figure_id: str,
-    overrides: dict[str, str] | None = None,
-    out_dir: str = ".",
-    out_format: str = "csv",
-) -> list[str]:
-    """Generate a figure preset and write its table plus JSON summary.
+def fig_data(figure_id: str, overrides: dict[str, str] | None = None) -> list[str]:
+    """Generate a figure preset and write it where its config says.
 
     Returns the list of file paths written.
     """
     config = figure_config(figure_id, overrides)
-    figure = PRESETS[figure_id].build(config)
-    return write_figure(figure_id, figure, out_dir, out_format)
+    return write_figure(figure_id, PRESETS[figure_id].build(config), config)
 
 
 def write_figure(
-    figure_id: str, figure: Figure, out_dir: str = ".", out_format: str = "csv"
+    figure_id: str, figure: Figure, config: ExperimentConfig
 ) -> list[str]:
-    """Write a figure preset's table and JSON summary into ``out_dir``.
+    """Write a figure preset's table and JSON summary.
 
-    Returns the list of file paths written.
+    The directory is ``output.path`` (``-`` or empty meaning the current
+    one) and the table's format ``output.format``.  Returns the list of
+    file paths written.
     """
-    rows, summary, columns = figure
+    rows, summary = figure
+    out_dir = config.out_path if config.out_path not in ("", "-") else "."
     os.makedirs(out_dir, exist_ok=True)
 
-    extension = "csv" if out_format == "csv" else "json"
-    table_path = os.path.join(out_dir, f"{figure_id}.{extension}")
+    table_path = os.path.join(out_dir, f"{figure_id}.{config.out_format}")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_table(rows, out_format, columns))
+        fh.write(format_table(rows, config.out_format))
 
     summary_path = os.path.join(out_dir, f"{figure_id}_summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:

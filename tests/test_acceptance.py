@@ -301,8 +301,8 @@ def test_criterion_9_physicality_and_determinism(tmp_path):
     dir_b = tmp_path / "b"
     dir_a.mkdir()
     dir_b.mkdir()
-    paths_a = sorted(fig_data("fig4", out_dir=str(dir_a)))
-    paths_b = sorted(fig_data("fig4", out_dir=str(dir_b)))
+    paths_a = sorted(fig_data("fig4", {"output.path": str(dir_a)}))
+    paths_b = sorted(fig_data("fig4", {"output.path": str(dir_b)}))
     params = McParams(dt=0.25, t_burn=10.0, t_avg=50.0, n_traj=16, seed=3)
     first = simulate_xi2(drift, diff, geom, params)
     second = simulate_xi2(drift, diff, geom, params)

@@ -18,6 +18,7 @@ from spinsqueeze.config import (
 )
 from spinsqueeze.exceptions import ConfigError, StabilityError
 from spinsqueeze.sweep import (
+    FIG3B_COLUMNS,
     SWEEP_COLUMNS,
     fig_data,
     figure_config,
@@ -275,11 +276,11 @@ def test_rows_to_json_deterministic():
 
 
 def test_preset_fig3b_summary_and_rows():
-    rows, summary, columns = preset_fig3b(figure_config("fig3b"))
+    rows, summary = preset_fig3b(figure_config("fig3b"))
     assert summary["r0_Nz10"] == pytest.approx(0.9801980198019802, rel=1e-14)
     assert summary["asymptote_large_Nz"] == pytest.approx(0.01, rel=1e-12)
     assert summary["asymptote_small_Nz_coeff"] == pytest.approx(0.1, rel=1e-14)
-    assert columns[0] == "n_layers"
+    assert all(list(row) == FIG3B_COLUMNS for row in rows)
     assert [row["n_layers"] for row in rows] == list(range(1, 101))
     ten = rows[9]
     assert ten["xi2_min"] == pytest.approx(0.03366372697550407, rel=1e-10)
@@ -289,7 +290,7 @@ def test_preset_fig3b_summary_and_rows():
 def test_preset_fig3b_refuses_an_infinite_optimum():
     # A pure source has no finite optimal photon number; each depth's
     # numeric check reports that instead of writing nan.
-    rows, _, _ = preset_fig3b(figure_config("fig3b", {"input.purity": "1"}))
+    rows, _ = preset_fig3b(figure_config("fig3b", {"input.purity": "1"}))
     assert all(row["n_photons_opt"] == math.inf for row in rows)
     assert all(row["xi2_numeric"] == "" for row in rows)
     assert all(
@@ -319,19 +320,35 @@ def test_fig_data_builds_its_config_once(monkeypatch, tmp_path):
         return build(overrides)
 
     monkeypatch.setattr(sweep, "build_config", counted)
-    fig_data("fig4", {"input.n_photons": "1", "input.purity": "0.9"}, str(tmp_path))
+    fig_data("fig4", {
+        "input.n_photons": "1", "input.purity": "0.9", "output.path": str(tmp_path)
+    })
     assert calls == [{
         "geometry.lattice_const": "0.95",
         "input.purity": "0.9",
         "input.n_photons": "1",
+        "output.path": str(tmp_path),
     }]
+
+
+def test_fig_data_writes_where_its_config_says(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    paths = fig_data("fig4", {
+        "output.format": "json", "output.path": str(out), "input.n_photons": "1"
+    })
+    assert paths == [str(out / "fig4.json"), str(out / "fig4_summary.json")]
+    assert len(json.loads((out / "fig4.json").read_text())["rows"]) == 1
+    monkeypatch.chdir(tmp_path)
+    assert fig_data("fig4", {"input.n_photons": "1"}) == [
+        "./fig4.csv", "./fig4_summary.json"
+    ]
 
 
 def test_fig_data_roundtrip_and_rerun_bytes(tmp_path):
     first_dir = tmp_path / "one"
     second_dir = tmp_path / "two"
-    paths_one = fig_data("fig4", None, str(first_dir))
-    paths_two = fig_data("fig4", None, str(second_dir))
+    paths_one = fig_data("fig4", {"output.path": str(first_dir)})
+    paths_two = fig_data("fig4", {"output.path": str(second_dir)})
     assert [p.rsplit("/", 1)[-1] for p in paths_one] == ["fig4.csv", "fig4_summary.json"]
     for p_one, p_two in zip(paths_one, paths_two):
         with open(p_one, "rb") as fh:
@@ -347,4 +364,4 @@ def test_fig_data_roundtrip_and_rerun_bytes(tmp_path):
         -0.34873912038744403, rel=1e-10
     )
     with pytest.raises(ConfigError):
-        fig_data("fig9", None, str(tmp_path))
+        fig_data("fig9", {"output.path": str(tmp_path)})
