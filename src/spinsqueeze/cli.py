@@ -8,8 +8,8 @@ the reference parameter studies.
 
 Exit codes: 0 on success (also when only some points of a sweep or a
 figure table failed, with a warning on stderr), 2 for configuration
-problems, 3 when every point failed or a single-point command hit a
-solver error.
+problems and unwritable output paths, 3 when every point failed or a
+single-point command hit a solver error.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _emit(payload: str, path: str) -> None:
-    if path == "-" or not path:
-        sys.stdout.write(payload)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
-
-
 def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
     rates = config.rates()
     report = validity_report(
@@ -142,18 +134,25 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _collect_overrides(args)
         if args.command in PRESETS:
             config = figure_config(args.command, overrides)
-            figure = PRESETS[args.command].build(config)
-            for path in write_figure(args.command, figure, config):
-                print(path)
-            return _exit_code(figure[0])
-        config = build_config(overrides)
-        if args.command in ("analytic", "numeric", "mc-check"):
-            config = dataclasses.replace(config, model=args.command)
-        if args.command == "rates":
-            rows = _rates_rows(config)
+            rows, summary = PRESETS[args.command].build(config)
         else:
-            rows = run_sweep(config)
-        _emit(format_table(rows, config.out_format), config.out_path)
+            config = build_config(overrides)
+            if args.command in ("analytic", "numeric", "mc-check"):
+                config = dataclasses.replace(config, model=args.command)
+            rows = _rates_rows(config) if args.command == "rates" else run_sweep(config)
+        # A failed write is reported like an unreadable config file.
+        try:
+            if args.command in PRESETS:
+                print(*write_figure(args.command, (rows, summary), config), sep="\n")
+            elif config.out_path in ("", "-"):
+                sys.stdout.write(format_table(rows, config.out_format))
+            else:
+                with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(format_table(rows, config.out_format))
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write {config.out_path!r}: {exc.strerror or exc}"
+            ) from exc
         return _exit_code(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -51,6 +51,11 @@ class ArrayGeometry:
             raise DomainError(
                 f"lattice_const must be positive, got {self.lattice_const}"
             )
+        if self.lattice_const >= 1.0:
+            raise DomainError(
+                "lattice_const must be below one wavelength for a single-mode "
+                f"layer, got {self.lattice_const}"
+            )
         if self.layer_spacing <= 0.0:
             raise DomainError(
                 f"layer_spacing must be positive, got {self.layer_spacing}"
@@ -90,19 +95,16 @@ class ArrayGeometry:
 class BeamProfile:
     """Transverse profile of the paraxial drive mode at focus.
 
-    Only the Gaussian fundamental is supported.  ``waist`` is the 1/e^2
+    The mode is the Gaussian fundamental.  ``waist`` is the 1/e^2
     intensity radius in wavelength units.  ``center`` shifts the beam
     axis in the lattice plane and exists for mode-mismatch studies; the
     scalar rate formulas assume a centred beam.
     """
 
     waist: float
-    kind: str = "gaussian"
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.kind != "gaussian":
-            raise DomainError(f"unsupported beam kind {self.kind!r}")
         if self.waist <= 0.0:
             raise DomainError(f"waist must be positive, got {self.waist}")
 

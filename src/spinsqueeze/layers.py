@@ -93,14 +93,9 @@ def _order_shells(
     Each shell is returned as (s, c(s), number of orders in the shell,
     decay constant sqrt(s / a^2 - 1)).  Shells with s <= a^2 would be
     propagating orders rather than evanescent ones; the subwavelength
-    condition a < 1 guarantees every non-zero order is evanescent, and
-    the square root stays real.
+    condition a < 1, which :class:`ArrayGeometry` enforces, guarantees
+    every non-zero order is evanescent, and the square root stays real.
     """
-    if not 0.0 < lattice_const < 1.0:
-        raise DomainError(
-            "evanescent orders require a subwavelength lattice constant, "
-            f"got {lattice_const}"
-        )
     a2 = lattice_const * lattice_const
     reach = int(math.isqrt(cap)) + 1
     coeffs: dict[int, float] = {}

@@ -205,13 +205,14 @@ class UnitResponse:
 
     Every input (N, M) to the same drift matrix gives <P^dag P> = N c_n
     and <P P> = M c_m.  ``c_n`` is the numeric counterpart of the
-    beam-splitter reflectivity r0; ``moments`` is the solve at
-    N = M = 1, residuals included.
+    beam-splitter reflectivity r0; ``residual_n`` and ``residual_m`` are
+    those of the solve at N = M = 1.
     """
 
     c_n: float
     c_m: complex
-    moments: SteadyStateMoments
+    residual_n: float
+    residual_m: float
 
     @property
     def alpha(self) -> float:
@@ -231,7 +232,7 @@ def unit_response(
     """
     moments = solve_moments(drift, moment_diffusions(1.0, 1.0, geom, rates))
     c_n, c_m = collective_moments(moments, geom)
-    return UnitResponse(c_n=c_n, c_m=c_m, moments=moments)
+    return UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
 
 
 def xi2_from_response(

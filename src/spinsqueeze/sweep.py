@@ -91,14 +91,14 @@ def _error_text(exc: SpinSqueezeError) -> str:
 def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
-    Returns one row dict per grid point, in grid order.  This is the one
-    place a model is evaluated, and the figure presets are built from its
-    rows.  The numeric model solves its drift matrix once, for unit
-    sources, and evaluates every grid point in closed form.  Solver errors, including an
-    unstable drift matrix or an evanescent sum that does not converge,
-    land in the ``error`` column of each row they affect instead of
-    aborting the whole sweep.  A detuning that cannot be resolved fails
-    every row, which keeps only the columns that do not depend on it.
+    Returns one row dict per grid point, in grid order; this is the one
+    place a model is evaluated.  The numeric model solves its drift
+    matrix once, for unit sources, and evaluates every grid point in
+    closed form.  Solver errors, including an unstable drift matrix or an
+    evanescent sum that does not converge, land in the ``error`` column
+    of each row they affect instead of aborting the whole sweep.  A
+    detuning that cannot be resolved fails every row, which keeps only
+    the columns that do not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -219,9 +219,7 @@ def rows_to_json(rows: list[dict[str, Any]], meta: dict[str, Any] | None = None)
 
 def format_table(rows: list[dict[str, Any]], out_format: str) -> str:
     """Serialise rows as CSV or as JSON."""
-    if out_format == "csv":
-        return rows_to_csv(rows)
-    return rows_to_json(rows)
+    return rows_to_csv(rows) if out_format == "csv" else rows_to_json(rows)
 
 
 def preset_fig3a(config: ExperimentConfig) -> Figure:
@@ -321,19 +319,17 @@ def preset_fig4(config: ExperimentConfig) -> Figure:
         )
     )
 
-    rows: list[dict[str, Any]] = []
-    for res, cor in zip(resonant_rows, corrected_rows):
-        errors = "; ".join(msg for msg in (res["error"], cor["error"]) if msg)
-        rows.append(
-            {
-                "n_photons": res["n_photons"],
-                "r0": res["r0"],
-                "xi2_analytic": res["xi2_analytic"],
-                "xi2_numeric_resonant": res["xi2_numeric"],
-                "xi2_numeric_corrected": cor["xi2_numeric"],
-                "error": errors,
-            }
-        )
+    rows = [
+        {
+            "n_photons": res["n_photons"],
+            "r0": res["r0"],
+            "xi2_analytic": res["xi2_analytic"],
+            "xi2_numeric_resonant": res["xi2_numeric"],
+            "xi2_numeric_corrected": cor["xi2_numeric"],
+            "error": "; ".join(msg for msg in (res["error"], cor["error"]) if msg),
+        }
+        for res, cor in zip(resonant_rows, corrected_rows)
+    ]
 
     summary = {
         "delta_prime_over_Gamma0": abs(shift) / rates.gamma0,
@@ -346,19 +342,22 @@ def preset_fig4(config: ExperimentConfig) -> Figure:
 
 
 class Preset(NamedTuple):
-    """A figure preset: the keys that define it and its function of the config."""
+    """A figure preset: its keys, the keys it varies itself, and its build."""
 
     keys: dict[str, str]
+    varies: tuple[str, ...]
     build: Callable[[ExperimentConfig], Figure]
 
 
 PRESETS: dict[str, Preset] = {
     "fig3a": Preset(
         {"geometry.lattice_const": "0.68", "input.n_photons": "log:0.01:1000:25"},
+        ("input.purity",),
         preset_fig3a,
     ),
     "fig3b": Preset(
         {"geometry.lattice_const": "0.68", "input.purity": "0.9999"},
+        ("geometry.n_layers", "input.n_photons", "model"),
         preset_fig3b,
     ),
     "fig4": Preset(
@@ -367,6 +366,7 @@ PRESETS: dict[str, Preset] = {
             "input.purity": "0.999",
             "input.n_photons": "log:0.01:1000:13",
         },
+        ("model", "detuning.mode", "detuning.value"),
         preset_fig4,
     ),
 }
@@ -375,12 +375,22 @@ PRESETS: dict[str, Preset] = {
 def figure_config(
     figure_id: str, overrides: dict[str, str] | None = None
 ) -> ExperimentConfig:
-    """Build a figure's config: its preset keys, under the caller's keys."""
+    """Build a figure's config: its preset keys, under the caller's keys.
+
+    A caller's key that the preset varies or fixes itself is refused.
+    """
     if figure_id not in PRESETS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; expected one of {sorted(PRESETS)}"
         )
-    return build_config({**PRESETS[figure_id].keys, **(overrides or {})})
+    preset, overrides = PRESETS[figure_id], overrides or {}
+    refused = [key for key in preset.varies if key in overrides]
+    if refused:
+        raise ConfigError(
+            f"set by the {figure_id} preset itself, not by the config: "
+            + ", ".join(map(repr, refused))
+        )
+    return build_config({**preset.keys, **overrides})
 
 
 def fig_data(figure_id: str, overrides: dict[str, str] | None = None) -> list[str]:
@@ -392,9 +402,7 @@ def fig_data(figure_id: str, overrides: dict[str, str] | None = None) -> list[st
     return write_figure(figure_id, PRESETS[figure_id].build(config), config)
 
 
-def write_figure(
-    figure_id: str, figure: Figure, config: ExperimentConfig
-) -> list[str]:
+def write_figure(figure_id: str, figure: Figure, config: ExperimentConfig) -> list[str]:
     """Write a figure preset's table and JSON summary.
 
     The directory is ``output.path`` (``-`` or empty meaning the current

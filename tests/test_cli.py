@@ -15,6 +15,7 @@ import pytest
 
 import spinsqueeze.cli as cli
 from spinsqueeze import build_config, sweep
+from spinsqueeze.config import DEFAULTS
 from spinsqueeze.exceptions import StabilityError
 
 
@@ -356,6 +357,51 @@ def test_alternative_key_replaces_the_default(tmp_path, capsys, source, line):
     other = {"rates.gamma_s": "rates.gamma_s_over_gamma0", "beam.waist": "beam.eta"}
     assert cli.main([*argv, "--set", f"{other[key]}=0.5"]) == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure_id", ["fig3a", "fig3b", "fig4"])
+@pytest.mark.parametrize("source", ["file", "set"])
+def test_keys_a_preset_varies_are_refused(tmp_path, capsys, figure_id, source):
+    # Refused by name, even at its default value.
+    key = sweep.PRESETS[figure_id].varies[-1]
+    if source == "file":
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text(f"{key} = {DEFAULTS[key]}\n", encoding="utf-8")
+        argv = ["--config", str(cfg)]
+    else:
+        argv = ["--set", f"{key}={DEFAULTS[key]}"]
+    out = tmp_path / "out"
+    assert cli.main([figure_id, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: set by the {figure_id} preset itself, not by the "
+        f"config: {key!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "1.0"])
+def test_lattice_const_of_a_wavelength_is_a_config_error(capsys, value):
+    code = cli.main(["rates", "--set", f"geometry.lattice_const={value}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: geometry: lattice_const must be below one wavelength "
+        f"for a single-mode layer, got {value}\n"
+    )
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert cli.main(["analytic", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {str(missing)!r}: No such file or directory\n"
+    )
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert cli.main(["fig3a", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write {str(taken)!r}: File exists\n"
+    assert captured.out == ""
 
 
 def test_fig_commands_validate_their_config(tmp_path, capsys):

@@ -44,5 +44,7 @@ def test_config_reference_lists_every_preset_with_its_keys():
         if not cells or cells[0] in ("figure", "---"):
             continue
         pairs = re.findall(r"`([^`=]+)=([^`]*)`", cells[1])
-        documented[cells[0]] = dict(pairs)
-    assert documented == {fid: preset.keys for fid, preset in PRESETS.items()}
+        documented[cells[0]] = dict(pairs), tuple(re.findall(r"`([^`]+)`", cells[2]))
+    assert documented == {
+        fid: (preset.keys, preset.varies) for fid, preset in PRESETS.items()
+    }

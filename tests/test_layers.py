@@ -400,6 +400,5 @@ def test_evanescent_series_is_read_only():
 
 
 def test_lattice_const_domain():
-    wide = ArrayGeometry(n_side=10, lattice_const=1.2, n_layers=2)
-    with pytest.raises(DomainError):
-        evanescent_band(wide)
+    with pytest.raises(DomainError, match="below one wavelength"):
+        ArrayGeometry(n_side=10, lattice_const=1.2, n_layers=2)

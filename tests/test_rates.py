@@ -72,8 +72,6 @@ def test_layer_coordinates_centered_square():
 def test_beam_profile_validation_and_normalization():
     with pytest.raises(DomainError):
         BeamProfile(waist=0.0)
-    with pytest.raises(DomainError):
-        BeamProfile(waist=1.0, kind="bessel")
     beam = BeamProfile(waist=3.0)
     # |u|^2 integrates to one; a fine lattice covering the beam sees that.
     geom = ArrayGeometry(n_side=400, lattice_const=0.1, n_layers=1)

@@ -275,6 +275,17 @@ def test_numeric_equals_analytic_on_random_stacks(
     assert numeric.xi2_anti == pytest.approx(analytic.xi2_anti, rel=1e-10)
 
 
+def test_unit_response_keeps_the_unit_solve_residuals():
+    geom, rates = stack(4)
+    drift, _ = build_problem(geom, rates, SqueezedVacuumSpec(n_photons=1.0))
+    unit = solve_moments(drift, steady.moment_diffusions(1.0, 1.0, geom, rates))
+    response = unit_response(drift, geom, rates)
+    assert (response.residual_n, response.residual_m) == (
+        unit.residual_n, unit.residual_m
+    )
+    assert max(response.residual_n, response.residual_m) < steady.RESIDUAL_TARGET
+
+
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every spinsqueeze module binding."""
     calls = []
@@ -324,13 +335,7 @@ def test_unit_solve_failure_fills_every_row(monkeypatch, tmp_path):
 
 
 def fake_response(alpha):
-    moments = SteadyStateMoments(
-        n_matrix=np.zeros((1, 1), dtype=complex),
-        m_matrix=np.zeros((1, 1), dtype=complex),
-        residual_n=0.0,
-        residual_m=0.0,
-    )
-    return UnitResponse(c_n=0.5, c_m=-0.5 * alpha, moments=moments)
+    return UnitResponse(c_n=0.5, c_m=-0.5 * alpha, residual_n=0.0, residual_m=0.0)
 
 
 def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
