@@ -285,7 +285,7 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
             (check,) = run_sweep(case)
             row["xi2_numeric"] = check["xi2_numeric"]
             row["error"] = check["error"]
-        except SpinSqueezeError as exc:  # an infinite optimum has no input
+        except SpinSqueezeError as exc:  # an infinite optimum is no valid input
             row["error"] = _error_text(exc)
         rows.append(row)
 
