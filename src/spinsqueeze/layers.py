@@ -12,6 +12,7 @@ frequency shift that the evanescent couplings produce.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,9 @@ from .rates import RateSet, single_layer_rate
 
 DEFAULT_EPS_TOL = 1e-14
 DEFAULT_MAX_ORDER = 200
+# A Lanczos off-diagonal below this fraction of a bound on ||E|| is rounding:
+# the Krylov space is exhausted.
+LANCZOS_BREAKDOWN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -234,17 +238,87 @@ def drift_matrix(
     diag = 1j * det.eff_detuning - 0.5 * (rates.gamma_s + rates.gamma0)
     a = -kernel.d_matrix.astype(complex)
     a[np.arange(n_z), np.arange(n_z)] = diag
+    return _factorise(a, rates)
+
+
+def _factorise(
+    a: np.ndarray, rates: RateSet, abscissa: float = -math.inf
+) -> DriftMatrix:
+    """Schur form of ``a``, refused unless its spectral abscissa is
+    below -1e-12 gamma0; ``abscissa`` is an eigenvalue real part known
+    to belong to the full generator that ``a`` represents."""
     schur_t, schur_q = schur(a, output="complex")
     schur_t.setflags(write=False)
     schur_q.setflags(write=False)
     threshold = -1e-12 * rates.gamma0
-    worst = float(np.max(np.diag(schur_t).real))
+    worst = max(float(np.max(np.diag(schur_t).real)), abscissa)
     if worst >= threshold:
         raise StabilityError(
             f"drift matrix not strictly stable: max Re(eig) = {worst:.3e} "
             f"(threshold {threshold:.3e}); add non-collective loss"
         )
     return DriftMatrix(matrix=a, schur_t=schur_t, schur_q=schur_q)
+
+
+def kernel_lanczos(
+    eps: np.ndarray, n_z: int, start: int, cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """Lanczos tridiagonalisation of the evanescent kernel from 1/sqrt(N_z).
+
+    E[n, m] = eps(|n - m|) is real symmetric and banded, so each step is
+    one banded product; the basis is reorthogonalised in full, twice.
+    The uniform vector only reaches the modes that are even under
+    reversing the stack, so each new vector is made exactly even: the
+    iteration would otherwise amplify rounding into the odd modes and
+    run through all N_z modes instead of about N_z/2.  Yields the diagonal and off-diagonal of T_m = Q_m^T E Q_m for
+    m = start, 2 start, ... up to ``cap``, and whether the space is
+    exhausted: a vanishing off-diagonal ends the iteration with T_m
+    exact on the Krylov space of the uniform vector.
+    """
+    band = np.asarray(eps[1:n_z], dtype=float)
+    stencil = np.concatenate((band[::-1], [0.0], band))
+    floor = LANCZOS_BREAKDOWN * 2.0 * np.abs(band).sum()  # of ||E||
+    basis = np.full((1, n_z), 1.0 / math.sqrt(n_z))
+    diag: list[float] = []
+    off: list[float] = []
+    m = start
+    while m <= cap:
+        basis = np.concatenate((basis, np.empty((m + 1 - len(basis), n_z))))
+        for j in range(len(diag), m):
+            q = basis[j]
+            w = np.convolve(q, stencil)[len(band) : len(band) + n_z]
+            diag.append(float(q @ w))
+            for _ in range(2):
+                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            w = 0.5 * (w + w[::-1])
+            beta = float(np.linalg.norm(w))
+            if beta <= floor:
+                yield np.array(diag), np.array(off), True
+                return
+            off.append(beta)
+            basis[j + 1] = w / beta
+        yield np.array(diag), np.array(off[: m - 1]), False
+        m *= 2
+
+
+def reduced_drift(
+    diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
+) -> DriftMatrix:
+    """Drift generator of a phase-matched stack projected on a Lanczos basis.
+
+    At integer spacing every phase is 1, so A = beta I - i E - (gamma0/2) 1 1^T
+    with beta = i delta - gamma_s/2; on the basis of :func:`kernel_lanczos`
+    it is beta I - i T_m - (gamma0 N_z/2) e1 e1^T.  The eigenvectors of E
+    that reversing the stack flips are orthogonal to 1, hence eigenvectors
+    of A with real part -gamma_s/2 (for N_z >= 2), and the Hermitian part
+    of the projection is at most -gamma_s/2: the full spectral abscissa is
+    the larger of the two, checked as in :func:`drift_matrix`.
+    """
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    a = (1j * det.eff_detuning - 0.5 * rates.gamma_s) * np.eye(len(diag)) - 1j * t
+    a[0, 0] -= 0.5 * rates.gamma0 * n_z
+    abscissa = -0.5 * (rates.gamma_s + (rates.gamma0 if n_z == 1 else 0.0))
+    return _factorise(a, rates, abscissa)
 
 
 def delta_prime(

@@ -23,6 +23,18 @@ moments of every input to the same drift matrix, and
 :func:`xi2_from_response` evaluates each input with the beam-splitter law
 (:func:`squeezed_input.beam_splitter`), reflectivity c_n and contrast
 purity |c_m|/c_n.
+
+At integer layer spacing every phase is 1, and the drive, the collective
+mode and the radiative coupling all lie along the uniform vector.
+:func:`krylov_response` then solves the same two equations on the Krylov
+space of the banded evanescent kernel from that vector
+(:func:`layers.kernel_lanczos`): an m x m problem, m doubling from
+``KRYLOV_START`` until c_n and c_m move by less than ``KRYLOV_RTOL``.  It
+is exact once the space is exhausted and matches moments before that,
+which is Gauss quadrature of the kernel's spectral measure (Golub and
+Meurant, Matrices, Moments and Quadrature, 2010).  It costs O(N_z m (w +
+m)) for band width w instead of O(N_z^3).  The dense solve stays for
+other spacings and for the trajectory oracle, which needs the full drift.
 """
 
 from __future__ import annotations
@@ -34,10 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import ztrsyl
 
+from .analytic import DetuningSpec
 from .blas import one_blas_thread
-from .exceptions import PhysicalityError, ResidualError
+from .exceptions import ConvergenceError, PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
-from .layers import DriftMatrix
+from .layers import DriftMatrix, kernel_lanczos, reduced_drift
 from .rates import RateSet
 from .squeezed_input import (
     DiffusionSet,
@@ -53,6 +66,12 @@ RESIDUAL_TARGET = 1e-10
 # Largest excess of purity * alpha over 1 that is taken for roundoff and
 # clamped; a positive steady state has |c_m| <= c_n.
 CONTRAST_ROUNDOFF = 1e-12
+# The reduced solve stops when c_n and c_m move by less than KRYLOV_RTOL
+# from m to 2m Lanczos steps (m = KRYLOV_START, doubling) and fails past
+# KRYLOV_CAP steps.
+KRYLOV_START = 10
+KRYLOV_CAP = 640
+KRYLOV_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -233,6 +252,66 @@ def unit_response(
     moments = solve_moments(drift, moment_diffusions(1.0, 1.0, geom, rates))
     c_n, c_m = collective_moments(moments, geom)
     return UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
+
+
+def _reduced_response(
+    diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
+) -> UnitResponse:
+    """Unit response of the stack projected on the Lanczos basis of T_m."""
+    m = len(diag)
+    ones = np.zeros((m, m))  # Q_m^T 1 1^T Q_m
+    ones[0, 0] = n_z
+    drive = rates.eta * rates.gamma0 * ones
+    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(m)
+    moments = solve_moments(
+        reduced_drift(diag, off, n_z, rates, det), DiffusionSet(drive, -drive, comm)
+    )
+    return UnitResponse(
+        float(moments.n_matrix[0, 0].real),
+        complex(moments.m_matrix[0, 0]),
+        moments.residual_n,
+        moments.residual_m,
+    )
+
+
+@one_blas_thread()
+def krylov_response(
+    eps: np.ndarray,
+    geom: ArrayGeometry,
+    rates: RateSet,
+    det: DetuningSpec,
+) -> UnitResponse:
+    """:func:`unit_response` of a stack at integer layer spacing.
+
+    Every phase is 1 there, so the uniform vector spans the drive and
+    the collective mode, and the steady state on the Krylov space of
+    the evanescent kernel (band ``eps``) from it is exact once the space
+    is exhausted; before that it matches moments (Gauss quadrature of
+    the kernel's spectral measure).  The m x m problem of
+    :func:`layers.reduced_drift` with unit sources +-eta gamma0 N_z
+    e1 e1^T goes through :func:`solve_moments`, and c_n, c_m are the
+    corner entries of its moments.  Nothing N_z x N_z is built.
+    """
+    n_z = geom.n_layers
+    first = previous = None
+    for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
+        if exhausted:
+            return _reduced_response(diag, off, n_z, rates, det)
+        if first is None:  # solved only if the space lasts to the next m
+            first = diag, off
+            continue
+        if previous is None:
+            previous = _reduced_response(*first, n_z, rates, det)
+        response = _reduced_response(diag, off, n_z, rates, det)
+        if abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n) and (
+            abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
+        ):
+            return response
+        previous = response
+    raise ConvergenceError(
+        f"Krylov-reduced steady state still moving by more than {KRYLOV_RTOL} "
+        f"after {KRYLOV_CAP} Lanczos steps"
+    )
 
 
 def xi2_from_response(

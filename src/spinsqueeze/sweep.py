@@ -16,6 +16,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, NamedTuple
 
+import numpy as np
+
 from .analytic import (
     DetuningSpec,
     squeezing_contrast,
@@ -25,7 +27,7 @@ from .analytic import (
 )
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, SpinSqueezeError
-from .layers import drift_matrix, interaction_kernel
+from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
@@ -33,7 +35,7 @@ from .squeezed_input import (
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import unit_response, xi2_from_response
+from .steady import krylov_response, unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -94,11 +96,14 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     Returns one row dict per grid point, in grid order; this is the one
     place a model is evaluated.  The numeric model solves its drift
     matrix once, for unit sources, and evaluates every grid point in
-    closed form.  Solver errors, including an unstable drift matrix or an
-    evanescent sum that does not converge, land in the ``error`` column
-    of each row they affect instead of aborting the whole sweep.  A
-    detuning that cannot be resolved fails every row, which keeps only
-    the columns that do not depend on it.
+    closed form; at integer layer spacing that solve is the Krylov
+    reduction of :func:`steady.krylov_response`, and the N_z x N_z drift
+    matrix is built only at other spacings and for ``mc-check``.  Solver
+    errors, including an unstable drift matrix or an evanescent sum that
+    does not converge, land in the ``error`` column of each row they
+    affect instead of aborting the whole sweep.  A detuning that cannot
+    be resolved fails every row, which keeps only the columns that do
+    not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -111,7 +116,17 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     setup_error = ""
     try:
         det = DetuningSpec(_resolve_detuning(config))
-        if want_numeric:
+        # The trajectories need the full drift matrix; the unit response
+        # alone is reduced at integer spacing, where every phase is 1.
+        integer_spacing = geom.layer_spacing == round(geom.layer_spacing)
+        if want_numeric and integer_spacing and not want_mc:
+            eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
+            if config.include_evanescent:
+                eps, _ = evanescent_band(
+                    geom, config.kernel_tol, config.kernel_max_order
+                )
+            response = krylov_response(eps, geom, rates, det)
+        elif want_numeric:
             kernel = interaction_kernel(
                 geom,
                 rates,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from spinsqueeze import (
     xi2_analytic,
     xi2_numeric,
 )
-from spinsqueeze.exceptions import PhysicalityError
+from spinsqueeze.exceptions import PhysicalityError, StabilityError
 from spinsqueeze.steady import (
     SteadyStateMoments,
     UnitResponse,
@@ -346,8 +347,8 @@ def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
     })
 
     def respond(alpha):
-        monkeypatch.setattr(sweep, "unit_response",
-                            lambda *args: fake_response(alpha))
+        for route in ("unit_response", "krylov_response"):
+            monkeypatch.setattr(sweep, route, lambda *args: fake_response(alpha))
 
     respond(1.0 + 1e-6)
     for row in run_sweep(config):
@@ -476,3 +477,209 @@ def test_theta_follows_anomalous_phase():
     result = xi2_numeric(moments, geom)
     expected = ((math.pi - np.angle(pp)) % (2.0 * math.pi)) / 2.0
     assert result.theta_opt == pytest.approx(expected, rel=1e-12)
+
+
+# The Krylov route: at integer spacing the unit response is solved on the
+# Lanczos space of the evanescent kernel from the uniform vector, and the
+# dense route is its reference.
+
+
+def dense_and_reduced(geom, rates, det, include_evanescent=True):
+    """The dense and the Krylov unit response of one stack."""
+    kernel = interaction_kernel(geom, rates, include_evanescent=include_evanescent)
+    dense = unit_response(drift_matrix(kernel, rates, det), geom, rates)
+    eps = layers.evanescent_band(geom)[0] if include_evanescent else np.zeros(1)
+    return dense, steady.krylov_response(eps, geom, rates, det)
+
+
+def assert_same_response(dense, reduced, rel):
+    assert abs(reduced.c_n - dense.c_n) <= rel * abs(dense.c_n)
+    assert abs(reduced.c_m - dense.c_m) <= rel * abs(dense.c_m)
+
+
+@pytest.mark.parametrize("n_layers", [1, 7, 1000, 10000])
+def test_krylov_route_without_evanescent_coupling_is_the_beam_splitter(n_layers):
+    # E = 0, so the first Lanczos step leaves nothing: the space is the
+    # uniform vector alone and the reduced problem is one collective mode
+    # decaying at (N_z gamma0 + gamma_s)/2, whatever the detuning.
+    geom, rates = stack(n_layers)
+    steps = list(layers.kernel_lanczos(np.zeros(1), n_layers, 10, 640))
+    assert [(len(diag), exhausted) for diag, _, exhausted in steps] == [(1, True)]
+    response = steady.krylov_response(np.zeros(1), geom, rates, DetuningSpec(0.7))
+    g0, gs, eta = rates.gamma0, rates.gamma_s, rates.eta
+    expected = eta * n_layers * g0 / (n_layers * g0 + gs)
+    assert abs(response.c_n - expected) <= 1e-14 * expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 150),
+    lattice_const=st.floats(0.6, 0.97),
+    eff_detuning=st.floats(-5.0, 5.0),
+    log10_gamma_s=st.floats(-3.0, 1.0),
+    corrected=st.booleans(),
+)
+def test_krylov_route_matches_dense_on_random_stacks(
+    n_layers, lattice_const, eff_detuning, log10_gamma_s, corrected
+):
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        gamma_s_frac=10.0**log10_gamma_s)
+    det = DetuningSpec(layers.delta_prime(geom) if corrected else eff_detuning)
+    assert_same_response(*dense_and_reduced(geom, rates, det), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "lattice_const, gamma_s_frac, corrected",
+    [(0.68, 0.1, False), (0.95, 1e-3, True)],
+)
+def test_krylov_route_matches_dense_at_400_layers(
+    lattice_const, gamma_s_frac, corrected
+):
+    # 400 layers leave 200 even modes, more than the reduction needs.
+    geom, rates = stack(400, lattice_const=lattice_const, gamma_s_frac=gamma_s_frac)
+    det = DetuningSpec(layers.delta_prime(geom) if corrected else 0.0)
+    assert_same_response(*dense_and_reduced(geom, rates, det), rel=1e-11)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 5, 40])
+@pytest.mark.parametrize("gamma_s_frac", [0.0, 1e-13, 1e-9])
+def test_krylov_route_refuses_what_the_dense_route_refuses(n_layers, gamma_s_frac):
+    # Past one layer the modes that reversing the stack flips decay at
+    # gamma_s/2 alone, so gamma_s below 2e-12 gamma0 leaves the drift
+    # marginal; one layer always decays at (gamma_s + gamma0)/2.
+    geom, rates = stack(n_layers, gamma_s_frac=gamma_s_frac)
+    unstable = n_layers > 1 and rates.gamma_s < 2e-12 * rates.gamma0
+    message = (
+        r"drift matrix not strictly stable: max Re\(eig\) = \S+ "
+        r"\(threshold -\S+\); add non-collective loss"
+    )
+    det = DetuningSpec(0.3)
+    kernel = interaction_kernel(geom, rates)
+    routes = (
+        lambda: drift_matrix(kernel, rates, det),
+        lambda: steady.krylov_response(
+            layers.evanescent_band(geom)[0], geom, rates, det
+        ),
+    )
+    for route in routes:
+        if unstable:
+            with pytest.raises(StabilityError, match=message):
+                route()
+        else:
+            route()
+
+
+def numeric_config(**keys):
+    return build_config({
+        "geometry.n_layers": "40",
+        "input.n_photons": "0.1,10",
+        "model": "numeric",
+        **{key.replace("__", "."): value for key, value in keys.items()},
+    })
+
+
+def test_integer_spacing_takes_the_krylov_route(monkeypatch):
+    drifts = count_calls(monkeypatch, layers.drift_matrix)
+    kernels = count_calls(monkeypatch, layers.interaction_kernel)
+    reduced = count_calls(monkeypatch, steady.krylov_response)
+    for spacing in ("1.0", "2"):
+        for model in ("numeric", "both"):
+            rows = run_sweep(numeric_config(geometry__layer_spacing=spacing,
+                                            model=model))
+            assert [row["error"] for row in rows] == ["", ""]
+    assert (len(drifts), len(kernels), len(reduced)) == (0, 0, 4)
+
+
+@pytest.mark.parametrize(
+    "spacing, model",
+    [("0.5", "numeric"), ("1.000000001", "numeric"), ("1.0000000001", "numeric"),
+     ("1.0", "mc-check"), ("0.5", "mc-check")],
+)
+def test_other_spacings_and_trajectories_stay_dense(monkeypatch, spacing, model):
+    # 1 + 1e-10 passes the phase-matching check (within 1e-9 of an
+    # integer), but its phases drift by 2 pi 1e-10 per layer, which the
+    # reduction would drop.
+    drifts = count_calls(monkeypatch, layers.drift_matrix)
+    kernels = count_calls(monkeypatch, layers.interaction_kernel)
+    reduced = count_calls(monkeypatch, steady.krylov_response)
+    config = numeric_config(
+        geometry__layer_spacing=spacing, geometry__n_layers="6", model=model,
+        mc__n_traj="2", mc__t_burn="0", mc__t_avg="2",
+    )
+    rows = run_sweep(config)
+    assert [row["error"] for row in rows] == ["", ""]
+    assert (len(drifts), len(kernels), len(reduced)) == (1, 1, 0)
+
+
+def test_krylov_route_reports_a_truncated_band_per_row(monkeypatch):
+    drifts = count_calls(monkeypatch, layers.drift_matrix)
+    rows = run_sweep(numeric_config(model="both", kernel__max_order="2"))
+    for row in rows:
+        assert row["error"].startswith("ConvergenceError: evanescent sum")
+        assert row["xi2_numeric"] == ""
+        assert row["xi2_analytic"] != ""
+    assert drifts == []
+
+
+def test_krylov_route_refuses_past_its_step_cap(monkeypatch):
+    # a = 0.95 at gamma_s = 1e-3 gamma0 needs far more than 10 steps.
+    monkeypatch.setattr(steady, "KRYLOV_CAP", 10)
+    rows = run_sweep(numeric_config(
+        geometry__n_layers="100", geometry__lattice_const="0.95",
+        rates__gamma_s_over_gamma0="0.001",
+    ))
+    for row in rows:
+        assert row["error"] == (
+            "ConvergenceError: Krylov-reduced steady state still moving by "
+            "more than 1e-13 after 10 Lanczos steps"
+        )
+
+
+def test_deep_numeric_sweep_allocates_no_dense_matrix():
+    # One N_z x N_z float array at 10^4 layers is 800 MB; the reduction
+    # holds a few dozen Lanczos vectors of N_z entries.
+    config = numeric_config(geometry__n_layers="10000",
+                            input__n_photons="log:0.01:1000:25")
+    tracemalloc.start()
+    try:
+        rows = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row["error"] for row in rows] == [""] * 25
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n_layers", [30, 60, 400])
+def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
+    # m doubles from 10 until c_n and c_m move by less than 1e-13 from m
+    # to 2m.  A stack of n_layers has n_layers/2 modes that the uniform
+    # vector reaches; once they are exhausted, that exact space is solved
+    # and m is not doubled further.
+    solves = []
+
+    def spy(drift, diff):
+        moments = solve_moments(drift, diff)
+        solves.append((len(diff.s_n), moments.n_matrix[0, 0].real,
+                       moments.m_matrix[0, 0]))
+        return moments
+
+    monkeypatch.setattr(steady, "solve_moments", spy)
+    geom, rates = stack(n_layers, lattice_const=0.95, gamma_s_frac=1e-3)
+    det = DetuningSpec(layers.delta_prime(geom))
+    eps = layers.evanescent_band(geom)[0]
+    response = steady.krylov_response(eps, geom, rates, det)
+    assert (response.c_n, response.c_m) == solves[-1][1:]
+    sizes = [size for size, _, _ in solves]
+    changes = [
+        max(abs(n1 - n0) / abs(n1), abs(m1 - m0) / abs(m1))
+        for (_, n0, m0), (_, n1, m1) in zip(solves, solves[1:])
+    ]
+    assert all(change >= steady.KRYLOV_RTOL for change in changes[:-1])
+    if n_layers == 30:  # exhausted before m = 20: one solve
+        assert sizes == [15]
+    elif n_layers == 60:  # unsettled at 20, exhausted before 40
+        assert sizes == [10, 20, 30]
+    else:
+        assert sizes == [10 * 2**k for k in range(len(sizes))]
+        assert len(sizes) > 2 and changes[-1] < steady.KRYLOV_RTOL
