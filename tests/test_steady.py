@@ -484,11 +484,12 @@ def test_theta_follows_anomalous_phase():
 # dense route is its reference.
 
 
-def dense_and_reduced(geom, rates, det, include_evanescent=True):
+def dense_and_reduced(geom, rates, det):
     """The dense and the Krylov unit response of one stack."""
-    kernel = interaction_kernel(geom, rates, include_evanescent=include_evanescent)
-    dense = unit_response(drift_matrix(kernel, rates, det), geom, rates)
-    eps = layers.evanescent_band(geom)[0] if include_evanescent else np.zeros(1)
+    dense = unit_response(
+        drift_matrix(interaction_kernel(geom, rates), rates, det), geom, rates
+    )
+    eps = layers.evanescent_band(geom)[0]
     return dense, steady.krylov_response(eps, geom, rates, det)
 
 
@@ -503,7 +504,9 @@ def test_krylov_route_without_evanescent_coupling_is_the_beam_splitter(n_layers)
     # uniform vector alone and the reduced problem is one collective mode
     # decaying at (N_z gamma0 + gamma_s)/2, whatever the detuning.
     geom, rates = stack(n_layers)
-    steps = list(layers.kernel_lanczos(np.zeros(1), n_layers, 10, 640))
+    steps = list(layers.kernel_lanczos(
+        np.zeros(1), n_layers, steady.KRYLOV_START, steady.KRYLOV_CAP
+    ))
     assert [(len(diag), exhausted) for diag, _, exhausted in steps] == [(1, True)]
     response = steady.krylov_response(np.zeros(1), geom, rates, DetuningSpec(0.7))
     g0, gs, eta = rates.gamma0, rates.gamma_s, rates.eta
