@@ -270,10 +270,13 @@ def kernel_lanczos(
     The uniform vector only reaches the modes that are even under
     reversing the stack, so each new vector is made exactly even: the
     iteration would otherwise amplify rounding into the odd modes and
-    run through all N_z modes instead of about N_z/2.  Yields the diagonal and off-diagonal of T_m = Q_m^T E Q_m for
-    m = start, 2 start, ... up to ``cap``, and whether the space is
-    exhausted: a vanishing off-diagonal ends the iteration with T_m
-    exact on the Krylov space of the uniform vector.
+    run through all N_z modes instead of about N_z/2.  Yields the
+    diagonal and off-diagonal of T_m = Q_m^T E Q_m for m = start,
+    2 start, ... up to ``cap``, and whether the space is exhausted: a
+    vanishing off-diagonal ends the iteration with T_m exact on the
+    Krylov space of the uniform vector.  The even modes number
+    ceil(N_z/2), so m is clamped to ceil(N_z/2) + 1, which leaves one
+    step for rounding: a cap at or past it always ends exhausted.
     """
     band = np.asarray(eps[1:n_z], dtype=float)
     stencil = np.concatenate((band[::-1], [0.0], band))
@@ -281,8 +284,9 @@ def kernel_lanczos(
     basis = np.full((1, n_z), 1.0 / math.sqrt(n_z))
     diag: list[float] = []
     off: list[float] = []
-    m = start
-    while m <= cap:
+    cap = min(cap, (n_z + 1) // 2 + 1)
+    m = min(start, cap)
+    while len(diag) < m:
         basis = np.concatenate((basis, np.empty((m + 1 - len(basis), n_z))))
         for j in range(len(diag), m):
             q = basis[j]
@@ -298,7 +302,7 @@ def kernel_lanczos(
             off.append(beta)
             basis[j + 1] = w / beta
         yield np.array(diag), np.array(off[: m - 1]), False
-        m *= 2
+        m = min(2 * m, cap)
 
 
 def reduced_drift(

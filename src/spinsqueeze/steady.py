@@ -34,14 +34,19 @@ is exact once the space is exhausted and matches moments before that,
 which is Gauss quadrature of the kernel's spectral measure (Golub and
 Meurant, Matrices, Moments and Quadrature, 2010).  It costs O(N_z m (w +
 m)) for band width w instead of O(N_z^3).  The dense solve stays for
-other spacings and for the trajectory oracle, which needs the full drift.
+other spacings.  The Krylov space and its orthogonal complement are both
+invariant under A, and the commutator kernel projects to
+gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
+mode's statistics are those of the m-dimensional process: the trajectory
+oracle samples that process (:func:`uniform_frame`,
+:func:`reduced_diffusions`) instead of the N_z-dimensional one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import ztrsyl
@@ -67,10 +72,12 @@ RESIDUAL_TARGET = 1e-10
 # clamped; a positive steady state has |c_m| <= c_n.
 CONTRAST_ROUNDOFF = 1e-12
 # The reduced solve stops when c_n and c_m move by less than KRYLOV_RTOL
-# from m to 2m Lanczos steps (m = KRYLOV_START, doubling) and fails past
-# KRYLOV_CAP steps.
+# from m to 2m Lanczos steps (m = KRYLOV_START, doubling).  m never passes
+# ceil(N_z/2) + 1, where the space is exhausted (see kernel_lanczos), so
+# every stack of up to 2558 layers ends exactly; past that the reduced
+# solve fails beyond KRYLOV_CAP steps, which bounds its cost.
 KRYLOV_START = 10
-KRYLOV_CAP = 640
+KRYLOV_CAP = 1280
 KRYLOV_RTOL = 1e-13
 
 
@@ -225,13 +232,15 @@ class UnitResponse:
     Every input (N, M) to the same drift matrix gives <P^dag P> = N c_n
     and <P P> = M c_m.  ``c_n`` is the numeric counterpart of the
     beam-splitter reflectivity r0; ``residual_n`` and ``residual_m`` are
-    those of the solve at N = M = 1.
+    those of the solve at N = M = 1.  On the Krylov route ``drift`` is
+    the m x m :func:`layers.reduced_drift` it converged on.
     """
 
     c_n: float
     c_m: complex
     residual_n: float
     residual_m: float
+    drift: DriftMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def alpha(self) -> float:
@@ -254,23 +263,59 @@ def unit_response(
     return UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
 
 
+def reduced_diffusions(
+    n_phot: float, m_anom: float, n_z: int, rates: RateSet, mode: np.ndarray
+) -> DiffusionSet:
+    """Sources of the Krylov-reduced problem for input moments N and M.
+
+    At integer spacing every kernel of :func:`moment_diffusions` is a
+    multiple of 1 1^T, apart from the gamma_s I of the commutator.  On an
+    orthonormal basis whose span holds 1, 1 1^T is N_z c c^T, with
+    ``mode`` = c the coordinates of 1/sqrt(N_z): e1 on the Lanczos basis.
+    """
+    ones = n_z * np.outer(mode, mode)
+    drive = rates.eta * rates.gamma0 * ones
+    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(len(mode))
+    return DiffusionSet(n_phot * drive, -m_anom * drive, comm)
+
+
+def uniform_frame(drift: DriftMatrix) -> tuple[DriftMatrix, np.ndarray]:
+    """A reduced drift turned so that its collective mode is uniform.
+
+    The Householder reflection H = I - 2 v v^T / v^T v with v = e1 - u
+    maps e1 to the uniform vector u = 1/sqrt(m) and is its own inverse,
+    so H A H = (H Q) T (H Q)^H keeps the Schur form.  Code that projects
+    on the uniform vector of an m-layer stack at integer spacing, as
+    :func:`mc.simulate_xi2` does, then picks out the collective mode.
+    Returns the turned drift and H e1, the ``mode`` of its sources
+    (:func:`reduced_diffusions`).
+    """
+    m = drift.matrix.shape[0]
+    v = np.full(m, -1.0 / math.sqrt(m))
+    v[0] += 1.0
+    h = np.eye(m)
+    if m > 1:  # at m = 1, e1 is already uniform
+        h -= np.outer(v, (2.0 / (v @ v)) * v)
+    schur_q = h @ drift.schur_q
+    schur_q.setflags(write=False)
+    turned = DriftMatrix(h @ drift.matrix @ h, drift.schur_t, schur_q)
+    return turned, h[:, 0].copy()
+
+
 def _reduced_response(
     diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
 ) -> UnitResponse:
     """Unit response of the stack projected on the Lanczos basis of T_m."""
-    m = len(diag)
-    ones = np.zeros((m, m))  # Q_m^T 1 1^T Q_m
-    ones[0, 0] = n_z
-    drive = rates.eta * rates.gamma0 * ones
-    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(m)
-    moments = solve_moments(
-        reduced_drift(diag, off, n_z, rates, det), DiffusionSet(drive, -drive, comm)
-    )
+    drift = reduced_drift(diag, off, n_z, rates, det)
+    first = np.zeros(len(diag))
+    first[0] = 1.0
+    moments = solve_moments(drift, reduced_diffusions(1.0, 1.0, n_z, rates, first))
     return UnitResponse(
         float(moments.n_matrix[0, 0].real),
         complex(moments.m_matrix[0, 0]),
         moments.residual_n,
         moments.residual_m,
+        drift,
     )
 
 
@@ -290,7 +335,8 @@ def krylov_response(
     the kernel's spectral measure).  The m x m problem of
     :func:`layers.reduced_drift` with unit sources +-eta gamma0 N_z
     e1 e1^T goes through :func:`solve_moments`, and c_n, c_m are the
-    corner entries of its moments.  Nothing N_z x N_z is built.
+    corner entries of its moments.  Nothing N_z x N_z is built.  The
+    response carries the reduced drift it converged on.
     """
     n_z = geom.n_layers
     first = previous = None

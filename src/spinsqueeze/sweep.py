@@ -31,11 +31,19 @@ from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
+    DiffusionSet,
     SqueezedVacuumSpec,
+    field_moments,
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import krylov_response, unit_response, xi2_from_response
+from .steady import (
+    krylov_response,
+    reduced_diffusions,
+    uniform_frame,
+    unit_response,
+    xi2_from_response,
+)
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -97,13 +105,13 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     place a model is evaluated.  The numeric model solves its drift
     matrix once, for unit sources, and evaluates every grid point in
     closed form; at integer layer spacing that solve is the Krylov
-    reduction of :func:`steady.krylov_response`, and the N_z x N_z drift
-    matrix is built only at other spacings and for ``mc-check``.  Solver
-    errors, including an unstable drift matrix or an evanescent sum that
-    does not converge, land in the ``error`` column of each row they
-    affect instead of aborting the whole sweep.  A detuning that cannot
-    be resolved fails every row, which keeps only the columns that do
-    not depend on it.
+    reduction of :func:`steady.krylov_response`, whose reduced process
+    ``mc-check`` also samples, and the N_z x N_z drift matrix is built
+    only at other spacings.  Solver errors, including an unstable drift
+    matrix or an evanescent sum that does not converge, land in the
+    ``error`` column of each row they affect instead of aborting the
+    whole sweep.  A detuning that cannot be resolved fails every row,
+    which keeps only the columns that do not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -112,20 +120,34 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     want_mc = config.model == "mc-check"
 
     det = drift = response = None
+    # The trajectories sample the process of drift on mc_geom, with the
+    # sources(spec) of each input.
+    mc_geom = geom
     # The detuning's error if det is None, else the numeric solve's.
     setup_error = ""
     try:
         det = DetuningSpec(_resolve_detuning(config))
-        # The trajectories need the full drift matrix; the unit response
-        # alone is reduced at integer spacing, where every phase is 1.
+        # At integer spacing every phase is 1, and the solve and the
+        # trajectories both run on the Krylov-reduced process.
         integer_spacing = geom.layer_spacing == round(geom.layer_spacing)
-        if want_numeric and integer_spacing and not want_mc:
+        if want_numeric and integer_spacing:
             eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
             if config.include_evanescent:
                 eps, _ = evanescent_band(
                     geom, config.kernel_tol, config.kernel_max_order
                 )
             response = krylov_response(eps, geom, rates, det)
+            if want_mc:
+                # simulate_xi2 projects on the uniform vector of its
+                # geometry, so the reduced process is turned to carry its
+                # collective mode there, on an m-layer stack.
+                drift, mode = uniform_frame(response.drift)
+                mc_geom = dataclasses.replace(geom, n_layers=len(mode))
+
+                def sources(spec: SqueezedVacuumSpec) -> DiffusionSet:
+                    moments = field_moments(spec)
+                    return reduced_diffusions(*moments, geom.n_layers, rates, mode)
+
         elif want_numeric:
             kernel = interaction_kernel(
                 geom,
@@ -137,6 +159,10 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             drift = drift_matrix(kernel, rates, det)
             del kernel  # N_z x N_z, freed before the solve, where the memory peaks
             response = unit_response(drift, geom, rates)
+
+            def sources(spec: SqueezedVacuumSpec) -> DiffusionSet:
+                return noise_diffusions(spec, geom, rates)
+
     except SpinSqueezeError as exc:
         setup_error = _error_text(exc)
 
@@ -170,12 +196,11 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             if want_numeric:
                 row["xi2_numeric"] = xi2_from_response(response, spec).xi2
             if want_mc:
-                diff = noise_diffusions(spec, geom, rates)
                 params = dataclasses.replace(
                     config.mc,
                     seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
                 )
-                estimate, stderr = simulate_xi2(drift, diff, geom, params)
+                estimate, stderr = simulate_xi2(drift, sources(spec), mc_geom, params)
                 row["mc_estimate"] = estimate
                 row["mc_stderr"] = stderr
         except SpinSqueezeError as exc:

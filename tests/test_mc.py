@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from spinsqueeze import (
     ArrayGeometry,
@@ -15,11 +16,13 @@ from spinsqueeze import (
     DetuningSpec,
     McParams,
     SqueezedVacuumSpec,
+    build_config,
     compute_rates,
     drift_matrix,
     unit_response,
     interaction_kernel,
     noise_diffusions,
+    run_sweep,
     simulate_xi2,
     single_layer_rate,
     solve_moments,
@@ -182,8 +185,58 @@ def test_divergent_drift_is_caught():
     )
     # Over the run the state grows by about e^(0.2 * 400) = e^80.
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
-    with pytest.raises(StabilityError):
+    message = r"diverged .* spectral abscissa is 2\.000e-01"
+    with pytest.raises(StabilityError, match=message):
         simulate_xi2(runaway, diff, geom, params)
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0, 13.0, 40.0])
+def test_step_covariance_is_exact_at_every_dt(dt):
+    # Over one step the stationary covariance S of dX = G X dt + noise
+    # must map to itself: S = Phi S Phi^T + Q, with Phi = e^{G dt}.  The
+    # block exponential alone loses Q to cancellation once e^{-G dt}
+    # grows large (rate gamma0 N_z / 2 = 2.6 here).
+    geom, drift, diff = stack(10, n_photons=1.0)
+    gen, cov = stacked_drift(drift), stacked_covariance(diff)
+    phi, noise = _step_operators(gen, cov, dt)
+    stationary = solve_continuous_lyapunov(gen, -cov)
+    q = stationary - phi @ stationary @ phi.T
+    scale = np.linalg.norm(stationary)
+    assert np.linalg.norm(phi - expm(gen * dt)) <= 1e-12 * max(1.0, np.linalg.norm(phi))
+    assert np.linalg.norm(noise @ noise.T - q) <= 1e-10 * scale
+
+
+def mc_check(**keys):
+    """z-scores against xi2_numeric of an ``mc-check`` sweep at N = 1, 10."""
+    rows = run_sweep(build_config({
+        "model": "mc-check",
+        "input.n_photons": "1,10",
+        **{key.replace("__", "."): value for key, value in keys.items()},
+    }))
+    assert [row["error"] for row in rows] == ["", ""]
+    return [(r["mc_estimate"] - r["xi2_numeric"]) / r["mc_stderr"] for r in rows]
+
+
+@pytest.mark.parametrize("spacing", ["1.0", "0.5"])
+def test_trajectories_are_right_at_every_dt(spacing):
+    # Up to dt = t_avg/50, far past the collective lifetime of 0.4.  The
+    # single block exponential returned 3e-8 to 0.23 against 0.188 for
+    # dt = 11 to 14 at 10 layers, with no error.
+    for dt in ("0.5", "2", "11", "12", "13", "14", "20"):
+        z = mc_check(geometry__n_layers="10", geometry__layer_spacing=spacing,
+                     mc__dt=dt, mc__t_burn="50", mc__t_avg="1000", mc__n_traj="16")
+        assert max(map(abs, z)) <= 5.0, (dt, z)
+
+
+def test_dense_oracle_agrees_at_non_integer_spacing():
+    z = mc_check(geometry__n_layers="10", geometry__layer_spacing="0.75")
+    assert max(map(abs, z)) <= 5.0
+
+
+def test_reduced_oracle_agrees_on_a_deep_stack():
+    # 400 layers: 800 stacked quadratures densely, 2m = 40 reduced.
+    z = mc_check(geometry__n_layers="400", mc__t_burn="20", mc__t_avg="100")
+    assert max(map(abs, z)) <= 5.0
 
 
 def test_nan_divergence_is_caught():

@@ -287,6 +287,15 @@ def test_unit_response_keeps_the_unit_solve_residuals():
     assert max(response.residual_n, response.residual_m) < steady.RESIDUAL_TARGET
 
 
+def rebind(monkeypatch, fn, replacement):
+    """Replace ``fn`` in every spinsqueeze module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinsqueeze") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every spinsqueeze module binding."""
     calls = []
@@ -295,11 +304,7 @@ def count_calls(monkeypatch, fn):
         calls.append(1)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("spinsqueeze") and module is not None:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+    rebind(monkeypatch, fn, wrapper)
     return calls
 
 
@@ -596,7 +601,7 @@ def test_integer_spacing_takes_the_krylov_route(monkeypatch):
 @pytest.mark.parametrize(
     "spacing, model",
     [("0.5", "numeric"), ("1.000000001", "numeric"), ("1.0000000001", "numeric"),
-     ("1.0", "mc-check"), ("0.5", "mc-check")],
+     ("0.5", "mc-check")],
 )
 def test_other_spacings_and_trajectories_stay_dense(monkeypatch, spacing, model):
     # 1 + 1e-10 passes the phase-matching check (within 1e-9 of an
@@ -612,6 +617,74 @@ def test_other_spacings_and_trajectories_stay_dense(monkeypatch, spacing, model)
     rows = run_sweep(config)
     assert [row["error"] for row in rows] == ["", ""]
     assert (len(drifts), len(kernels), len(reduced)) == (1, 1, 0)
+
+
+def test_integer_spacing_trajectories_take_the_krylov_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense drift built at integer spacing")
+
+    reduced = count_calls(monkeypatch, steady.krylov_response)
+    rebind(monkeypatch, layers.interaction_kernel, refuse)
+    rebind(monkeypatch, layers.drift_matrix, refuse)
+    for spacing in ("1.0", "2"):
+        rows = run_sweep(numeric_config(
+            geometry__layer_spacing=spacing, geometry__n_layers="6",
+            model="mc-check", mc__n_traj="2", mc__t_burn="0", mc__t_avg="2",
+        ))
+        assert [row["error"] for row in rows] == ["", ""]
+        assert all(isinstance(row["mc_estimate"], float) for row in rows)
+    assert len(reduced) == 2
+    # The reduced solve's own errors reach the trajectory rows.
+    monkeypatch.setattr(steady, "KRYLOV_CAP", 10)
+    rows = run_sweep(numeric_config(
+        geometry__n_layers="100", geometry__lattice_const="0.95",
+        rates__gamma_s_over_gamma0="0.001", model="mc-check",
+    ))
+    for row in rows:
+        assert row["error"].startswith("ConvergenceError: Krylov-reduced")
+        assert row["mc_estimate"] == row["xi2_numeric"] == ""
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 60),
+    lattice_const=st.floats(0.6, 0.97),
+    spacing=st.sampled_from(["1.0", "2.0"]),
+    eff_detuning=st.floats(-5.0, 5.0),
+    log10_gamma_s=st.floats(-3.0, 1.0),
+)
+def test_turned_reduced_process_carries_the_collective_mode(
+    n_layers, lattice_const, spacing, eff_detuning, log10_gamma_s
+):
+    # The trajectory oracle samples the reduced drift turned by the
+    # Householder reflection, with the turned sources, on an m-layer
+    # stack.  Solved instead of sampled, that problem must give the
+    # Krylov response it came from and the dense one.
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        layer_spacing=float(spacing),
+                        gamma_s_frac=10.0**log10_gamma_s)
+    det = DetuningSpec(eff_detuning)
+    dense, reduced = dense_and_reduced(geom, rates, det)
+    drift, mode = steady.uniform_frame(reduced.drift)
+    assert np.allclose(mode, 1.0 / math.sqrt(len(mode)), rtol=0.0, atol=1e-15)
+    diff = steady.reduced_diffusions(1.0, 1.0, n_layers, rates, mode)
+    moments = solve_moments(drift, diff)
+    c_n, c_m = collective_moments(
+        moments, dataclasses.replace(geom, n_layers=len(mode))
+    )
+    turned = UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
+    assert_same_response(reduced, turned, rel=1e-12)
+    assert_same_response(dense, turned, rel=1e-11)
+
+
+def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
+    # 300 layers at a = 0.97 and gamma_s = 1e-5 do not settle before their
+    # 150 even modes are exhausted.  Doubling from 80 Lanczos steps would
+    # pass a cap of 155; clamped to ceil(N_z/2) + 1 = 151, the last step
+    # ends exhausted and the reduction is exact.
+    monkeypatch.setattr(steady, "KRYLOV_CAP", 155)
+    geom, rates = stack(300, lattice_const=0.97, gamma_s_frac=1e-5)
+    assert_same_response(*dense_and_reduced(geom, rates, DetuningSpec()), rel=1e-11)
 
 
 def test_krylov_route_reports_a_truncated_band_per_row(monkeypatch):
