@@ -77,6 +77,13 @@ class ArrayGeometry:
         """Phase accumulated between adjacent layers, 2*pi*layer_spacing."""
         return TWO_PI * self.layer_spacing
 
+    def layer_phases(self) -> np.ndarray:
+        """Phase factors e^{i k a_z n} of layers n = 0 ... N_z - 1, reduced
+        mod one turn first so that they do not drift with n: every factor
+        is exactly 1 at integer spacing."""
+        turns = np.mod(self.layer_spacing * np.arange(self.n_layers), 1.0)
+        return np.exp(1j * TWO_PI * turns)
+
     def layer_coordinates(self) -> np.ndarray:
         """In-plane atom positions of one layer, centred on the beam axis.
 

@@ -206,7 +206,7 @@ def interaction_kernel(
     Toeplitz matrix of one column.
     """
     n_z = geom.n_layers
-    column = 0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase * np.arange(n_z))
+    column = 0.5 * rates.gamma0 * geom.layer_phases()
     column[0] = 0.0
     if include_evanescent:
         eps, truncation = evanescent_band(geom, tol, max_order)
@@ -350,5 +350,5 @@ def delta_prime(
     n_z = geom.n_layers
     eps, _ = evanescent_band(geom, tol, max_order)
     seps = np.arange(1, min(len(eps), n_z))
-    weights = (n_z - seps) * np.cos(geom.axial_phase * seps)
+    weights = (n_z - seps) * geom.layer_phases()[seps].real
     return float(2.0 / n_z * np.dot(weights, eps[seps]))

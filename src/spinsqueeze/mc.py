@@ -13,8 +13,9 @@ step-size bias.
 
 At integer layer spacing the sweep runs this sampler on the
 Krylov-reduced process that :func:`steady.krylov_response` converged
-on, which carries the collective mode exactly (an m-dimensional process
-instead of an N_z-dimensional one).  There the oracle shares the Lanczos
+on, which carries the collective mode exactly, as the equivalent stack
+of m layers with coupling gamma0 N_z/m each (:func:`steady.equivalent_stack`)
+instead of the N_z-layer one.  There the oracle shares the Lanczos
 iteration and the reduced drift with the numeric route; its independent
 check is the dense route, which the tests hold the Krylov route against.
 At other spacings it samples the full N_z-dimensional process.
@@ -182,7 +183,7 @@ def simulate_xi2(
     n_avg = max(1, int(round(params.t_avg / params.dt)))
     n_steps = n_burn + n_avg
 
-    phases = np.exp(1j * geom.axial_phase * np.arange(n_z)) / math.sqrt(n_z)
+    phases = geom.layer_phases() / math.sqrt(n_z)
     proj = np.concatenate([phases, 1j * phases])
     proj_xy = np.stack([proj.real, proj.imag], axis=1)
 

@@ -37,16 +37,16 @@ m)) for band width w instead of O(N_z^3).  The dense solve stays for
 other spacings.  The Krylov space and its orthogonal complement are both
 invariant under A, and the commutator kernel projects to
 gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
-mode's statistics are those of the m-dimensional process: the trajectory
-oracle samples that process (:func:`uniform_frame`,
-:func:`reduced_diffusions`) instead of the N_z-dimensional one.
+mode's statistics are those of the m-dimensional process, which is an
+m-layer stack with coupling gamma0 N_z/m per layer (:func:`equivalent_stack`):
+the trajectory oracle samples that stack instead of the N_z-layer one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import ztrsyl
@@ -189,7 +189,7 @@ def collective_moments(
     P = (1/sqrt(N_z)) sum_n e^{i k a_z n} p_n.
     """
     n_z = geom.n_layers
-    phases = np.exp(1j * geom.axial_phase * np.arange(n_z))
+    phases = geom.layer_phases()
     pdp = phases.conj() @ moments.n_matrix @ phases / n_z
     pp = phases @ moments.m_matrix @ phases / n_z
     return float(pdp.real), complex(pp)
@@ -263,32 +263,18 @@ def unit_response(
     return UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
 
 
-def reduced_diffusions(
-    n_phot: float, m_anom: float, n_z: int, rates: RateSet, mode: np.ndarray
-) -> DiffusionSet:
-    """Sources of the Krylov-reduced problem for input moments N and M.
-
-    At integer spacing every kernel of :func:`moment_diffusions` is a
-    multiple of 1 1^T, apart from the gamma_s I of the commutator.  On an
-    orthonormal basis whose span holds 1, 1 1^T is N_z c c^T, with
-    ``mode`` = c the coordinates of 1/sqrt(N_z): e1 on the Lanczos basis.
-    """
-    ones = n_z * np.outer(mode, mode)
-    drive = rates.eta * rates.gamma0 * ones
-    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(len(mode))
-    return DiffusionSet(n_phot * drive, -m_anom * drive, comm)
-
-
-def uniform_frame(drift: DriftMatrix) -> tuple[DriftMatrix, np.ndarray]:
-    """A reduced drift turned so that its collective mode is uniform.
+def equivalent_stack(
+    drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet
+) -> tuple[DriftMatrix, ArrayGeometry, RateSet]:
+    """The m x m :func:`layers.reduced_drift` of ``geom`` as an m-layer stack.
 
     The Householder reflection H = I - 2 v v^T / v^T v with v = e1 - u
     maps e1 to the uniform vector u = 1/sqrt(m) and is its own inverse,
-    so H A H = (H Q) T (H Q)^H keeps the Schur form.  Code that projects
-    on the uniform vector of an m-layer stack at integer spacing, as
-    :func:`mc.simulate_xi2` does, then picks out the collective mode.
-    Returns the turned drift and H e1, the ``mode`` of its sources
-    (:func:`reduced_diffusions`).
+    so H A H = (H Q) T (H Q)^H keeps the Schur form, and it turns the
+    N_z e1 e1^T of the reduced drift and sources into (N_z/m) 1 1^T.
+    That is the problem of m layers at the same integer spacing with
+    coupling gamma0 N_z/m each, whose uniform projection is the
+    collective mode; the derived rates stay those of the real stack.
     """
     m = drift.matrix.shape[0]
     v = np.full(m, -1.0 / math.sqrt(m))
@@ -299,17 +285,25 @@ def uniform_frame(drift: DriftMatrix) -> tuple[DriftMatrix, np.ndarray]:
     schur_q = h @ drift.schur_q
     schur_q.setflags(write=False)
     turned = DriftMatrix(h @ drift.matrix @ h, drift.schur_t, schur_q)
-    return turned, h[:, 0].copy()
+    gamma0 = rates.gamma0 * (geom.n_layers / m)
+    return turned, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 
 def _reduced_response(
     diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
 ) -> UnitResponse:
-    """Unit response of the stack projected on the Lanczos basis of T_m."""
+    """Unit response of the stack projected on the Lanczos basis of T_m.
+
+    At integer spacing every kernel of :func:`moment_diffusions` is a
+    multiple of 1 1^T, apart from the gamma_s I of the commutator, and
+    1 1^T is N_z e1 e1^T on the Lanczos basis.
+    """
     drift = reduced_drift(diag, off, n_z, rates, det)
-    first = np.zeros(len(diag))
-    first[0] = 1.0
-    moments = solve_moments(drift, reduced_diffusions(1.0, 1.0, n_z, rates, first))
+    ones = np.zeros((len(diag), len(diag)))
+    ones[0, 0] = n_z
+    drive = rates.eta * rates.gamma0 * ones
+    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(len(diag))
+    moments = solve_moments(drift, DiffusionSet(drive, -drive, comm))
     return UnitResponse(
         float(moments.n_matrix[0, 0].real),
         complex(moments.m_matrix[0, 0]),

@@ -31,16 +31,13 @@ from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
-    DiffusionSet,
     SqueezedVacuumSpec,
-    field_moments,
     input_quadrature_variance,
     noise_diffusions,
 )
 from .steady import (
+    equivalent_stack,
     krylov_response,
-    reduced_diffusions,
-    uniform_frame,
     unit_response,
     xi2_from_response,
 )
@@ -119,10 +116,9 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     want_analytic = config.model in ("analytic", "both")
     want_mc = config.model == "mc-check"
 
-    det = drift = response = None
-    # The trajectories sample the process of drift on mc_geom, with the
-    # sources(spec) of each input.
-    mc_geom = geom
+    # The trajectories sample stack = (drift, geometry, rates); at integer
+    # spacing it is the Krylov-reduced process as an equivalent m-layer stack.
+    det = response = stack = None
     # The detuning's error if det is None, else the numeric solve's.
     setup_error = ""
     try:
@@ -138,16 +134,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
                 )
             response = krylov_response(eps, geom, rates, det)
             if want_mc:
-                # simulate_xi2 projects on the uniform vector of its
-                # geometry, so the reduced process is turned to carry its
-                # collective mode there, on an m-layer stack.
-                drift, mode = uniform_frame(response.drift)
-                mc_geom = dataclasses.replace(geom, n_layers=len(mode))
-
-                def sources(spec: SqueezedVacuumSpec) -> DiffusionSet:
-                    moments = field_moments(spec)
-                    return reduced_diffusions(*moments, geom.n_layers, rates, mode)
-
+                stack = equivalent_stack(response.drift, geom, rates)
         elif want_numeric:
             kernel = interaction_kernel(
                 geom,
@@ -159,10 +146,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             drift = drift_matrix(kernel, rates, det)
             del kernel  # N_z x N_z, freed before the solve, where the memory peaks
             response = unit_response(drift, geom, rates)
-
-            def sources(spec: SqueezedVacuumSpec) -> DiffusionSet:
-                return noise_diffusions(spec, geom, rates)
-
+            stack = drift, geom, rates
     except SpinSqueezeError as exc:
         setup_error = _error_text(exc)
 
@@ -200,7 +184,9 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
                     config.mc,
                     seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
                 )
-                estimate, stderr = simulate_xi2(drift, sources(spec), mc_geom, params)
+                drift, g, r = stack
+                diff = noise_diffusions(spec, g, r)
+                estimate, stderr = simulate_xi2(drift, diff, g, params)
                 row["mc_estimate"] = estimate
                 row["mc_stderr"] = stderr
         except SpinSqueezeError as exc:
