@@ -233,14 +233,30 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+# One encoder per object depth, each item on its own line.  With indent
+# unset the json module encodes in C; an indent makes it fall back to Python.
+_OBJECT_ENCODERS = [
+    json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+    for depth in range(3)
+]
+
+
+def _json_object(obj: dict[str, Any], depth: int) -> str:
+    """A flat object as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    ``depth`` levels deep, values mapped by ``_jsonable`` (a complex one's
+    ``{"re", "im"}`` items break at this same depth, not one deeper)."""
+    if not obj:
+        return "{}"
+    text = _OBJECT_ENCODERS[depth].encode({k: _jsonable(v) for k, v in obj.items()})
+    return "{\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + "}"
+
+
 def rows_to_json(rows: list[dict[str, Any]], meta: dict[str, Any] | None = None) -> str:
-    """Serialise rows (and optional metadata) as deterministic JSON."""
-    payload: dict[str, Any] = {"rows": [
-        {key: _jsonable(val) for key, val in row.items()} for row in rows
-    ]}
-    if meta is not None:
-        payload["meta"] = {key: _jsonable(val) for key, val in meta.items()}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialise rows (and optional metadata) as deterministic JSON, laid
+    out as ``json.dumps(indent=2, sort_keys=True)`` lays it out."""
+    head = "{\n" if meta is None else '{\n  "meta": ' + _json_object(meta, 1) + ",\n"
+    body = ",\n".join("    " + _json_object(row, 2) for row in rows)
+    return head + '  "rows": ' + ("[\n" + body + "\n  ]" if rows else "[]") + "\n}\n"
 
 
 def format_table(rows: list[dict[str, Any]], out_format: str) -> str:
@@ -445,6 +461,5 @@ def write_figure(figure_id: str, figure: Figure, config: ExperimentConfig) -> li
 
     summary_path = os.path.join(out_dir, f"{figure_id}_summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_object(summary, 0) + "\n")
     return [table_path, summary_path]

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from spinsqueeze import sweep
 from spinsqueeze import (
     DetuningSpec,
     SqueezedVacuumSpec,
@@ -49,3 +50,12 @@ def test_traced_result_fields_exist():
     diff = noise_diffusions(SqueezedVacuumSpec(n_photons=1.0), config.geometry, rates)
     moments = solve_moments(drift, diff)
     assert moments.residual_n >= 0.0 and moments.residual_m >= 0.0
+
+
+def test_format_table_calls_json_through_the_module_binding(monkeypatch):
+    # The tracer times sweep.serialise by wrapping this module global.
+    calls = []
+    monkeypatch.setattr(sweep, "rows_to_json", lambda rows: calls.append(rows) or "")
+    rows = [{"a": 1.0}]
+    sweep.format_table(rows, "json")
+    assert calls == [rows]

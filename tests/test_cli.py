@@ -249,9 +249,11 @@ def test_partial_failure_warns_but_succeeds(monkeypatch, capsys):
     assert "1 of 2 grid points failed" in captured.err
 
 
-def test_sweep_rerun_is_byte_identical():
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_rerun_is_byte_identical(out_format):
     args = (
         "sweep",
+        "--format", out_format,
         "--set", "model=mc-check",
         "--set", "input.n_photons=0.5,1",
         "--set", "geometry.n_layers=2",
@@ -265,7 +267,11 @@ def test_sweep_rerun_is_byte_identical():
     second = run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
-    assert float(parse_csv(first.stdout)[0]["mc_stderr"]) > 0.0
+    if out_format == "csv":
+        row = parse_csv(first.stdout)[0]
+    else:
+        row = json.loads(first.stdout)["rows"][0]
+    assert float(row["mc_stderr"]) > 0.0
 
 
 def test_out_file_writing(tmp_path):

@@ -7,7 +7,10 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import build_config, parse_config_text, sweep
 from spinsqueeze.config import (
@@ -20,6 +23,8 @@ from spinsqueeze.exceptions import ConfigError, StabilityError
 from spinsqueeze.sweep import (
     FIG3B_COLUMNS,
     SWEEP_COLUMNS,
+    _json_object,
+    _jsonable,
     fig_data,
     figure_config,
     format_value,
@@ -275,6 +280,57 @@ def test_rows_to_json_deterministic():
     assert payload.index('"a"') < payload.index('"b"')
 
 
+def _indented_json(rows, meta=None):
+    """The layout rows_to_json promises: json.dumps with indent=2 and
+    sorted keys, every value mapped by _jsonable."""
+    payload = {"rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows]}
+    if meta is not None:
+        payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀'), st.characters()))
+_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**100),
+    st.integers(min_value=-(2**100), max_value=-(2**63)),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+_FLAT = st.dictionaries(_TEXT, _CELLS, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_FLAT, max_size=4), meta=st.none() | _FLAT)
+@example(rows=[], meta=None)
+@example(rows=[], meta={})
+@example(rows=[{}], meta=None)
+@example(rows=[{}, {"a": 1}], meta={})
+@example(
+    rows=[{"x": math.nan, "y": math.inf, "z": -math.inf, "w": -0.0, "v": np.float64(0.1)}],
+    meta={"big": 2**64 + 1, "neg": -(2**63) - 1, "flag": True, "none": None},
+)
+@example(rows=[{'q"\\': '"\\\x01\n\u00e9\u2603😀'}], meta={"s": "\x1f"})
+def test_rows_to_json_is_byte_identical_to_indented_dumps(rows, meta):
+    assert rows_to_json(rows, meta) == _indented_json(rows, meta)
+
+
+def test_rows_to_json_writes_complex_values_as_re_im_objects():
+    payload = rows_to_json([{"z": 1.5 - 2j, "a": 1}], meta={"c": 1j})
+    assert json.loads(payload) == {
+        "meta": {"c": {"re": 0.0, "im": 1.0}},
+        "rows": [{"a": 1, "z": {"re": 1.5, "im": -2.0}}],
+    }
+
+
+@pytest.mark.parametrize("summary", [{}, {"b": 0.5, "a": -math.inf, "c": math.nan}])
+def test_summary_object_is_byte_identical_to_indented_dumps(summary):
+    assert _json_object(summary, 0) == json.dumps(summary, indent=2, sort_keys=True)
+
+
 def test_preset_fig3b_summary_and_rows():
     rows, summary = preset_fig3b(figure_config("fig3b"))
     assert summary["r0_Nz10"] == pytest.approx(0.9801980198019802, rel=1e-14)
@@ -357,6 +413,9 @@ def test_fig_data_roundtrip_and_rerun_bytes(tmp_path):
             blob_two = fh.read()
         assert blob_one == blob_two
     summary = json.loads((first_dir / "fig4_summary.json").read_text())
+    assert (first_dir / "fig4_summary.json").read_text() == (
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    )
     assert summary["delta_prime_over_Gamma0"] == pytest.approx(
         0.34873912038744403, rel=1e-10
     )
