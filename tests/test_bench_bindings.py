@@ -11,7 +11,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from spinsqueeze import sweep
 from spinsqueeze import (
     DetuningSpec,
     SqueezedVacuumSpec,
@@ -20,6 +19,7 @@ from spinsqueeze import (
     interaction_kernel,
     noise_diffusions,
     solve_moments,
+    sweep,
 )
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
