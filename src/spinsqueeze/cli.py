@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Any
 
@@ -26,6 +27,7 @@ from .rates import validity_report
 from .sweep import (
     PRESETS,
     figure_config,
+    figure_paths,
     format_table,
     run_sweep,
     validity_columns,
@@ -127,6 +129,21 @@ def _exit_code(rows: list[dict[str, Any]]) -> int:
     return 0
 
 
+def _check_writable(command: str, config: ExperimentConfig) -> None:
+    """Open each output file for appending before any solve, and remove
+    the ones this creates, so that a run that fails leaves none behind."""
+    if command in PRESETS:
+        out_dir, *paths = figure_paths(command, config)
+        os.makedirs(out_dir, exist_ok=True)
+    else:
+        paths = [] if config.out_path in ("", "-") else [config.out_path]
+    for path in paths:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -134,21 +151,24 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _collect_overrides(args)
         if args.command in PRESETS:
             config = figure_config(args.command, overrides)
-            rows, summary = PRESETS[args.command].build(config)
         else:
             config = build_config(overrides)
             if args.command in ("analytic", "numeric", "mc-check"):
                 config = dataclasses.replace(config, model=args.command)
-            rows = _rates_rows(config) if args.command == "rates" else run_sweep(config)
-        # A failed write is reported like an unreadable config file.
+        # A failed write is reported like an unreadable config file.  The
+        # solves between the check and the write do no I/O of their own.
         try:
+            _check_writable(args.command, config)
             if args.command in PRESETS:
+                rows, summary = PRESETS[args.command].build(config)
                 print(*write_figure(args.command, (rows, summary), config), sep="\n")
-            elif config.out_path in ("", "-"):
-                sys.stdout.write(format_table(rows, config.out_format))
             else:
-                with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(format_table(rows, config.out_format))
+                rows = _rates_rows(config) if args.command == "rates" else run_sweep(config)
+                if config.out_path in ("", "-"):
+                    sys.stdout.write(format_table(rows, config.out_format))
+                else:
+                    with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(format_table(rows, config.out_format))
         except OSError as exc:
             raise ConfigError(
                 f"cannot write {config.out_path!r}: {exc.strerror or exc}"

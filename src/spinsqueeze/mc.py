@@ -9,7 +9,9 @@ half-quantum of vacuum noise reproduces itself.  Squeezing estimates
 from trajectory time averages therefore converge to the same number as
 the Sylvester solve, through entirely different code.  Each step
 integrates the process exactly over dt, so the comparison carries no
-step-size bias.
+step-size bias.  The steps are linear in the state and the normals, so
+they run a chunk of several at a time through one precomputed transfer
+operator, with the same normals in the same order as step by step.
 
 At integer layer spacing the sweep runs this sampler on the
 Krylov-reduced process that :func:`steady.krylov_response` converged
@@ -36,10 +38,13 @@ from .layers import DriftMatrix
 from .squeezed_input import DiffusionSet
 
 _DIVERGENCE_BOUND = 1e12
-# Steps per block.  A block holds its normals, (n_traj, block, 2 N_z),
-# and its states, (block + 1, n_traj, 2 N_z), so these two buffers
-# bound the sampler's memory: 5 MB each for 64 trajectories of 10 layers.
+# Steps per block.  A block's normals, (n_traj, block, 2 N_z), bound the
+# sampler's memory: 5 MB for 64 trajectories of 10 layers.
 _BLOCK_STEPS = 512
+# Steps per chunk, halved while a chunk holds more than _CHUNK_ROWS
+# normals per trajectory; a power of two, so it divides the block.
+_CHUNK_STEPS = 8
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,47 @@ def _step_operators(
     return phi, _psd_sqrt(q)
 
 
+def _chunk_operators(
+    phi: np.ndarray, noise: np.ndarray, proj_xy: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk operator K and carry operator C of ``length`` exact steps.
+
+    For row states, s_k = s_0 P^k + sum_{j<k} z_j N^T P^{k-1-j} with
+    P = Phi^T.  C = [P^k proj_xy for k = 1..length, P^length] maps s_0
+    to the amplitudes (x, y) after every step and to the end state; K
+    maps the chunk's normals (z_0, ..., z_{length-1}) to the same outputs.
+    """
+    n2 = len(phi)
+    powers = [np.eye(n2)]
+    for _ in range(length):
+        powers.append(powers[-1] @ phi.T)
+    amps = np.hstack([p @ proj_xy for p in powers])
+    # z_j enters the state after step j + 1 as z_j N^T.
+    chunk = np.vstack([
+        noise.T @ np.hstack(
+            [np.zeros((n2, 2 * j)), amps[:, : 2 * (length - j)], powers[length - 1 - j]]
+        )
+        for j in range(length)
+    ])
+    return chunk, np.hstack([amps[:, 2:], powers[-1]])
+
+
+def _propagate(
+    state: np.ndarray, z: np.ndarray, chunk: np.ndarray, carry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (x, y) after every step, (n_traj, steps, 2), and the end
+    state of ``state`` run through the chunks of normals ``z``,
+    (n_traj, chunks, length 2m)."""
+    width = carry.shape[1] - len(carry)
+    driven = z @ chunk
+    starts = np.empty(z.shape[:2] + state.shape[1:])
+    for i in range(z.shape[1]):
+        starts[:, i] = state
+        state = state @ carry[:, width:] + driven[:, i, width:]
+    xy = driven[..., :width] + starts @ carry[:, :width]
+    return xy.reshape(len(state), -1, 2), state
+
+
 @one_blas_thread()
 def simulate_xi2(
     drift: DriftMatrix,
@@ -164,13 +210,15 @@ def simulate_xi2(
     Each step is the exact OU step of :func:`_step_operators`, so the
     estimate carries no step-size bias.
 
-    The steps run in blocks of :data:`_BLOCK_STEPS`.  Each trajectory
-    fills its rows of a preallocated normal buffer from its own Philox
-    stream, one batched product writes the noise increments into rows
-    1..blen of a state buffer whose row 0 carries the state across
-    blocks, and each step adds ``states[t] @ phi.T`` to row t + 1.  The
-    rows past burn-in are projected onto P once per block.  These two
-    buffers, not the run length, set the peak memory.  The products are
+    The steps run in blocks of :data:`_BLOCK_STEPS`, and each block in
+    chunks of :data:`_CHUNK_STEPS` (fewer for wide states).  Each
+    trajectory fills its rows of a preallocated normal buffer from its
+    own Philox stream; one batched product through the chunk operator of
+    :func:`_chunk_operators` gives every chunk's noise-driven amplitudes
+    and end state, a loop over the chunks carries the state from one to
+    the next, and one more product adds the carried part to the
+    amplitudes.  The steps past burn-in are then accumulated.  The normal
+    buffer, not the run length, sets the peak memory.  The products are
     too small for a second OpenBLAS thread to pay, so they run on one.
     """
     gen = stacked_drift(drift)
@@ -192,35 +240,41 @@ def simulate_xi2(
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
         for j in range(n_traj)
     ]
+    chunk = _CHUNK_STEPS
+    while chunk > 1 and chunk * n2 > _CHUNK_ROWS:
+        chunk //= 2
+    # The chunk divides the block, so only the run's last chunk is short.
+    ops = {
+        length: _chunk_operators(phi, noise, proj_xy, length)
+        for length in {chunk, n_steps % chunk} - {0}
+    }
     block = min(_BLOCK_STEPS, n_steps)
     draws = np.empty((n_traj, block, n2))
-    states = np.zeros((block + 1, n_traj, n2))
-    drive = np.empty((n_traj, n2))
+    xy = np.empty((n_traj, block, 2))
+    state = np.zeros((n_traj, n2))
     # Per trajectory, over the averaging window, with P = x + iy the
     # collective amplitude: the sums of x^2 and y^2, and the sum of xy.
     acc_sq = np.zeros((n_traj, 2))
     acc_xy = np.zeros(n_traj)
 
-    phi_t = phi.T
-    noise_t = noise.T
     done = 0
     while done < n_steps:
         blen = min(block, n_steps - done)
         for j, g in enumerate(gens):
             g.standard_normal(out=draws[j, :blen])
-        np.matmul(draws[:, :blen].swapaxes(0, 1), noise_t, out=states[1 : blen + 1])
-        for t in range(blen):
-            np.matmul(states[t], phi_t, out=drive)
-            states[t + 1] += drive
-        first = max(1, n_burn - done + 1)
-        if first <= blen:
-            xy = states[first : blen + 1] @ proj_xy
-            acc_sq += np.einsum("sti,sti->ti", xy, xy)
-            acc_xy += np.einsum("st,st->t", xy[..., 0], xy[..., 1])
+        split = blen - blen % chunk
+        for lo, hi in ((0, split), (split, blen)):
+            if lo < hi:
+                length = min(chunk, hi - lo)
+                z = draws[:, lo:hi].reshape(n_traj, -1, length * n2)
+                xy[:, lo:hi], state = _propagate(state, z, *ops[length])
+        # Step done + t + 1 is averaged once it is past burn-in.
+        kept = xy[:, max(0, n_burn - done) : blen]
+        acc_sq += np.einsum("tsi,tsi->ti", kept, kept)
+        acc_xy += np.einsum("ts,ts->t", kept[..., 0], kept[..., 1])
         done += blen
-        states[0] = states[blen]
         # Written so that NaN, which compares False, also counts as divergence.
-        if not float(np.max(np.abs(states[0]))) <= _DIVERGENCE_BOUND:
+        if not float(np.max(np.abs(state))) <= _DIVERGENCE_BOUND:
             abscissa = float(np.max(np.linalg.eigvals(gen).real))
             raise StabilityError(
                 f"trajectory diverged past {_DIVERGENCE_BOUND:.0e} within "

@@ -444,22 +444,29 @@ def fig_data(figure_id: str, overrides: dict[str, str] | None = None) -> list[st
     return write_figure(figure_id, PRESETS[figure_id].build(config), config)
 
 
-def write_figure(figure_id: str, figure: Figure, config: ExperimentConfig) -> list[str]:
-    """Write a figure preset's table and JSON summary.
+def figure_paths(figure_id: str, config: ExperimentConfig) -> tuple[str, str, str]:
+    """Directory, table path and summary path of a figure preset.
 
     The directory is ``output.path`` (``-`` or empty meaning the current
-    one) and the table's format ``output.format``.  Returns the list of
-    file paths written.
+    one) and the table's format ``output.format``.
+    """
+    out_dir = config.out_path if config.out_path not in ("", "-") else "."
+    return (
+        out_dir,
+        os.path.join(out_dir, f"{figure_id}.{config.out_format}"),
+        os.path.join(out_dir, f"{figure_id}_summary.json"),
+    )
+
+
+def write_figure(figure_id: str, figure: Figure, config: ExperimentConfig) -> list[str]:
+    """Write a figure preset's table and JSON summary where
+    :func:`figure_paths` puts them.  Returns the list of file paths written.
     """
     rows, summary = figure
-    out_dir = config.out_path if config.out_path not in ("", "-") else "."
+    out_dir, table_path, summary_path = figure_paths(figure_id, config)
     os.makedirs(out_dir, exist_ok=True)
-
-    table_path = os.path.join(out_dir, f"{figure_id}.{config.out_format}")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(format_table(rows, config.out_format))
-
-    summary_path = os.path.join(out_dir, f"{figure_id}_summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(_json_object(summary, 0) + "\n")
     return [table_path, summary_path]

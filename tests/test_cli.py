@@ -410,6 +410,35 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    def spy(*args):
+        raise AssertionError("solved before checking the output")
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    monkeypatch.setitem(cli.PRESETS, "fig3a", cli.PRESETS["fig3a"]._replace(build=spy))
+    missing = tmp_path / "no" / "such" / "t.csv"
+    assert cli.main(["mc-check", "--out", str(missing)]) == 2
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert cli.main(["fig3a", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.count("config error: cannot write") == 2
+
+
+def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    def fail(config):
+        raise StabilityError("diverged")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    monkeypatch.setitem(cli.PRESETS, "fig3a", cli.PRESETS["fig3a"]._replace(build=fail))
+    assert cli.main(["mc-check", "--out", str(tmp_path / "t.csv")]) == 3
+    assert cli.main(["fig3a", "--out", str(tmp_path / "fig")]) == 3
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    assert cli.main(["mc-check", "--out", str(kept)]) == 3
+    assert kept.read_text(encoding="utf-8") == "old\n"
+
+
 def test_fig_commands_validate_their_config(tmp_path, capsys):
     code = cli.main([
         "fig3a", "--set", "output.format=xml", "--out", str(tmp_path),

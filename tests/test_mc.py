@@ -34,7 +34,13 @@ from spinsqueeze import (
 )
 from spinsqueeze.exceptions import DomainError, PhysicalityError, StabilityError
 from spinsqueeze.layers import DriftMatrix
-from spinsqueeze.mc import _BLOCK_STEPS, _psd_sqrt, _step_operators
+from spinsqueeze.mc import (
+    _BLOCK_STEPS,
+    _CHUNK_ROWS,
+    _CHUNK_STEPS,
+    _psd_sqrt,
+    _step_operators,
+)
 from spinsqueeze.squeezed_input import DiffusionSet
 
 
@@ -64,7 +70,7 @@ def simulate_per_step(drift, diff, geom, params):
     n_burn = int(round(params.t_burn / params.dt))
     n_avg = max(1, int(round(params.t_avg / params.dt)))
     n_steps = n_burn + n_avg
-    phases = np.exp(1j * geom.axial_phase * np.arange(n_z)) / math.sqrt(n_z)
+    phases = geom.layer_phases() / math.sqrt(n_z)
     proj = np.concatenate([phases, 1j * phases])
     gens = [
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
@@ -252,14 +258,29 @@ def test_nan_divergence_is_caught():
         simulate_xi2(runaway, diff, geom, params)
 
 
-# (layers, burn-in steps, averaged steps) around the block boundaries.
+# The 2 N_z at which the chunk first halves.
+CLAMP_LAYERS = _CHUNK_ROWS // (2 * _CHUNK_STEPS) + 1
+
+# (layers, burn-in steps, averaged steps) around the block and chunk
+# boundaries.  The chunk divides the block, so every block boundary is
+# also a chunk boundary.
 BLOCK_CASES = {
     "no-burn-in": (2, 0, 700),
     "burn-in-ends-mid-second-block": (2, _BLOCK_STEPS + 188, 600),
     "shorter-than-one-block": (2, 40, 200),
     "final-partial-block": (3, 100, 2 * _BLOCK_STEPS + 37),
     "single-layer": (1, 60, 900),
+    "burn-in-ends-mid-chunk": (2, 3 * _CHUNK_STEPS + 3, 300),
+    "shorter-than-one-chunk": (2, 0, 3),
+    "run-not-a-multiple-of-the-chunk": (2, 1, 40 * _CHUNK_STEPS + 2),
+    "widest-full-chunk": (CLAMP_LAYERS - 1, 5, 3 * _CHUNK_STEPS + 1),
+    "first-clamped-chunk": (CLAMP_LAYERS, 5, 3 * _CHUNK_STEPS + 1),
 }
+
+
+def test_chunk_tiles_the_block():
+    assert _CHUNK_STEPS & (_CHUNK_STEPS - 1) == 0
+    assert _BLOCK_STEPS % _CHUNK_STEPS == 0
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
