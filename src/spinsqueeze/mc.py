@@ -41,8 +41,9 @@ _DIVERGENCE_BOUND = 1e12
 # Steps per block.  A block's normals, (n_traj, block, 2 N_z), bound the
 # sampler's memory: 5 MB for 64 trajectories of 10 layers.
 _BLOCK_STEPS = 512
-# Steps per chunk, halved while a chunk holds more than _CHUNK_ROWS
-# normals per trajectory; a power of two, so it divides the block.
+# Steps per chunk: a power of two, so that it divides the block, halved
+# while a chunk holds more than _CHUNK_ROWS normals per trajectory, which
+# bounds the chunk operator at _CHUNK_ROWS x (2 chunk + 2 N_z).
 _CHUNK_STEPS = 8
 _CHUNK_ROWS = 4096
 

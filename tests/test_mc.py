@@ -258,7 +258,7 @@ def test_nan_divergence_is_caught():
         simulate_xi2(runaway, diff, geom, params)
 
 
-# The 2 N_z at which the chunk first halves.
+# The first layer count whose 2 N_z quadratures halve the chunk.
 CLAMP_LAYERS = _CHUNK_ROWS // (2 * _CHUNK_STEPS) + 1
 
 # (layers, burn-in steps, averaged steps) around the block and chunk
