@@ -73,11 +73,6 @@ class DriftMatrix:
     schur_t: np.ndarray
     schur_q: np.ndarray
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the drift generator, the diagonal of ``schur_t``."""
-        return np.diag(self.schur_t)
-
 
 @lru_cache(maxsize=64)
 def _order_shells(

@@ -13,14 +13,14 @@ step-size bias.  The steps are linear in the state and the normals, so
 they run a chunk of several at a time through one precomputed transfer
 operator, with the same normals in the same order as step by step.
 
-At integer layer spacing the sweep runs this sampler on the
-Krylov-reduced process that :func:`steady.krylov_response` converged
-on, which carries the collective mode exactly, as the equivalent stack
-of m layers with coupling gamma0 N_z/m each (:func:`steady.equivalent_stack`)
-instead of the N_z-layer one.  There the oracle shares the Lanczos
-iteration and the reduced drift with the numeric route; its independent
-check is the dense route, which the tests hold the Krylov route against.
-At other spacings it samples the full N_z-dimensional process.
+The sweep runs this sampler on the stack whose unit response gave the
+numeric column (``steady.UnitResponse.stack``): at integer layer spacing
+the equivalent stack of m layers with coupling gamma0 N_z/m each
+(:func:`steady.equivalent_stack`) that :func:`steady.krylov_response`
+converged on, which carries the collective mode exactly; at other
+spacings the full N_z-layer stack.  The numeric column and the oracle
+thus solve and sample the same stack.  The reduction's independent check
+is the dense route, which the tests hold the Krylov route against.
 """
 
 from __future__ import annotations
@@ -244,12 +244,11 @@ def simulate_xi2(
     chunk = _CHUNK_STEPS
     while chunk > 1 and chunk * n2 > _CHUNK_ROWS:
         chunk //= 2
-    # The chunk divides the block, so only the run's last chunk is short.
-    ops = {
-        length: _chunk_operators(phi, noise, proj_xy, length)
-        for length in {chunk, n_steps % chunk} - {0}
-    }
-    block = min(_BLOCK_STEPS, n_steps)
+    ops = _chunk_operators(phi, noise, proj_xy, chunk)
+    # The chunk divides _BLOCK_STEPS, so only the run's last chunk is short.
+    # It is padded with zero normals, which reach no earlier step; the final
+    # state goes through the padded steps, and only the divergence check reads it.
+    block = -(-min(_BLOCK_STEPS, n_steps) // chunk) * chunk
     draws = np.empty((n_traj, block, n2))
     xy = np.empty((n_traj, block, 2))
     state = np.zeros((n_traj, n2))
@@ -263,12 +262,10 @@ def simulate_xi2(
         blen = min(block, n_steps - done)
         for j, g in enumerate(gens):
             g.standard_normal(out=draws[j, :blen])
-        split = blen - blen % chunk
-        for lo, hi in ((0, split), (split, blen)):
-            if lo < hi:
-                length = min(chunk, hi - lo)
-                z = draws[:, lo:hi].reshape(n_traj, -1, length * n2)
-                xy[:, lo:hi], state = _propagate(state, z, *ops[length])
+        padded = -(-blen // chunk) * chunk
+        draws[:, blen:padded] = 0.0
+        z = draws[:, :padded].reshape(n_traj, -1, chunk * n2)
+        xy[:, :padded], state = _propagate(state, z, *ops)
         # Step done + t + 1 is averaged once it is past burn-in.
         kept = xy[:, max(0, n_burn - done) : blen]
         acc_sq += np.einsum("tsi,tsi->ti", kept, kept)

@@ -151,7 +151,8 @@ def moment_diffusions(
     sum_phase = kaz * (idx[:, None] + idx[None, :])
 
     drive = rates.eta * rates.gamma0
-    s_n = drive * n_phot * np.cos(diff_phase)
+    cos_diff = np.cos(diff_phase)
+    s_n = drive * n_phot * cos_diff
     s_m = -drive * m_anom * np.cos(sum_phase)
-    comm = rates.gamma0 * np.cos(diff_phase) + rates.gamma_s * np.eye(n_z)
+    comm = rates.gamma0 * cos_diff + rates.gamma_s * np.eye(n_z)
     return DiffusionSet(s_n=s_n, s_m=s_m, comm=comm)

@@ -38,8 +38,10 @@ other spacings.  The Krylov space and its orthogonal complement are both
 invariant under A, and the commutator kernel projects to
 gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
 mode's statistics are those of the m-dimensional process, which is an
-m-layer stack with coupling gamma0 N_z/m per layer (:func:`equivalent_stack`):
-the trajectory oracle samples that stack instead of the N_z-layer one.
+m-layer stack with coupling gamma0 N_z/m per layer (:func:`equivalent_stack`).
+Each reduced problem is solved as that stack, by :func:`unit_response`,
+and the trajectory oracle samples the same stack instead of the N_z-layer
+one.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ KRYLOV_START = 10
 KRYLOV_CAP = 1280
 KRYLOV_RTOL = 1e-13
 
+# A layer stack as the solvers and the trajectory oracle take it.
+Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
+
 
 @dataclass(frozen=True)
 class SteadyStateMoments:
@@ -103,9 +108,10 @@ def _residual(
     source: np.ndarray,
 ) -> float:
     res = a_left @ x + x @ a_right + source
+    x_norm = np.linalg.norm(x)
     scale = (
-        np.linalg.norm(a_left) * np.linalg.norm(x)
-        + np.linalg.norm(x) * np.linalg.norm(a_right)
+        np.linalg.norm(a_left) * x_norm
+        + x_norm * np.linalg.norm(a_right)
         + np.linalg.norm(source)
     )
     if scale == 0.0:
@@ -232,15 +238,17 @@ class UnitResponse:
     Every input (N, M) to the same drift matrix gives <P^dag P> = N c_n
     and <P P> = M c_m.  ``c_n`` is the numeric counterpart of the
     beam-splitter reflectivity r0; ``residual_n`` and ``residual_m`` are
-    those of the solve at N = M = 1.  On the Krylov route ``drift`` is
-    the m x m :func:`layers.reduced_drift` it converged on.
+    those of the solve at N = M = 1.  ``stack`` is the (drift, geometry,
+    rates) that :func:`unit_response` solved: the N_z-layer stack on the
+    dense route, the m-layer :func:`equivalent_stack` on the Krylov route.
+    The trajectory oracle samples it.
     """
 
     c_n: float
     c_m: complex
     residual_n: float
     residual_m: float
-    drift: DriftMatrix | None = field(default=None, compare=False, repr=False)
+    stack: Stack | None = field(default=None, compare=False, repr=False)
 
     @property
     def alpha(self) -> float:
@@ -260,12 +268,12 @@ def unit_response(
     """
     moments = solve_moments(drift, moment_diffusions(1.0, 1.0, geom, rates))
     c_n, c_m = collective_moments(moments, geom)
-    return UnitResponse(c_n, c_m, moments.residual_n, moments.residual_m)
+    return UnitResponse(
+        c_n, c_m, moments.residual_n, moments.residual_m, (drift, geom, rates)
+    )
 
 
-def equivalent_stack(
-    drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet
-) -> tuple[DriftMatrix, ArrayGeometry, RateSet]:
+def equivalent_stack(drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet) -> Stack:
     """The m x m :func:`layers.reduced_drift` of ``geom`` as an m-layer stack.
 
     The Householder reflection H = I - 2 v v^T / v^T v with v = e1 - u
@@ -289,30 +297,6 @@ def equivalent_stack(
     return turned, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 
-def _reduced_response(
-    diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
-) -> UnitResponse:
-    """Unit response of the stack projected on the Lanczos basis of T_m.
-
-    At integer spacing every kernel of :func:`moment_diffusions` is a
-    multiple of 1 1^T, apart from the gamma_s I of the commutator, and
-    1 1^T is N_z e1 e1^T on the Lanczos basis.
-    """
-    drift = reduced_drift(diag, off, n_z, rates, det)
-    ones = np.zeros((len(diag), len(diag)))
-    ones[0, 0] = n_z
-    drive = rates.eta * rates.gamma0 * ones
-    comm = rates.gamma0 * ones + rates.gamma_s * np.eye(len(diag))
-    moments = solve_moments(drift, DiffusionSet(drive, -drive, comm))
-    return UnitResponse(
-        float(moments.n_matrix[0, 0].real),
-        complex(moments.m_matrix[0, 0]),
-        moments.residual_n,
-        moments.residual_m,
-        drift,
-    )
-
-
 @one_blas_thread()
 def krylov_response(
     eps: np.ndarray,
@@ -326,23 +310,27 @@ def krylov_response(
     the collective mode, and the steady state on the Krylov space of
     the evanescent kernel (band ``eps``) from it is exact once the space
     is exhausted; before that it matches moments (Gauss quadrature of
-    the kernel's spectral measure).  The m x m problem of
-    :func:`layers.reduced_drift` with unit sources +-eta gamma0 N_z
-    e1 e1^T goes through :func:`solve_moments`, and c_n, c_m are the
-    corner entries of its moments.  Nothing N_z x N_z is built.  The
-    response carries the reduced drift it converged on.
+    the kernel's spectral measure).  Each m x m problem of
+    :func:`layers.reduced_drift` is solved as its m-layer
+    :func:`equivalent_stack`, so nothing N_z x N_z is built, and the
+    response carries the stack it converged on.
     """
     n_z = geom.n_layers
+
+    def solve(diag: np.ndarray, off: np.ndarray) -> UnitResponse:
+        drift = reduced_drift(diag, off, n_z, rates, det)
+        return unit_response(*equivalent_stack(drift, geom, rates))
+
     first = previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
         if exhausted:
-            return _reduced_response(diag, off, n_z, rates, det)
+            return solve(diag, off)
         if first is None:  # solved only if the space lasts to the next m
             first = diag, off
             continue
         if previous is None:
-            previous = _reduced_response(*first, n_z, rates, det)
-        response = _reduced_response(diag, off, n_z, rates, det)
+            previous = solve(*first)
+        response = solve(diag, off)
         if abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n) and (
             abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
         ):

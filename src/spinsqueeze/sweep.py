@@ -26,7 +26,7 @@ from .analytic import (
     xi2_min_vs_layers,
 )
 from .config import ExperimentConfig, build_config
-from .exceptions import ConfigError, SpinSqueezeError
+from .exceptions import ConfigError, ConvergenceError, SpinSqueezeError
 from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, validity_report
@@ -35,12 +35,7 @@ from .squeezed_input import (
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import (
-    equivalent_stack,
-    krylov_response,
-    unit_response,
-    xi2_from_response,
-)
+from .steady import krylov_response, unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -91,7 +86,13 @@ def validity_columns(report: ValidityReport) -> dict[str, bool]:
     }
 
 
-def _error_text(exc: SpinSqueezeError) -> str:
+# Errors that fail one row, or every row, instead of the whole sweep.
+_ROW_ERRORS = (SpinSqueezeError, np.linalg.LinAlgError)
+
+
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, np.linalg.LinAlgError):  # LAPACK gave up on this input
+        exc = ConvergenceError(f"linear algebra failed: {exc}")
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -102,10 +103,11 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     place a model is evaluated.  The numeric model solves its drift
     matrix once, for unit sources, and evaluates every grid point in
     closed form; at integer layer spacing that solve is the Krylov
-    reduction of :func:`steady.krylov_response`, whose reduced process
-    ``mc-check`` also samples, and the N_z x N_z drift matrix is built
-    only at other spacings.  Solver errors, including an unstable drift
-    matrix or an evanescent sum that does not converge, land in the
+    reduction of :func:`steady.krylov_response`, and the N_z x N_z drift
+    matrix is built only at other spacings.  ``mc-check`` samples the
+    stack that the unit response solved.  Solver errors, including an
+    unstable drift matrix, an evanescent sum that does not converge or
+    numpy's ``LinAlgError`` (as a ``ConvergenceError``), land in the
     ``error`` column of each row they affect instead of aborting the
     whole sweep.  A detuning that cannot be resolved fails every row,
     which keeps only the columns that do not depend on it.
@@ -116,9 +118,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     want_analytic = config.model in ("analytic", "both")
     want_mc = config.model == "mc-check"
 
-    # The trajectories sample stack = (drift, geometry, rates); at integer
-    # spacing it is the Krylov-reduced process as an equivalent m-layer stack.
-    det = response = stack = None
+    det = response = None
     # The detuning's error if det is None, else the numeric solve's.
     setup_error = ""
     try:
@@ -133,8 +133,6 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
                     geom, config.kernel_tol, config.kernel_max_order
                 )
             response = krylov_response(eps, geom, rates, det)
-            if want_mc:
-                stack = equivalent_stack(response.drift, geom, rates)
         elif want_numeric:
             kernel = interaction_kernel(
                 geom,
@@ -146,8 +144,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             drift = drift_matrix(kernel, rates, det)
             del kernel  # N_z x N_z, freed before the solve, where the memory peaks
             response = unit_response(drift, geom, rates)
-            stack = drift, geom, rates
-    except SpinSqueezeError as exc:
+    except _ROW_ERRORS as exc:
         setup_error = _error_text(exc)
 
     def evaluate(item: tuple[int, float]) -> dict[str, Any]:
@@ -184,12 +181,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
                     config.mc,
                     seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
                 )
-                drift, g, r = stack
+                drift, g, r = response.stack
                 diff = noise_diffusions(spec, g, r)
                 estimate, stderr = simulate_xi2(drift, diff, g, params)
                 row["mc_estimate"] = estimate
                 row["mc_stderr"] = stderr
-        except SpinSqueezeError as exc:
+        except _ROW_ERRORS as exc:
             row["error"] = _error_text(exc)
         return row
 

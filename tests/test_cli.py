@@ -19,23 +19,31 @@ from spinsqueeze.config import DEFAULTS
 from spinsqueeze.exceptions import StabilityError
 
 
-def run_cli(*args, **kwargs):
+def run_module(*args, text=True):
+    """``python -m spinsqueeze`` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "spinsqueeze", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
+        [sys.executable, "-m", "spinsqueeze", *args], capture_output=True, text=text
     )
+
+
+def run_cli(capsys, *args):
+    """``cli.main`` in this process: its exit code, stdout and stderr."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def test_rates_command_reports_scalars():
-    proc = run_cli("rates")
-    assert proc.returncode == 0
-    rows = parse_csv(proc.stdout)
+def test_rates_command_reports_scalars(capsys):
+    code, out, _ = run_cli(capsys, "rates")
+    assert code == 0
+    rows = parse_csv(out)
     assert len(rows) == 1
     row = rows[0]
     assert float(row["r0"]) == pytest.approx(0.9801980198019802, rel=1e-14)
@@ -66,7 +74,7 @@ def test_console_script_matches_module_invocation():
     via_script = subprocess.run(
         [sys.executable, "-c", wrapper, "rates"], capture_output=True, text=True
     )
-    via_module = run_cli("rates")
+    via_module = run_module("rates")
     assert via_script.returncode == 0, via_script.stderr
     assert via_script.stdout == via_module.stdout
 
@@ -78,66 +86,68 @@ def test_installed_console_script_matches_module_invocation():
     via_script = subprocess.run(
         [shutil.which("spinsqueeze"), "rates"], capture_output=True, text=True
     )
-    via_module = run_cli("rates")
+    via_module = run_module("rates")
     assert via_script.returncode == 0
     assert via_script.stdout == via_module.stdout
 
 
-def test_analytic_command_json_output():
-    proc = run_cli(
+def test_analytic_command_json_output(capsys):
+    code, out, _ = run_cli(
+        capsys,
         "analytic",
         "--set", "input.n_photons=1",
         "--format", "json",
     )
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+    assert code == 0
+    payload = json.loads(out)
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["xi2_analytic"] == pytest.approx(
         0.18797737277353632, rel=1e-13
     )
 
 
-def test_numeric_command_agrees_with_analytic():
-    proc = run_cli(
+def test_numeric_command_agrees_with_analytic(capsys):
+    code, out, _ = run_cli(
+        capsys,
         "numeric",
         "--set", "geometry.n_layers=4",
         "--set", "input.n_photons=1,10",
         "--set", "kernel.include_evanescent=false",
     )
-    assert proc.returncode == 0
-    for row in parse_csv(proc.stdout):
+    assert code == 0
+    for row in parse_csv(out):
         assert row["xi2_analytic"] == ""
         assert float(row["xi2_numeric"]) > 0.0
 
 
-def test_config_file_and_set_precedence(tmp_path):
+def test_config_file_and_set_precedence(tmp_path, capsys):
     cfg = tmp_path / "experiment.cfg"
     cfg.write_text(
         "geometry.n_layers = 4\ninput.n_photons = 1\nmodel = analytic\n",
         encoding="utf-8",
     )
-    base = run_cli("sweep", "--config", str(cfg))
-    assert base.returncode == 0
-    overridden = run_cli(
-        "sweep", "--config", str(cfg), "--set", "input.n_photons=2"
+    base_code, base_out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert base_code == 0
+    code, out, _ = run_cli(
+        capsys, "sweep", "--config", str(cfg), "--set", "input.n_photons=2"
     )
-    assert overridden.returncode == 0
-    assert float(parse_csv(base.stdout)[0]["n_photons"]) == 1.0
-    assert float(parse_csv(overridden.stdout)[0]["n_photons"]) == 2.0
+    assert code == 0
+    assert float(parse_csv(base_out)[0]["n_photons"]) == 1.0
+    assert float(parse_csv(out)[0]["n_photons"]) == 2.0
 
 
-def test_unknown_key_is_a_config_error():
-    proc = run_cli("sweep", "--set", "nonsense=1")
-    assert proc.returncode == 2
-    assert "nonsense" in proc.stderr
+def test_unknown_key_is_a_config_error(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--set", "nonsense=1")
+    assert code == 2
+    assert "nonsense" in err
 
 
-def test_bad_config_file_reports_line(tmp_path):
+def test_bad_config_file_reports_line(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("model = both\nwhat is this\n", encoding="utf-8")
-    proc = run_cli("sweep", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert ":2" in proc.stderr
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert ":2" in err
 
 
 def test_all_points_failing_exits_three(monkeypatch, capsys):
@@ -220,21 +230,34 @@ def test_unresolvable_detuning_fills_every_row(capsys):
         assert row["eff_detuning"] == row["xi2_analytic"] == row["xi2_numeric"] == ""
 
 
+def test_linalg_error_fills_the_row_error(capsys):
+    # The noise covariance of 1e300 photons is too large for LAPACK's
+    # eigensolver; numpy's LinAlgError becomes that row's error.
+    code, out, err = run_cli(capsys, "mc-check", "--set", "input.n_photons=1e300")
+    assert code == 3
+    assert err == "error: every grid point failed\n"
+    (row,) = parse_csv(out)
+    assert row["error"] == (
+        "ConvergenceError: linear algebra failed: Eigenvalues did not converge"
+    )
+    assert row["mc_estimate"] == ""
+
+
 @pytest.mark.parametrize(
     "line", ["mc.method = euler", "input.alpha_override = 0.9"]
 )
-def test_retired_config_keys_are_rejected(tmp_path, line):
+def test_retired_config_keys_are_rejected(tmp_path, capsys, line):
     cfg = tmp_path / "retired.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    proc = run_cli("sweep", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "unknown key" in proc.stderr
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "unknown key" in err
 
 
-def test_tol_flag_is_gone():
-    proc = run_cli("analytic", "--tol", "1e-10")
-    assert proc.returncode == 2
-    assert "--tol" in proc.stderr
+def test_tol_flag_is_gone(capsys):
+    code, _, err = run_cli(capsys, "analytic", "--tol", "1e-10")
+    assert code == 2
+    assert "--tol" in err
 
 
 def test_partial_failure_warns_but_succeeds(monkeypatch, capsys):
@@ -250,7 +273,7 @@ def test_partial_failure_warns_but_succeeds(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
-def test_sweep_rerun_is_byte_identical(out_format):
+def test_sweep_rerun_is_byte_identical(capsys, out_format):
     args = (
         "sweep",
         "--format", out_format,
@@ -263,24 +286,27 @@ def test_sweep_rerun_is_byte_identical(out_format):
         "--set", "mc.dt=0.25",
         "--seed", "12",
     )
-    first = run_cli(*args)
-    second = run_cli(*args)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
+    # Twice in this process, and once in a fresh interpreter.
+    first = run_cli(capsys, *args)
+    second = run_cli(capsys, *args)
+    fresh = run_module(*args, text=False)
+    assert first[0] == fresh.returncode == 0
+    assert first[1] == second[1]
+    assert first[1].encode("utf-8") == fresh.stdout
     if out_format == "csv":
-        row = parse_csv(first.stdout)[0]
+        row = parse_csv(first[1])[0]
     else:
-        row = json.loads(first.stdout)["rows"][0]
+        row = json.loads(first[1])["rows"][0]
     assert float(row["mc_stderr"]) > 0.0
 
 
-def test_out_file_writing(tmp_path):
+def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "table.csv"
-    proc = run_cli(
-        "analytic", "--set", "input.n_photons=1", "--out", str(target)
+    code, out, _ = run_cli(
+        capsys, "analytic", "--set", "input.n_photons=1", "--out", str(target)
     )
-    assert proc.returncode == 0
-    assert proc.stdout == ""
+    assert code == 0
+    assert out == ""
     content = target.read_bytes()
     assert content.startswith(b"n_photons,")
     assert b"\r\n" in content
@@ -458,10 +484,10 @@ def test_fig_command_fails_when_every_row_fails(tmp_path, capsys):
     assert all(row["error"].startswith("ConvergenceError") for row in rows)
 
 
-def test_fig_preset_writes_files(tmp_path):
-    proc = run_cli("fig4", "--out", str(tmp_path))
-    assert proc.returncode == 0
-    written = [line for line in proc.stdout.splitlines() if line]
+def test_fig_preset_writes_files(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "fig4", "--out", str(tmp_path))
+    assert code == 0
+    written = [line for line in out.splitlines() if line]
     assert len(written) == 2
     table = tmp_path / "fig4.csv"
     summary = tmp_path / "fig4_summary.json"

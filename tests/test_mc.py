@@ -327,8 +327,8 @@ def test_trajectories_agree_with_numeric_on_random_stacks(
     truth = xi2_from_response(unit_response(drift, geom, rates), spec).xi2
     # Burn in for ten lifetimes of the slowest mode, average over forty,
     # and keep the exact step below half the fastest lifetime.
-    slowest = -float(np.max(drift.eigenvalues.real))
-    fastest = -float(np.min(drift.eigenvalues.real))
+    slowest = -float(np.max(np.diag(drift.schur_t).real))
+    fastest = -float(np.min(np.diag(drift.schur_t).real))
     params = McParams(
         dt=0.5 / max(1.0, fastest), t_burn=10.0 / slowest,
         t_avg=40.0 / slowest, n_traj=16, seed=seed,

@@ -662,29 +662,31 @@ def test_integer_spacing_trajectories_take_the_krylov_route(monkeypatch):
 def test_turned_reduced_process_carries_the_collective_mode(
     n_layers, lattice_const, spacing, eff_detuning, log10_gamma_s
 ):
-    # The trajectory oracle samples the reduced drift turned by the
-    # Householder reflection as an ordinary m-layer stack with coupling
-    # gamma0 N_z/m per layer.  Solved instead of sampled, that stack must
-    # give the Krylov response it came from and the dense one.
+    # The Krylov route solves the reduced drift turned by the Householder
+    # reflection as an ordinary m-layer stack with coupling gamma0 N_z/m
+    # per layer, and the trajectory oracle samples that same stack.  Its
+    # unit response must be the Krylov response and match the dense one.
     geom, rates = stack(n_layers, lattice_const=lattice_const,
                         layer_spacing=float(spacing),
                         gamma_s_frac=10.0**log10_gamma_s)
     det = DetuningSpec(eff_detuning)
     dense, reduced = dense_and_reduced(geom, rates, det)
-    drift, g, r = steady.equivalent_stack(reduced.drift, geom, rates)
+    drift, g, r = reduced.stack
     m = drift.matrix.shape[0]
     assert g == dataclasses.replace(geom, n_layers=m)
     assert r == dataclasses.replace(rates, gamma0=r.gamma0)
     assert abs(r.gamma0 * m - rates.gamma0 * n_layers) <= 1e-15 * r.gamma0 * m
-    # H maps e1 to the uniform vector, so the collective mode is uniform.
+    # H maps e1 to the uniform vector, so the collective mode is uniform:
+    # it decays at (N_z gamma0 + gamma_s)/2 and is shifted by delta'.
     uniform = np.full(m, 1.0 / math.sqrt(m))
-    collective = reduced.drift.matrix[0, 0]
+    collective = 1j * (eff_detuning - layers.delta_prime(geom)) - 0.5 * (
+        rates.gamma_s + rates.gamma0 * n_layers
+    )
     assert abs(uniform @ drift.matrix @ uniform - collective) <= (
         1e-14 * abs(collective)
     )
-    turned = unit_response(drift, g, r)
-    assert_same_response(reduced, turned, rel=1e-12)
-    assert_same_response(dense, turned, rel=1e-11)
+    assert unit_response(drift, g, r) == reduced
+    assert_same_response(dense, reduced, rel=1e-11)
 
 
 def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
@@ -744,13 +746,12 @@ def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
     # and m is not doubled further.
     solves = []
 
-    def spy(drift, diff):
-        moments = solve_moments(drift, diff)
-        solves.append((len(diff.s_n), moments.n_matrix[0, 0].real,
-                       moments.m_matrix[0, 0]))
-        return moments
+    def spy(moments, geom):
+        c_n, c_m = collective_moments(moments, geom)
+        solves.append((geom.n_layers, c_n, c_m))
+        return c_n, c_m
 
-    monkeypatch.setattr(steady, "solve_moments", spy)
+    monkeypatch.setattr(steady, "collective_moments", spy)
     geom, rates = stack(n_layers, lattice_const=0.95, gamma_s_frac=1e-3)
     det = DetuningSpec(layers.delta_prime(geom))
     eps = layers.evanescent_band(geom)[0]
