@@ -22,6 +22,7 @@ from .geometry import ArrayGeometry, BeamProfile
 from .layers import DEFAULT_EPS_TOL, DEFAULT_MAX_ORDER, delta_prime
 from .mc import McParams
 from .rates import RateSet, compute_rates, single_layer_rate, waist_for_overlap
+from .squeezed_input import MAX_PHOTONS
 
 ENV_CONFIG_DIR = "SPINSQUEEZE_CONFIG_DIR"
 
@@ -212,8 +213,8 @@ def parse_grid(raw: str, key: str = "input.n_photons") -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: empty grid")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"key {key!r}: grid values must be finite")
-    if any(v < 0.0 for v in values):
-        raise ConfigError(f"key {key!r}: grid values must be non-negative")
+    if any(not 0.0 <= v <= MAX_PHOTONS for v in values):
+        raise ConfigError(f"key {key!r}: grid values must lie in [0, {MAX_PHOTONS!r}]")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"key {key!r}: grid values must be strictly increasing")
     return tuple(values)

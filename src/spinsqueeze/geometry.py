@@ -112,8 +112,8 @@ class BeamProfile:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.waist <= 0.0:
-            raise DomainError(f"waist must be positive, got {self.waist}")
+        if not (self.waist > 0.0 and 0.0 < self.rayleigh_range < math.inf):
+            raise DomainError(f"waist {self.waist} must be positive with pi w^2 in (0, inf)")
 
     def amplitude(self, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray | float:
         """Normalised mode amplitude u(x, y) with unit L2 norm in the plane.

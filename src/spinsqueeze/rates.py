@@ -105,9 +105,10 @@ def waist_for_overlap(geom: ArrayGeometry, eta: float) -> float:
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie strictly inside (0, 1), got {eta}")
-    return geom.n_side * geom.lattice_const / (
-        -NormalDist().inv_cdf(0.5 * (1.0 - math.sqrt(eta)))
-    )
+    quantile = NormalDist().inv_cdf(0.5 * (1.0 - math.sqrt(eta)))
+    if quantile == 0.0:  # sqrt(eta) below rounding of 1: the waist is infinite
+        raise DomainError(f"eta {eta} is too small for a finite waist")
+    return geom.n_side * geom.lattice_const / -quantile
 
 
 def compute_rates(
@@ -160,14 +161,19 @@ class ValidityReport:
     heisenberg_floor: float
 
     @property
+    def geometry_ok(self) -> bool:
+        """The four checks that hold or fail at every photon number."""
+        return (self.layer_size_ok and self.rayleigh_ok
+                and self.phase_match_ok and self.evanescent_ok)
+
+    @property
     def all_ok(self) -> bool:
-        return (
-            self.layer_size_ok
-            and self.rayleigh_ok
-            and self.phase_match_ok
-            and self.evanescent_ok
-            and self.linearization_ok
-        )
+        return self.geometry_ok and self.linearization_ok
+
+
+def linearizes(n_photons: float, n_eff: float) -> bool:
+    """The saturation check: the photon number stays below ``n_eff``."""
+    return n_photons < n_eff
 
 
 def validity_report(
@@ -201,7 +207,7 @@ def validity_report(
     evanescent_ok = geom.layer_spacing >= geom.lattice_const
 
     n_eff = rates.eta * 2.0 * math.pi * (beam.waist / geom.lattice_const) ** 2 * geom.n_layers
-    linearization_ok = n_photons < n_eff
+    linearization_ok = linearizes(n_photons, n_eff)
 
     n_total = geom.atoms_per_layer * geom.n_layers
     heisenberg_floor = 1.0 / n_total

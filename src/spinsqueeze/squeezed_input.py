@@ -18,6 +18,9 @@ from .exceptions import DomainError
 from .geometry import ArrayGeometry
 from .rates import RateSet
 
+# Past this photon number the beam-splitter law's 4 N (N + 1) overflows.
+MAX_PHOTONS = 0.5 * math.sqrt(math.nextafter(math.inf, 0.0))
+
 
 @dataclass(frozen=True)
 class SqueezedVacuumSpec:
@@ -32,9 +35,10 @@ class SqueezedVacuumSpec:
     purity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.n_photons < math.inf:
+        if not 0.0 <= self.n_photons <= MAX_PHOTONS:
             raise DomainError(
-                f"n_photons must be finite and non-negative, got {self.n_photons}"
+                "n_photons must be finite, non-negative and at most "
+                f"MAX_PHOTONS = {MAX_PHOTONS!r}, got {self.n_photons}"
             )
         if not 0.0 <= self.purity <= 1.0:
             raise DomainError(f"purity must lie in [0, 1], got {self.purity}")

@@ -18,20 +18,15 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .analytic import (
-    DetuningSpec,
-    squeezing_contrast,
-    xi2_analytic,
-    xi2_min,
-    xi2_min_vs_layers,
-)
+from .analytic import DetuningSpec, squeezing_contrast, xi2_min, xi2_min_vs_layers
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, ConvergenceError, SpinSqueezeError
 from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
-from .rates import ValidityReport, compute_rates, validity_report
+from .rates import ValidityReport, compute_rates, linearizes, validity_report
 from .squeezed_input import (
     SqueezedVacuumSpec,
+    beam_splitter,
     input_quadrature_variance,
     noise_diffusions,
 )
@@ -100,17 +95,21 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
     Returns one row dict per grid point, in grid order; this is the one
-    place a model is evaluated.  The numeric model solves its drift
-    matrix once, for unit sources, and evaluates every grid point in
-    closed form; at integer layer spacing that solve is the Krylov
-    reduction of :func:`steady.krylov_response`, and the N_z x N_z drift
-    matrix is built only at other spacings.  ``mc-check`` samples the
-    stack that the unit response solved.  Solver errors, including an
-    unstable drift matrix, an evanescent sum that does not converge or
-    numpy's ``LinAlgError`` (as a ``ConvergenceError``), land in the
-    ``error`` column of each row they affect instead of aborting the
-    whole sweep.  A detuning that cannot be resolved fails every row,
-    which keeps only the columns that do not depend on it.
+    place a model is evaluated.  The detuning, the contrast ``alpha_eff``
+    (purity and detuning only), the geometric validity flags and
+    ``n_eff`` are computed once per sweep; each point adds what depends
+    on N, up to ``valid_linearization`` and ``valid_all``.  The numeric
+    model solves its drift matrix once, for unit sources, and evaluates
+    every point in closed form; at integer layer spacing that solve is
+    the Krylov reduction of :func:`steady.krylov_response`, and the
+    N_z x N_z drift matrix is built only at other spacings.  ``mc-check``
+    samples the stack that the unit response solved.  Solver errors,
+    including an unstable drift matrix, an evanescent sum that does not
+    converge or numpy's ``LinAlgError`` (as a ``ConvergenceError``),
+    land in the ``error`` column of each row they affect instead of
+    aborting the whole sweep.  A detuning or contrast that cannot be
+    resolved fails every row, which keeps only the columns that do not
+    depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -118,11 +117,19 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     want_analytic = config.model in ("analytic", "both")
     want_mc = config.model == "mc-check"
 
-    det = response = None
-    # The detuning's error if det is None, else the numeric solve's.
+    # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
+    report = validity_report(geom, config.beam, 0.0, rates)
+    template: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
+    template.update(validity_columns(report))
+    template.update(purity=config.purity, r0=rates.r0, n_eff=report.n_eff)
+    det = alpha = response = None
+    # The first error of the detuning, the contrast and the numeric solve.
     setup_error = ""
     try:
         det = DetuningSpec(_resolve_detuning(config))
+        template["eff_detuning"] = det.eff_detuning
+        unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
+        alpha = template["alpha_eff"] = squeezing_contrast(rates, unit, det)
         # At integer spacing every phase is 1, and the solve and the
         # trajectories both run on the Krylov-reduced process.
         integer_spacing = geom.layer_spacing == round(geom.layer_spacing)
@@ -150,24 +157,17 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     def evaluate(item: tuple[int, float]) -> dict[str, Any]:
         index, n_photons = item
         spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
-        report = validity_report(geom, config.beam, n_photons, rates)
-        row: dict[str, Any] = {key: "" for key in SWEEP_COLUMNS}
-        row.update(
-            n_photons=n_photons,
-            purity=config.purity,
-            r0=rates.r0,
-            xi2_field=input_quadrature_variance(spec),
-            **validity_columns(report),
-            n_eff=report.n_eff,
-        )
-        if det is None:
+        row = template.copy()
+        row["n_photons"] = n_photons
+        row["xi2_field"] = input_quadrature_variance(spec)
+        row["valid_linearization"] = linear = linearizes(n_photons, report.n_eff)
+        row["valid_all"] = report.geometry_ok and linear
+        if alpha is None:  # no detuning or no contrast
             row["error"] = setup_error
             return row
-        row["eff_detuning"] = det.eff_detuning
         try:
-            row["alpha_eff"] = squeezing_contrast(rates, spec, det)
-            if want_analytic:
-                analytic = xi2_analytic(rates, spec, det)
+            if want_analytic:  # xi2_analytic, at the contrast of the sweep
+                analytic = beam_splitter(rates.r0, n_photons, alpha)
                 row["xi2_analytic"] = analytic.xi2
                 row["theta_opt"] = analytic.theta_opt
                 row["xi2_anti"] = analytic.xi2_anti
@@ -221,10 +221,6 @@ def rows_to_csv(rows: list[dict[str, Any]]) -> str:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return str(value)
@@ -232,19 +228,20 @@ def _jsonable(value: Any) -> Any:
 
 # One encoder per object depth, each item on its own line.  With indent
 # unset the json module encodes in C; an indent makes it fall back to Python.
+# It writes float, int, bool, str and None itself, and other values by _jsonable.
 _OBJECT_ENCODERS = [
-    json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
-    for depth in range(3)
+    json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": "), default=_jsonable)
+    for pad in ("  ", "    ", "      ")
 ]
 
 
 def _json_object(obj: dict[str, Any], depth: int) -> str:
     """A flat object as ``json.dumps(indent=2, sort_keys=True)`` writes it
-    ``depth`` levels deep, values mapped by ``_jsonable`` (a complex one's
-    ``{"re", "im"}`` items break at this same depth, not one deeper)."""
+    ``depth`` levels deep, other values mapped by ``_jsonable`` (a complex
+    one's ``{"re", "im"}`` items break at this same depth, not one deeper)."""
     if not obj:
         return "{}"
-    text = _OBJECT_ENCODERS[depth].encode({k: _jsonable(v) for k, v in obj.items()})
+    text = _OBJECT_ENCODERS[depth].encode(obj)
     return "{\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + "}"
 
 

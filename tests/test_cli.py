@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinsqueeze.cli as cli
@@ -230,10 +231,15 @@ def test_unresolvable_detuning_fills_every_row(capsys):
         assert row["eff_detuning"] == row["xi2_analytic"] == row["xi2_numeric"] == ""
 
 
-def test_linalg_error_fills_the_row_error(capsys):
-    # The noise covariance of 1e300 photons is too large for LAPACK's
-    # eigensolver; numpy's LinAlgError becomes that row's error.
-    code, out, err = run_cli(capsys, "mc-check", "--set", "input.n_photons=1e300")
+def test_linalg_error_fills_the_row_error(capsys, monkeypatch):
+    # LAPACK giving up inside a grid point: numpy's LinAlgError becomes
+    # that row's error.  (1e300 photons once did this through the noise
+    # covariance; such a grid is now refused as a config error.)
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sweep, "simulate_xi2", fail)
+    code, out, err = run_cli(capsys, "mc-check", "--set", "input.n_photons=1")
     assert code == 3
     assert err == "error: every grid point failed\n"
     (row,) = parse_csv(out)
@@ -321,6 +327,35 @@ def test_non_finite_photon_numbers_are_config_errors(capsys, command, value):
     assert code == 2
     assert "'input.n_photons': grid values must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "mc-check"])
+def test_photon_numbers_past_the_beam_splitter_range_are_config_errors(
+    capsys, command
+):
+    # 4 N (N + 1) overflows past about 6.7e153, and the table read nan.
+    code, out, err = run_cli(
+        capsys, command, "--set", "model=both", "--set", "input.n_photons=1e200,1e300"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: key 'input.n_photons': grid values must lie in")
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("analytic", "beam.waist=1e300"),  # Rayleigh range inf
+        ("rates", "beam.waist=1e-300"),  # Rayleigh range 0
+        ("rates", "beam.eta=1e-300"),  # sqrt(eta) rounds away: infinite waist
+    ],
+)
+def test_beams_without_a_finite_focus_are_config_errors(capsys, command, setting):
+    code, out, err = run_cli(capsys, command, "--set", setting)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: beam: ")
+    assert "Traceback" not in err
 
 
 def test_fig_commands_honour_the_output_config(tmp_path, capsys):

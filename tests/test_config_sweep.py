@@ -19,7 +19,11 @@ from spinsqueeze.config import (
     parse_grid,
     resolve_config_path,
 )
-from spinsqueeze.exceptions import ConfigError, StabilityError
+from spinsqueeze.analytic import DetuningSpec, squeezing_contrast, xi2_analytic
+from spinsqueeze.exceptions import ConfigError, DomainError, StabilityError
+from spinsqueeze.rates import validity_report
+from spinsqueeze.squeezed_input import SqueezedVacuumSpec, input_quadrature_variance
+from spinsqueeze.steady import xi2_from_response
 from spinsqueeze.sweep import (
     FIG3B_COLUMNS,
     SWEEP_COLUMNS,
@@ -32,6 +36,7 @@ from spinsqueeze.sweep import (
     rows_to_csv,
     rows_to_json,
     run_sweep,
+    validity_columns,
 )
 from spinsqueeze import run_sweep as run_sweep_reexport
 
@@ -234,6 +239,116 @@ def test_run_sweep_captures_per_point_errors(monkeypatch):
         assert row["xi2_numeric"] != ""
 
 
+def _per_point_rows(config, response):
+    """Every row of run_sweep(config) from per-point calls of the public
+    functions, with the unit response that the sweep solved."""
+    geom, rates = config.geometry, config.rates()
+    det = DetuningSpec(sweep._resolve_detuning(config))
+    rows = []
+    for n_photons in config.n_photons_grid:
+        spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
+        report = validity_report(geom, config.beam, n_photons, rates)
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(
+            n_photons=n_photons,
+            purity=config.purity,
+            eff_detuning=det.eff_detuning,
+            r0=rates.r0,
+            alpha_eff=squeezing_contrast(rates, spec, det),
+            xi2_field=input_quadrature_variance(spec),
+            **validity_columns(report),
+            n_eff=report.n_eff,
+        )
+        if config.model in ("analytic", "both"):
+            analytic = xi2_analytic(rates, spec, det)
+            row.update(
+                xi2_analytic=analytic.xi2,
+                theta_opt=analytic.theta_opt,
+                xi2_anti=analytic.xi2_anti,
+            )
+        if config.model in ("numeric", "both"):
+            row["xi2_numeric"] = xi2_from_response(response, spec).xi2
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(["analytic", "numeric", "both"]),
+    purity=st.sampled_from([1.0, 0.999, 0.5, 0.0]) | st.floats(0.0, 1.0),
+    mode=st.sampled_from(["on-resonance", "fixed", "delta-prime-corrected"]),
+    detuning=st.floats(-50.0, 50.0),
+    spacing=st.sampled_from([1.0, 2.0, 0.75, 0.5, 1.25]),
+    n_side=st.integers(8, 40),
+    n_layers=st.integers(1, 6),
+    lattice_const=st.sampled_from([0.5, 0.68, 0.8]),
+    scale=st.floats(0.1, 10.0),
+)
+def test_run_sweep_matches_per_point_calls_bit_for_bit(
+    model, purity, mode, detuning, spacing, n_side, n_layers, lattice_const, scale
+):
+    config = build_config({
+        "model": model,
+        "input.purity": repr(purity),
+        "detuning.mode": mode,
+        "detuning.value": repr(detuning),
+        "geometry.layer_spacing": repr(spacing),
+        "geometry.n_side": str(n_side),
+        "geometry.n_layers": str(n_layers),
+        "geometry.lattice_const": repr(lattice_const),
+    })
+    # A grid across n_eff, so valid_linearization and valid_all flip mid-grid.
+    n_eff = validity_report(config.geometry, config.beam, 0.0, config.rates()).n_eff
+    grid = (0.0, scale, math.nextafter(n_eff, 0.0), n_eff, (1.0 + scale) * n_eff)
+    config = dataclasses.replace(config, n_photons_grid=grid)
+    responses = []
+
+    def record(solve):
+        def recorded(*args):
+            responses.append(solve(*args))
+            return responses[-1]
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("krylov_response", "unit_response"):
+            mp.setattr(sweep, name, record(getattr(sweep, name)))
+        rows = run_sweep(config)
+    assert len(responses) == (model != "analytic")
+    expected = _per_point_rows(config, responses[0] if responses else None)
+    assert repr(rows) == repr(expected)
+    assert [row["valid_linearization"] for row in rows] == [True] * 3 + [False] * 2
+
+
+def test_run_sweep_evaluates_what_no_point_changes_once(monkeypatch):
+    calls = {"validity_report": 0, "squeezing_contrast": 0}
+
+    def counted(name):
+        original = getattr(sweep, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(sweep, name, counted(name))
+    run_sweep(_small_sweep_config(**{"input.n_photons": "log:0.01:1e9:7"}))
+    assert calls == {"validity_report": 1, "squeezing_contrast": 1}
+
+
+def test_a_contrast_error_fails_every_row(monkeypatch):
+    def refuse(*args):
+        raise DomainError("synthetic contrast")
+
+    monkeypatch.setattr(sweep, "squeezing_contrast", refuse)
+    rows = run_sweep(_small_sweep_config())
+    assert [row["error"] for row in rows] == ["DomainError: synthetic contrast"] * 3
+    for row in rows:
+        assert row["eff_detuning"] == 0.0 and row["xi2_field"] != ""
+        empty = ("alpha_eff", "xi2_analytic", "theta_opt", "xi2_anti", "xi2_numeric")
+        assert all(row[key] == "" for key in empty)
+
+
 def test_run_sweep_mc_check_is_deterministic():
     config = _small_sweep_config(
         model="mc-check",
@@ -282,17 +397,17 @@ def test_rows_to_json_deterministic():
 
 def _indented_json(rows, meta=None):
     """The layout rows_to_json promises: json.dumps with indent=2 and
-    sorted keys, every value mapped by _jsonable."""
-    payload = {"rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows]}
-    if meta is not None:
-        payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sorted keys, values that JSON has no type for mapped by _jsonable."""
+    payload = {"rows": rows} if meta is None else {"rows": rows, "meta": meta}
+    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
 
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀'), st.characters()))
 _CELLS = st.one_of(
     st.floats(),
     st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
     st.integers(),
     st.integers(min_value=2**63, max_value=2**100),
     st.integers(min_value=-(2**100), max_value=-(2**63)),

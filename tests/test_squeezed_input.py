@@ -23,6 +23,7 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
+from spinsqueeze.squeezed_input import MAX_PHOTONS
 
 EPS = np.finfo(float).eps
 
@@ -34,7 +35,16 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         SqueezedVacuumSpec(n_photons=1.0, purity=1.2)
     with pytest.raises(DomainError):
+        SqueezedVacuumSpec(n_photons=math.nextafter(MAX_PHOTONS, math.inf))
+    with pytest.raises(DomainError):
         SqueezedVacuumSpec(n_photons=1.0, purity=-0.1)
+
+
+def test_photon_bound_is_where_the_beam_splitter_law_overflows():
+    for n in (MAX_PHOTONS, math.nextafter(MAX_PHOTONS, math.inf)):
+        assert math.isfinite(4.0 * n * (n + 1.0)) == (n == MAX_PHOTONS)
+    spec = SqueezedVacuumSpec(n_photons=MAX_PHOTONS, purity=0.0)
+    assert math.isfinite(input_quadrature_variance(spec))
 
 
 def test_field_moments():
