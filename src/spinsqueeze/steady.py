@@ -287,12 +287,12 @@ def equivalent_stack(drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet) ->
     m = drift.matrix.shape[0]
     v = np.full(m, -1.0 / math.sqrt(m))
     v[0] += 1.0
-    h = np.eye(m)
-    if m > 1:  # at m = 1, e1 is already uniform
-        h -= np.outer(v, (2.0 / (v @ v)) * v)
-    schur_q = h @ drift.schur_q
+    w = (2.0 / (v @ v)) * v if m > 1 else v  # H = I - v w^T; at m = 1, v = 0
+    schur_q = drift.schur_q - np.outer(v, w @ drift.schur_q)
     schur_q.setflags(write=False)
-    turned = DriftMatrix(h @ drift.matrix @ h, drift.schur_t, schur_q)
+    matrix = drift.matrix - np.outer(v, w @ drift.matrix)  # H A, then (H A) H
+    matrix -= np.outer(matrix @ v, w)
+    turned = DriftMatrix(matrix, drift.schur_t, schur_q)
     gamma0 = rates.gamma0 * (geom.n_layers / m)
     return turned, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 

@@ -689,6 +689,30 @@ def test_turned_reduced_process_carries_the_collective_mode(
     assert_same_response(dense, reduced, rel=1e-11)
 
 
+@pytest.mark.parametrize("m", [1, 2, 10, 160])
+def test_equivalent_stack_turns_as_the_dense_reflection(m):
+    # The turn applies H = I - 2 v v^T / v^T v as rank-one updates; it
+    # must give the dense H A H and H Q, exactly so at m = 1 where H = I.
+    geom, rates = stack(2 * m + 1, lattice_const=0.9, gamma_s_frac=1e-3)
+    rng = np.random.default_rng(m)
+    drift = layers.reduced_drift(
+        rng.normal(size=m), rng.normal(size=m - 1), geom.n_layers, rates,
+        DetuningSpec(0.3),
+    )
+    turned, g, r = steady.equivalent_stack(drift, geom, rates)
+    v = np.full(m, -1.0 / math.sqrt(m))
+    v[0] += 1.0
+    h = np.eye(m) - (np.outer(v, v) * (2.0 / (v @ v)) if m > 1 else 0.0)
+    assert g.n_layers == m and r.gamma0 == rates.gamma0 * (geom.n_layers / m)
+    assert turned.schur_t is drift.schur_t and not turned.schur_q.flags.writeable
+    for got, want in ((turned.matrix, h @ drift.matrix @ h),
+                      (turned.schur_q, h @ drift.schur_q)):
+        scale = np.abs(want).max()
+        if m == 1:
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+
 def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
     # 300 layers at a = 0.97 and gamma_s = 1e-5 do not settle before their
     # 150 even modes are exhausted.  Doubling from 80 Lanczos steps would
