@@ -47,9 +47,11 @@ class ArrayGeometry:
             raise DomainError(f"n_side must be at least 1, got {self.n_side}")
         if self.n_layers < 1:
             raise DomainError(f"n_layers must be at least 1, got {self.n_layers}")
-        if self.lattice_const <= 0.0:
+        a2 = self.lattice_const * self.lattice_const  # the rates scale as 1/a^2
+        if not (self.lattice_const > 0.0 and a2 > 0.0 and 1.0 / a2 < math.inf):
             raise DomainError(
-                f"lattice_const must be positive, got {self.lattice_const}"
+                "lattice_const must be positive with 1/a^2 finite, "
+                f"got {self.lattice_const}"
             )
         if self.lattice_const >= 1.0:
             raise DomainError(

@@ -13,14 +13,19 @@ step-size bias.  The steps are linear in the state and the normals, so
 they run a chunk of several at a time through one precomputed transfer
 operator, with the same normals in the same order as step by step.
 
-The sweep runs this sampler on the stack whose unit response gave the
-numeric column (``steady.UnitResponse.stack``): at integer layer spacing
-the equivalent stack of m layers with coupling gamma0 N_z/m each
-(:func:`steady.equivalent_stack`) that :func:`steady.krylov_response`
-converged on, which carries the collective mode exactly; at other
-spacings the full N_z-layer stack.  The numeric column and the oracle
-thus solve and sample the same stack.  The reduction's independent check
-is the dense route, which the tests hold the Krylov route against.
+The sweep runs this sampler on the stack that :func:`steady.oracle_stacks`
+picks for each grid point.  At integer layer spacing that is the
+equivalent stack of m layers with coupling gamma0 N_z/m each
+(:func:`steady.equivalent_stack`) of the smallest leading block m = 1,
+2, 4, ... of the tridiagonal that :func:`steady.krylov_response`
+converged on whose xi2 at the point's N and purity lies within
+``steady.ORACLE_RTOL`` = 1e-6 (relative) of the numeric column, or the
+converged stack itself when no smaller block does.  At other spacings it
+is the full N_z-layer stack.  The estimate is thus biased by at most
+1e-6 of xi2: below 3e-4 standard errors over the default grid at the
+default controls, whose relative standard error is 3.9e-3 to 5.7e-3
+there.  The reduction's independent check is the dense route, which the
+tests hold the Krylov route against.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ from .layers import DriftMatrix
 from .squeezed_input import DiffusionSet
 
 _DIVERGENCE_BOUND = 1e12
+# Steps per trajectory, (t_burn + t_avg)/dt, that a run may take: about 900
+# times the default 11,000.
+MAX_STEPS = 1e7
+# A covariance eigenvalue below -_PSD_RTOL times the largest |eigenvalue|
+# is unphysical, not rounding (which stays near 1e-15 of that scale).
+_PSD_RTOL = 1e-10
 # Steps per block.  A block's normals, (n_traj, block, 2 N_z), bound the
 # sampler's memory: 5 MB for 64 trajectories of 10 layers.
 _BLOCK_STEPS = 512
@@ -54,7 +65,8 @@ class McParams:
 
     Times are in inverse single-atom decay units.  ``t_burn`` is
     discarded before averaging starts and ``t_avg`` is the averaging
-    window per trajectory.  Each trajectory runs on its own
+    window per trajectory; together they may take at most
+    :data:`MAX_STEPS` steps of ``dt``.  Each trajectory runs on its own
     counter-based random stream derived from (seed, trajectory index),
     so results do not depend on scheduling or batching.
     """
@@ -78,6 +90,12 @@ class McParams:
             )
         if not 0 <= self.seed < 2**63:
             raise DomainError(f"seed must fit in a 63-bit integer, got {self.seed}")
+        # Written so that NaN, which compares False, is refused too.
+        if not (self.t_burn + self.t_avg) / self.dt <= MAX_STEPS:
+            raise DomainError(
+                f"(t_burn + t_avg)/dt = {(self.t_burn + self.t_avg) / self.dt:.3e} "
+                f"steps per trajectory exceeds the budget of {MAX_STEPS:.0e}"
+            )
 
 
 def stacked_drift(drift: DriftMatrix) -> np.ndarray:
@@ -99,15 +117,18 @@ def stacked_covariance(diff: DiffusionSet) -> np.ndarray:
     :func:`squeezed_input.moment_diffusions` builds both kernels from
     real cosines (the squeeze phase is zero), so the cross blocks
     vanish and are set to zero.  The result must be positive
-    semidefinite for a physical drive.
+    semidefinite for a physical drive, up to the rounding of its own
+    scale: a pure squeezed vacuum of N photons puts eigenvalues of order
+    N next to ones of order 1, and rounds the small ones by about eps N.
     """
     sigma = diff.s_n + 0.5 * diff.comm
     r = diff.s_m
     zero = np.zeros_like(sigma)
     cov = np.block([[0.5 * (sigma + r), zero], [zero, 0.5 * (sigma - r)]])
     cov = 0.5 * (cov + cov.T)
-    min_eig = float(np.linalg.eigvalsh(cov).min())
-    if min_eig < -1e-8:
+    eigs = np.linalg.eigvalsh(cov)
+    min_eig = float(eigs[0])
+    if min_eig < -_PSD_RTOL * float(np.abs(eigs).max()):
         raise PhysicalityError(
             f"stacked noise covariance has eigenvalue {min_eig:.3e}; "
             "the requested drive is unphysical"

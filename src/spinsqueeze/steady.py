@@ -39,9 +39,11 @@ invariant under A, and the commutator kernel projects to
 gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
 mode's statistics are those of the m-dimensional process, which is an
 m-layer stack with coupling gamma0 N_z/m per layer (:func:`equivalent_stack`).
-Each reduced problem is solved as that stack, by :func:`unit_response`,
-and the trajectory oracle samples the same stack instead of the N_z-layer
-one.
+Each reduced problem is solved as that stack, by :func:`unit_response`.
+The trajectory oracle samples the equivalent stack of a leading block of
+the converged tridiagonal instead of the N_z-layer one: the smallest
+whose xi2 at the point's input is within ``ORACLE_RTOL`` of the numeric
+column (:func:`oracle_stacks`).
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ CONTRAST_ROUNDOFF = 1e-12
 KRYLOV_START = 10
 KRYLOV_CAP = 1280
 KRYLOV_RTOL = 1e-13
+# The trajectory oracle samples the smallest leading Lanczos block whose
+# xi2 at the point's own input lies within ORACLE_RTOL (relative) of the
+# numeric column's (see oracle_stacks).
+ORACLE_RTOL = 1e-6
 
 # A layer stack as the solvers and the trajectory oracle take it.
 Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
@@ -241,7 +247,9 @@ class UnitResponse:
     those of the solve at N = M = 1.  ``stack`` is the (drift, geometry,
     rates) that :func:`unit_response` solved: the N_z-layer stack on the
     dense route, the m-layer :func:`equivalent_stack` on the Krylov route.
-    The trajectory oracle samples it.
+    ``lanczos`` is the (diagonal, off-diagonal) of the tridiagonal that
+    :func:`krylov_response` converged on, ``None`` on the dense route;
+    :func:`oracle_stacks` solves its leading blocks.
     """
 
     c_n: float
@@ -249,6 +257,9 @@ class UnitResponse:
     residual_n: float
     residual_m: float
     stack: Stack | None = field(default=None, compare=False, repr=False)
+    lanczos: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def alpha(self) -> float:
@@ -297,6 +308,19 @@ def equivalent_stack(drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet) ->
     return turned, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 
+def _block_response(
+    diag: np.ndarray,
+    off: np.ndarray,
+    geom: ArrayGeometry,
+    rates: RateSet,
+    det: DetuningSpec,
+) -> UnitResponse:
+    """:func:`unit_response` of the Lanczos tridiagonal (``diag``, ``off``)
+    of ``geom``'s kernel, solved as its :func:`equivalent_stack`."""
+    drift = reduced_drift(diag, off, geom.n_layers, rates, det)
+    return unit_response(*equivalent_stack(drift, geom, rates))
+
+
 @one_blas_thread()
 def krylov_response(
     eps: np.ndarray,
@@ -313,18 +337,17 @@ def krylov_response(
     the kernel's spectral measure).  Each m x m problem of
     :func:`layers.reduced_drift` is solved as its m-layer
     :func:`equivalent_stack`, so nothing N_z x N_z is built, and the
-    response carries the stack it converged on.
+    response carries the stack and the tridiagonal it converged on.
     """
     n_z = geom.n_layers
 
     def solve(diag: np.ndarray, off: np.ndarray) -> UnitResponse:
-        drift = reduced_drift(diag, off, n_z, rates, det)
-        return unit_response(*equivalent_stack(drift, geom, rates))
+        return _block_response(diag, off, geom, rates, det)
 
     first = previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
         if exhausted:
-            return solve(diag, off)
+            return replace(solve(diag, off), lanczos=(diag, off))
         if first is None:  # solved only if the space lasts to the next m
             first = diag, off
             continue
@@ -334,7 +357,7 @@ def krylov_response(
         if abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n) and (
             abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
         ):
-            return response
+            return replace(response, lanczos=(diag, off))
         previous = response
     raise ConvergenceError(
         f"Krylov-reduced steady state still moving by more than {KRYLOV_RTOL} "
@@ -367,3 +390,48 @@ def xi2_from_response(
     return beam_splitter(
         response.c_n, n_phot, coeff, _theta_opt(m_anom * response.c_m)
     )
+
+
+def _xi2_or_nan(response: UnitResponse, spec: SqueezedVacuumSpec) -> float:
+    try:
+        return xi2_from_response(response, spec).xi2
+    except PhysicalityError:  # matches no target, so the row keeps its own error
+        return math.nan
+
+
+def oracle_stacks(
+    response: UnitResponse,
+    specs: list[SqueezedVacuumSpec],
+    geom: ArrayGeometry,
+    rates: RateSet,
+    det: DetuningSpec,
+) -> list[Stack]:
+    """The stack that the trajectory oracle samples at each input of ``specs``.
+
+    The oracle reads only the collective mode, whose statistics the
+    leading m x m blocks of the converged Lanczos tridiagonal carry ever
+    more exactly as m grows; the trajectories cost 2m normals and an
+    O(m^2) propagation per step.  Each input gets the equivalent stack of
+    the first block of m = 1, 2, 4, ... below the converged m whose xi2
+    at that input (its own N and purity, which is where large N amplifies
+    a contrast deficit 1 - alpha) lies within ``ORACLE_RTOL`` of
+    ``xi2_from_response(response, spec)``.  The blocks are the leading
+    rows of what :func:`layers.kernel_lanczos` produced, so no Lanczos
+    step is repeated, and each costs one m x m unit solve.  Inputs that no
+    block passes, and every input on the dense route, get
+    ``response.stack``.
+    """
+    targets = [_xi2_or_nan(response, spec) for spec in specs]
+    stacks = [response.stack] * len(specs)
+    pending = set(range(len(specs)))
+    diag, off = response.lanczos or ((), ())
+    m = 1
+    while m < len(diag) and pending:
+        rung = _block_response(diag[:m], off[: m - 1], geom, rates, det)
+        for i in list(pending):
+            miss = abs(_xi2_or_nan(rung, specs[i]) - targets[i])
+            if miss <= ORACLE_RTOL * abs(targets[i]):
+                stacks[i] = rung.stack
+                pending.remove(i)
+        m *= 2
+    return stacks

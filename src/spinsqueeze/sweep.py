@@ -30,7 +30,7 @@ from .squeezed_input import (
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import krylov_response, unit_response, xi2_from_response
+from .steady import krylov_response, oracle_stacks, unit_response, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -103,7 +103,10 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     every point in closed form; at integer layer spacing that solve is
     the Krylov reduction of :func:`steady.krylov_response`, and the
     N_z x N_z drift matrix is built only at other spacings.  ``mc-check``
-    samples the stack that the unit response solved.  Solver errors,
+    samples, at each point, the stack that :func:`steady.oracle_stacks`
+    picks before any trajectory runs: the smallest leading Krylov block
+    whose xi2 there is within ``steady.ORACLE_RTOL`` of the numeric
+    column, or the solved stack itself.  Solver errors,
     including an unstable drift matrix, an evanescent sum that does not
     converge or numpy's ``LinAlgError`` (as a ``ConvergenceError``),
     land in the ``error`` column of each row they affect instead of
@@ -151,6 +154,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             drift = drift_matrix(kernel, rates, det)
             del kernel  # N_z x N_z, freed before the solve, where the memory peaks
             response = unit_response(drift, geom, rates)
+        if want_mc:  # chosen here, so that the workers cannot change the choice
+            specs = [
+                SqueezedVacuumSpec(n_photons=n, purity=config.purity)
+                for n in config.n_photons_grid
+            ]
+            stacks = oracle_stacks(response, specs, geom, rates, det)
     except _ROW_ERRORS as exc:
         setup_error = _error_text(exc)
 
@@ -181,7 +190,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
                     config.mc,
                     seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
                 )
-                drift, g, r = response.stack
+                drift, g, r = stacks[index]
                 diff = noise_diffusions(spec, g, r)
                 estimate, stderr = simulate_xi2(drift, diff, g, params)
                 row["mc_estimate"] = estimate

@@ -7,6 +7,7 @@ import importlib.metadata
 import io
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,39 @@ def test_beams_without_a_finite_focus_are_config_errors(capsys, command, setting
     assert out == ""
     assert err.startswith("config error: beam: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lattice_const", ["1e-300", "1e-155"])
+def test_lattice_constants_without_finite_rates_are_config_errors(capsys, lattice_const):
+    # 1e-155 squares to a subnormal, whose inverse is inf.
+    code, out, err = run_cli(
+        capsys, "rates", "--set", f"geometry.lattice_const={lattice_const}",
+        "--set", "beam.waist=1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: geometry: lattice_const must be positive")
+
+
+@pytest.mark.parametrize("setting", ["mc.dt=1e-300", "mc.t_avg=1e300", "mc.dt=2e-5"])
+def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
+    # mc.dt = 2e-5 asks for 2.75e7 steps, just past the budget; 1e-300
+    # once ran until a timeout killed it.  The alarm ends a run that
+    # starts drawing, so an unchecked budget fails the test, not hangs it.
+    def overrun(signum, frame):
+        pytest.fail(f"mc-check with {setting} still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, out, err = run_cli(capsys, "mc-check", "--set", setting)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: mc: (t_burn + t_avg)/dt = ")
+    assert "exceeds the budget of 1e+07" in err
 
 
 def test_fig_commands_honour_the_output_config(tmp_path, capsys):

@@ -104,6 +104,13 @@ def test_mc_params_validation():
         McParams(dt=0.1, t_burn=1.0, t_avg=1.0, n_traj=1)
     with pytest.raises(DomainError):
         McParams(dt=0.1, t_burn=1.0, t_avg=1.0, n_traj=4, seed=-1)
+    # (t_burn + t_avg)/dt steps per trajectory, up to MAX_STEPS.
+    McParams(dt=0.5, t_burn=1e6, t_avg=4e6, n_traj=4)
+    for t_avg in (4e6 + 1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="exceeds the budget of 1e\\+07"):
+            McParams(dt=0.5, t_burn=1e6, t_avg=t_avg, n_traj=4)
+    with pytest.raises(DomainError, match="budget"):
+        McParams(dt=1e-300, t_burn=1.0, t_avg=1.0, n_traj=4)
 
 
 def test_stacked_drift_block_structure():
@@ -137,6 +144,21 @@ def test_stacked_covariance_rejects_unphysical_source():
     )
     with pytest.raises(PhysicalityError):
         stacked_covariance(overdriven)
+
+
+@pytest.mark.parametrize("spacing", ["0.75", "1.0"])
+def test_bright_squeezed_vacuum_passes_the_covariance_check(spacing):
+    # A pure squeezed vacuum of N photons rounds the covariance's small
+    # eigenvalues by about 1e-15 N: -0.27 at 1e14 and -28 at 1e16 for ten
+    # layers at spacing 0.75, which an absolute cut of -1e-8 refused.
+    rows = run_sweep(build_config({
+        "model": "mc-check",
+        "geometry.layer_spacing": spacing,
+        "input.n_photons": "1e12,1e14,1e16,1e20",
+        "mc.n_traj": "2", "mc.t_burn": "0", "mc.t_avg": "1",
+    }))
+    assert [row["error"] for row in rows] == [""] * 4
+    assert all(isinstance(row["mc_estimate"], float) for row in rows)
 
 
 def test_noise_sampler_reproduces_target_covariance():
@@ -240,7 +262,8 @@ def test_dense_oracle_agrees_at_non_integer_spacing():
 
 
 def test_reduced_oracle_agrees_on_a_deep_stack():
-    # 400 layers: 800 stacked quadratures densely, 2m = 40 reduced.
+    # 400 layers: 800 stacked quadratures densely, 2m = 2 sampled, as the
+    # one-layer leading block is within ORACLE_RTOL of the converged one.
     z = mc_check(geometry__n_layers="400", mc__t_burn="20", mc__t_avg="100")
     assert max(map(abs, z)) <= 5.0
 

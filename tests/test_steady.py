@@ -794,3 +794,91 @@ def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
     else:
         assert sizes == [10 * 2**k for k in range(len(sizes))]
         assert len(sizes) > 2 and changes[-1] < steady.KRYLOV_RTOL
+
+
+# The trajectory oracle samples the first leading block of the converged
+# Lanczos tridiagonal whose xi2 at the point's input is within
+# ORACLE_RTOL of the numeric column.
+
+
+def sampled_layers(monkeypatch, **keys):
+    """Layer count of the stack that each ``mc-check`` point samples."""
+    seen = []
+
+    def record(drift, diff, geom, params):
+        seen.append(geom.n_layers)
+        return 0.0, 1.0
+
+    monkeypatch.setattr(sweep, "simulate_xi2", record)
+    rows = run_sweep(numeric_config(model="mc-check", geometry__n_layers="10", **keys))
+    assert [row["error"] for row in rows] == [""] * len(rows)
+    return seen
+
+
+def test_default_points_sample_one_layer(monkeypatch):
+    # At a = 0.68 the first block is within 1.2e-9 of the converged m = 5.
+    assert sampled_layers(monkeypatch, input__n_photons="0.1,1,10") == [1, 1, 1]
+
+
+def test_oracle_climbs_where_the_contrast_deficit_is_amplified(monkeypatch):
+    # At a = 0.95 one block misses xi2 at N = 0.1 by more than ORACLE_RTOL
+    # and two do not; at N = 10 large N amplifies the contrast deficit
+    # 1 - alpha of every block short of the converged m = 5.
+    layers_95 = sampled_layers(
+        monkeypatch, geometry__lattice_const="0.95", input__n_photons="0.1,10"
+    )
+    assert layers_95 == [2, 5]
+    geom, rates = stack(10, lattice_const=0.95)
+    response = steady.krylov_response(
+        layers.evanescent_band(geom)[0], geom, rates, DetuningSpec()
+    )
+    assert response.stack[1].n_layers == 5
+
+
+def test_dense_route_samples_every_layer(monkeypatch):
+    assert sampled_layers(monkeypatch, geometry__layer_spacing="0.75") == [10, 10]
+
+
+def test_oracle_choice_does_not_depend_on_workers():
+    config = numeric_config(
+        model="mc-check", geometry__n_layers="10", geometry__lattice_const="0.95",
+        input__n_photons="0.1,1,10", mc__n_traj="4", mc__t_burn="1", mc__t_avg="10",
+    )
+    serial, threaded = (
+        sweep.format_table(run_sweep(dataclasses.replace(config, workers=w)), "csv")
+        for w in (1, 2)
+    )
+    assert serial == threaded
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 60),
+    lattice_const=st.floats(0.6, 0.97),
+    log10_gamma_s=st.floats(-3.0, 0.0),
+    log10_n_photons=st.floats(-2.0, 4.0),
+    purity=st.one_of(st.just(1.0), st.floats(0.99, 1.0)),
+    corrected=st.booleans(),
+)
+def test_oracle_samples_the_first_block_within_tolerance(
+    n_layers, lattice_const, log10_gamma_s, log10_n_photons, purity, corrected
+):
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        gamma_s_frac=10.0**log10_gamma_s)
+    det = DetuningSpec(layers.delta_prime(geom) if corrected else 0.0)
+    response = steady.krylov_response(layers.evanescent_band(geom)[0], geom, rates, det)
+    spec = SqueezedVacuumSpec(n_photons=10.0**log10_n_photons, purity=purity)
+    target = xi2_from_response(response, spec).xi2
+
+    def misses(stack_):
+        xi2 = xi2_from_response(unit_response(*stack_), spec).xi2
+        return abs(xi2 - target) > steady.ORACLE_RTOL * target
+
+    (sampled,) = steady.oracle_stacks(response, [spec], geom, rates, det)
+    assert not misses(sampled)
+    diag, off = response.lanczos
+    m = 1
+    while m < sampled[1].n_layers:  # every smaller block misses
+        block = layers.reduced_drift(diag[:m], off[: m - 1], n_layers, rates, det)
+        assert misses(steady.equivalent_stack(block, geom, rates))
+        m *= 2
