@@ -14,18 +14,13 @@ they run a chunk of several at a time through one precomputed transfer
 operator, with the same normals in the same order as step by step.
 
 The sweep runs this sampler on the stack that :func:`steady.oracle_stacks`
-picks for each grid point.  At integer layer spacing that is the
-equivalent stack of m layers with coupling gamma0 N_z/m each
-(:func:`steady.equivalent_stack`) of the smallest leading block m = 1,
-2, 4, ... of the tridiagonal that :func:`steady.krylov_response`
-converged on whose xi2 at the point's N and purity lies within
-``steady.ORACLE_RTOL`` = 1e-6 (relative) of the numeric column, or the
-converged stack itself when no smaller block does.  At other spacings it
-is the full N_z-layer stack.  The estimate is thus biased by at most
-1e-6 of xi2: below 3e-4 standard errors over the default grid at the
-default controls, whose relative standard error is 3.9e-3 to 5.7e-3
-there.  The reduction's independent check is the dense route, which the
-tests hold the Krylov route against.
+picks for each grid point: at integer layer spacing an equivalent stack
+of m layers (:func:`steady.equivalent_stack`) whose xi2 is within
+``steady.ORACLE_RTOL`` = 1e-6 of the numeric column, at other spacings
+the full N_z-layer stack.  That bias is below 3e-4 standard errors over
+the default grid at the default controls (relative standard error 3.9e-3
+to 5.7e-3).  The reduction's independent check is the dense route, which
+the tests hold the Krylov route against.
 """
 
 from __future__ import annotations

@@ -83,9 +83,8 @@ CONTRAST_ROUNDOFF = 1e-12
 KRYLOV_START = 10
 KRYLOV_CAP = 1280
 KRYLOV_RTOL = 1e-13
-# The trajectory oracle samples the smallest leading Lanczos block whose
-# xi2 at the point's own input lies within ORACLE_RTOL (relative) of the
-# numeric column's (see oracle_stacks).
+# Relative xi2 gap to the numeric column within which the trajectory
+# oracle may sample a smaller Krylov block (see oracle_stacks).
 ORACLE_RTOL = 1e-6
 
 # A layer stack as the solvers and the trajectory oracle take it.

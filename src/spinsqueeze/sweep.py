@@ -103,10 +103,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     every point in closed form; at integer layer spacing that solve is
     the Krylov reduction of :func:`steady.krylov_response`, and the
     N_z x N_z drift matrix is built only at other spacings.  ``mc-check``
-    samples, at each point, the stack that :func:`steady.oracle_stacks`
-    picks before any trajectory runs: the smallest leading Krylov block
-    whose xi2 there is within ``steady.ORACLE_RTOL`` of the numeric
-    column, or the solved stack itself.  Solver errors,
+    samples at each point the stack that :func:`steady.oracle_stacks`
+    picks before any trajectory runs.  Solver errors,
     including an unstable drift matrix, an evanescent sum that does not
     converge or numpy's ``LinAlgError`` (as a ``ConvergenceError``),
     land in the ``error`` column of each row they affect instead of
