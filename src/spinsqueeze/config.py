@@ -85,7 +85,10 @@ class ExperimentConfig:
     out_format: str
 
     def rates(self) -> RateSet:
-        return compute_rates(self.geometry, self.beam, self.gamma_s)
+        try:
+            return compute_rates(self.geometry, self.beam, self.gamma_s)
+        except DomainError as exc:
+            raise ConfigError(f"rates: {exc}") from exc
 
     def collective_shift(self) -> float:
         """Signed evanescent shift delta' of the phase-matched mode."""

@@ -121,7 +121,8 @@ def compute_rates(
     ``gamma_s`` is any additional per-atom loss (scattering out of the
     two-level subspace, inhomogeneous dephasing) in units of the
     single-atom decay.  The leakage from imperfect beam overlap enters
-    the loss budget once per layer.
+    the loss budget once per layer.  A rate that overflows, or a
+    reflectivity that vanishes because the loss did, is refused.
     """
     if gamma_s < 0.0:
         raise DomainError(f"gamma_s must be non-negative, got {gamma_s}")
@@ -130,6 +131,11 @@ def compute_rates(
     gamma_coll = eta * geom.n_layers * gamma0
     gamma_loss = (1.0 - eta) * geom.n_layers * gamma0 + gamma_s
     r0 = gamma_coll / (gamma_coll + gamma_loss)
+    if not (all(map(math.isfinite, (gamma0, gamma_coll, gamma_loss))) and r0 > 0.0):
+        raise DomainError(
+            f"rates overflow or vanish: gamma0 = {gamma0!r}, gamma_coll = "
+            f"{gamma_coll!r}, gamma_loss = {gamma_loss!r}, r0 = {r0!r}"
+        )
     return RateSet(
         gamma0=gamma0,
         eta=eta,

@@ -80,7 +80,15 @@ CONTRAST_ROUNDOFF = 1e-12
 # ceil(N_z/2) + 1, where the space is exhausted (see kernel_lanczos), so
 # every stack of up to 2558 layers ends exactly; past that the reduced
 # solve fails beyond KRYLOV_CAP steps, which bounds its cost.
-KRYLOV_START = 10
+# KRYLOV_START is 5 because its rungs 5 * 2^k include every rung 10 * 2^k
+# of a start of 10: a slowly settling stack solves the same m plus one
+# 5 x 5 problem, and a weakly coupled one (a = 0.68, where eps(1) is
+# 5e-5 of the collective decay) settles on m = 5 and 10 instead of 10
+# and 20.  One numeric point at a = 0.95, 1000 layers, gamma_s/gamma0 =
+# 1e-5 took 0.12-0.17 s at start 10 and 0.11-0.18 s at 5, but 0.24 s
+# at 3, and 0.47-0.56 s at 1, 2 or 4, whose power-of-two rungs make it
+# solve m = 512.
+KRYLOV_START = 5
 KRYLOV_CAP = 1280
 KRYLOV_RTOL = 1e-13
 # Relative xi2 gap to the numeric column within which the trajectory

@@ -92,8 +92,12 @@ def test_numeric_sweep_factorises_and_solves_on_one_thread(two_threads, monkeypa
     })
     rows = run_sweep(config)
     assert [row["error"] for row in rows] == [""] * 5
+    # One factorisation and two back substitutions per reduced solve, for
+    # however many rungs the Krylov doubling takes to settle.
     ones = (1,) * len(blas._controls())
-    assert seen == [("schur", ones), ("ztrsyl", ones), ("ztrsyl", ones)]
+    solves = len(seen) // 3
+    assert solves >= 1
+    assert seen == [("schur", ones), ("ztrsyl", ones), ("ztrsyl", ones)] * solves
     assert set(thread_counts()) == {2}
 
 

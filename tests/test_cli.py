@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import spinsqueeze.cli as cli
 from spinsqueeze import build_config, sweep
@@ -371,6 +373,20 @@ def test_lattice_constants_without_finite_rates_are_config_errors(capsys, lattic
     assert err.startswith("config error: geometry: lattice_const must be positive")
 
 
+@pytest.mark.parametrize("command", ["analytic", "numeric", "rates"])
+def test_rates_that_overflow_are_config_errors(capsys, command):
+    # Just above the lattice bound gamma0 is 2.4e307, so the loss of ten
+    # layers is inf and r0 is 0; the closed form once divided by it.
+    code, out, err = run_cli(
+        capsys, command, "--set", "geometry.lattice_const=1e-154",
+        "--set", "beam.waist=1", "--set", "input.n_photons=1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: rates: rates overflow or vanish: ")
+    assert "gamma_loss = inf, r0 = 0.0" in err
+
+
 @pytest.mark.parametrize("setting", ["mc.dt=1e-300", "mc.t_avg=1e300", "mc.dt=2e-5"])
 def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
     # mc.dt = 2e-5 asks for 2.75e7 steps, just past the budget; 1e-300
@@ -390,6 +406,59 @@ def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
     assert out == ""
     assert err.startswith("config error: mc: (t_burn + t_avg)/dt = ")
     assert "exceeds the budget of 1e+07" in err
+
+
+# Every documented key that takes a number, and values that probe its
+# edges: zero, a sign, the ends of the float range and their square roots,
+# non-finite values, an empty value and a non-number.
+NUMERIC_KEYS = [
+    "geometry.n_side", "geometry.lattice_const", "geometry.n_layers",
+    "geometry.layer_spacing", "beam.waist", "beam.eta", "rates.gamma_s",
+    "rates.gamma_s_over_gamma0", "input.n_photons", "input.purity",
+    "detuning.value", "kernel.tol", "kernel.max_order", "mc.dt", "mc.t_burn",
+    "mc.t_avg", "mc.n_traj", "seed", "workers",
+]
+HOSTILE_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "", "1e-154", "abc"]
+COMMANDS = [
+    ("analytic",),
+    ("numeric",),
+    ("rates",),
+    ("mc-check", "--set", "mc.n_traj=2", "--set", "mc.t_burn=0", "--set", "mc.t_avg=1"),
+]
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(COMMANDS),
+    overrides=st.builds(
+        lambda key, value: [f"{key}={value}"],
+        st.sampled_from(NUMERIC_KEYS),
+        st.sampled_from(HOSTILE_VALUES),
+    ),
+)
+@example(
+    command=("analytic",),
+    overrides=["geometry.lattice_const=1e-154", "beam.waist=1", "input.n_photons=1"],
+)
+def test_hostile_values_end_in_an_exit_code_not_a_traceback(capsys, command, overrides):
+    # A value the model cannot take is a config error (2) or a solver
+    # error (3), never an uncaught exception or a run without end.
+    def overrun(signum, frame):
+        pytest.fail(f"{command[0]} with {overrides} still running after 5 s")
+
+    args = [*command, *(arg for item in overrides for arg in ("--set", item))]
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, _, err = run_cli(capsys, *args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 def test_fig_commands_honour_the_output_config(tmp_path, capsys):

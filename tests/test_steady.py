@@ -764,10 +764,10 @@ def test_deep_numeric_sweep_allocates_no_dense_matrix():
 
 @pytest.mark.parametrize("n_layers", [30, 60, 400])
 def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
-    # m doubles from 10 until c_n and c_m move by less than 1e-13 from m
-    # to 2m.  A stack of n_layers has n_layers/2 modes that the uniform
-    # vector reaches; once they are exhausted, that exact space is solved
-    # and m is not doubled further.
+    # m doubles from KRYLOV_START until c_n and c_m move by less than
+    # 1e-13 from m to 2m.  A stack of n_layers has n_layers/2 modes that
+    # the uniform vector reaches; once they are exhausted, that exact
+    # space is solved and m is not doubled further.
     solves = []
 
     def spy(moments, geom):
@@ -787,13 +787,32 @@ def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
         for (_, n0, m0), (_, n1, m1) in zip(solves, solves[1:])
     ]
     assert all(change >= steady.KRYLOV_RTOL for change in changes[:-1])
-    if n_layers == 30:  # exhausted before m = 20: one solve
-        assert sizes == [15]
-    elif n_layers == 60:  # unsettled at 20, exhausted before 40
-        assert sizes == [10, 20, 30]
+    start = steady.KRYLOV_START
+    if n_layers == 30:  # unsettled at 2 start, exhausted before 4 start
+        assert sizes == [start, 2 * start, 15]
+    elif n_layers == 60:  # unsettled at 4 start, exhausted before 8 start
+        assert sizes == [start, 2 * start, 4 * start, 30]
     else:
-        assert sizes == [10 * 2**k for k in range(len(sizes))]
+        assert sizes == [start * 2**k for k in range(len(sizes))]
+        assert sizes[-1] == 160
         assert len(sizes) > 2 and changes[-1] < steady.KRYLOV_RTOL
+
+
+def test_weakly_coupled_stack_settles_on_the_first_two_rungs(monkeypatch):
+    # At the default a = 0.68, eps(1) is 5e-5 of the collective decay, so
+    # the 100-layer stack of the numeric-deep benchmark has settled to
+    # 1e-13 at m = 5 already: the doubling stops at the 10 x 10 solve.
+    sizes = []
+
+    def spy(moments, geom):
+        sizes.append(geom.n_layers)
+        return collective_moments(moments, geom)
+
+    monkeypatch.setattr(steady, "collective_moments", spy)
+    geom, rates = stack(100)
+    dense, reduced = dense_and_reduced(geom, rates, DetuningSpec())
+    assert sizes == [100, 5, 10]  # the dense solve, then the two rungs
+    assert_same_response(dense, reduced, rel=1e-11)
 
 
 # The trajectory oracle samples the first leading block of the converged
