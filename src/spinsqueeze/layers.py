@@ -5,15 +5,16 @@ familiar retarded coupling (gamma0/2) e^{i k a_z |n-m|} between layer
 modes.  On top of that, the near field of a subwavelength lattice has
 evanescent diffraction orders that tunnel between adjacent layers and
 detune the collective mode.  This module builds both pieces, assembles
-the drift matrix of the layer modes, and evaluates the collective
-frequency shift that the evanescent couplings produce.
+the drift matrix of the layer modes (at integer spacing, the m-layer
+equivalent stack of its Lanczos reduction instead), and evaluates the
+collective frequency shift that the evanescent couplings produce.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -72,6 +73,10 @@ class DriftMatrix:
     matrix: np.ndarray
     schur_t: np.ndarray
     schur_q: np.ndarray
+
+
+# A layer stack as the solvers and the trajectory oracle take it.
+Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
 
 
 @lru_cache(maxsize=64)
@@ -300,24 +305,44 @@ def kernel_lanczos(
         m = min(2 * m, cap)
 
 
-def reduced_drift(
-    diag: np.ndarray, off: np.ndarray, n_z: int, rates: RateSet, det: DetuningSpec
-) -> DriftMatrix:
-    """Drift generator of a phase-matched stack projected on a Lanczos basis.
+def equivalent_stack(
+    diag: np.ndarray,
+    off: np.ndarray,
+    geom: ArrayGeometry,
+    rates: RateSet,
+    det: DetuningSpec,
+) -> Stack:
+    """Factorised m-layer stack of the Lanczos tridiagonal T_m (``diag``,
+    ``off``) of ``geom``'s evanescent kernel, from :func:`kernel_lanczos`.
 
     At integer spacing every phase is 1, so A = beta I - i E - (gamma0/2) 1 1^T
-    with beta = i delta - gamma_s/2; on the basis of :func:`kernel_lanczos`
-    it is beta I - i T_m - (gamma0 N_z/2) e1 e1^T.  The eigenvectors of E
-    that reversing the stack flips are orthogonal to 1, hence eigenvectors
-    of A with real part -gamma_s/2 (for N_z >= 2), and the Hermitian part
-    of the projection is at most -gamma_s/2: the full spectral abscissa is
-    the larger of the two, checked as in :func:`drift_matrix`.
+    with beta = i delta - gamma_s/2; on the Lanczos basis it is
+    beta I - i T_m - (gamma0 N_z/2) e1 e1^T.  The Householder reflection
+    H = I - 2 v v^T / v^T v with v = e1 - u maps e1 to the uniform vector
+    u = 1/sqrt(m) and is its own inverse, so H A H = beta I - i H T_m H -
+    (gamma0 N_z/2m) 1 1^T, and it turns the sources' N_z e1 e1^T likewise:
+    the problem of m layers at the same spacing with coupling gamma0 N_z/m
+    each, whose uniform projection is the collective mode.  The derived
+    rates stay those of the real stack.  The eigenvectors of E that
+    reversing the stack flips are orthogonal to 1, hence eigenvectors of
+    the full generator with real part -gamma_s/2 (for N_z >= 2), and the
+    Hermitian part of the projection is at most -gamma_s/2: the full
+    spectral abscissa is the larger of the two, checked as in
+    :func:`drift_matrix`.
     """
+    m, n_z = len(diag), geom.n_layers
     t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    a = (1j * det.eff_detuning - 0.5 * rates.gamma_s) * np.eye(len(diag)) - 1j * t
-    a[0, 0] -= 0.5 * rates.gamma0 * n_z
+    v = np.full(m, -1.0 / math.sqrt(m))
+    v[0] += 1.0
+    w = (2.0 / (v @ v)) * v if m > 1 else v  # H = I - v w^T; at m = 1, v = 0
+    t -= np.outer(v, w @ t)  # H T, then (H T) H
+    t -= np.outer(t @ v, w)
+    a = (1j * det.eff_detuning - 0.5 * rates.gamma_s) * np.eye(m) - 1j * t
+    a -= 0.5 * rates.gamma0 * n_z / m  # (gamma0 N_z/2m) 1 1^T
     abscissa = -0.5 * (rates.gamma_s + (rates.gamma0 if n_z == 1 else 0.0))
-    return _factorise(a, rates, abscissa)
+    drift = _factorise(a, rates, abscissa)
+    gamma0 = rates.gamma0 * (n_z / m)
+    return drift, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 
 def delta_prime(

@@ -15,7 +15,7 @@ operator, with the same normals in the same order as step by step.
 
 The sweep runs this sampler on the stack that :func:`steady.oracle_stacks`
 picks for each grid point: at integer layer spacing an equivalent stack
-of m layers (:func:`steady.equivalent_stack`) whose xi2 is within
+of m layers (:func:`layers.equivalent_stack`) whose xi2 is within
 ``steady.ORACLE_RTOL`` = 1e-6 of the numeric column, at other spacings
 the full N_z-layer stack.  That bias is below 3e-4 standard errors over
 the default grid at the default controls (relative standard error 3.9e-3

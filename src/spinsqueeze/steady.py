@@ -37,9 +37,11 @@ m)) for band width w instead of O(N_z^3).  The dense solve stays for
 other spacings.  The Krylov space and its orthogonal complement are both
 invariant under A, and the commutator kernel projects to
 gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
-mode's statistics are those of the m-dimensional process, which is an
-m-layer stack with coupling gamma0 N_z/m per layer (:func:`equivalent_stack`).
-Each reduced problem is solved as that stack, by :func:`unit_response`.
+mode's statistics are those of the m-dimensional process.  A Householder
+reflection of e1 onto the uniform vector makes that process an m-layer
+stack with coupling gamma0 N_z/m per layer, which
+:func:`layers.equivalent_stack` builds and factorises, and
+:func:`unit_response` solves it like any other stack.
 The trajectory oracle samples the equivalent stack of a leading block of
 the converged tridiagonal instead of the N_z-layer one: the smallest
 whose xi2 at the point's input is within ``ORACLE_RTOL`` of the numeric
@@ -59,7 +61,7 @@ from .analytic import DetuningSpec
 from .blas import one_blas_thread
 from .exceptions import ConvergenceError, PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
-from .layers import DriftMatrix, kernel_lanczos, reduced_drift
+from .layers import DriftMatrix, Stack, equivalent_stack, kernel_lanczos
 from .rates import RateSet
 from .squeezed_input import (
     DiffusionSet,
@@ -94,10 +96,6 @@ KRYLOV_RTOL = 1e-13
 # Relative xi2 gap to the numeric column within which the trajectory
 # oracle may sample a smaller Krylov block (see oracle_stacks).
 ORACLE_RTOL = 1e-6
-
-# A layer stack as the solvers and the trajectory oracle take it.
-Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
-
 
 @dataclass(frozen=True)
 class SteadyStateMoments:
@@ -180,10 +178,12 @@ def solve_moments(
     n_mat = 0.5 * (n_mat + n_mat.conj().T)
     m_mat = 0.5 * (m_mat + m_mat.T)
 
-    res_n = _residual(a.conj(), a.T, n_mat, diff.s_n)
-    res_m = _residual(a, a.T, m_mat, diff.s_m)
-    worst = max(res_n, res_m)
-    if worst > RESIDUAL_HARD_LIMIT:
+    # Norms near the float range overflow, and the NaN residual is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_n = _residual(a.conj(), a.T, n_mat, diff.s_n)
+        res_m = _residual(a, a.T, m_mat, diff.s_m)
+    worst = float(np.maximum(res_n, res_m))  # NaN if either is
+    if not worst <= RESIDUAL_HARD_LIMIT:
         raise ResidualError(
             f"steady-state solve residual {worst:.3e} exceeds "
             f"{RESIDUAL_HARD_LIMIT:.1e}; the drift matrix is likely near "
@@ -253,7 +253,7 @@ class UnitResponse:
     beam-splitter reflectivity r0; ``residual_n`` and ``residual_m`` are
     those of the solve at N = M = 1.  ``stack`` is the (drift, geometry,
     rates) that :func:`unit_response` solved: the N_z-layer stack on the
-    dense route, the m-layer :func:`equivalent_stack` on the Krylov route.
+    dense route, :func:`layers.equivalent_stack` on the Krylov route.
     ``lanczos`` is the (diagonal, off-diagonal) of the tridiagonal that
     :func:`krylov_response` converged on, ``None`` on the dense route;
     :func:`oracle_stacks` solves its leading blocks.
@@ -291,43 +291,6 @@ def unit_response(
     )
 
 
-def equivalent_stack(drift: DriftMatrix, geom: ArrayGeometry, rates: RateSet) -> Stack:
-    """The m x m :func:`layers.reduced_drift` of ``geom`` as an m-layer stack.
-
-    The Householder reflection H = I - 2 v v^T / v^T v with v = e1 - u
-    maps e1 to the uniform vector u = 1/sqrt(m) and is its own inverse,
-    so H A H = (H Q) T (H Q)^H keeps the Schur form, and it turns the
-    N_z e1 e1^T of the reduced drift and sources into (N_z/m) 1 1^T.
-    That is the problem of m layers at the same integer spacing with
-    coupling gamma0 N_z/m each, whose uniform projection is the
-    collective mode; the derived rates stay those of the real stack.
-    """
-    m = drift.matrix.shape[0]
-    v = np.full(m, -1.0 / math.sqrt(m))
-    v[0] += 1.0
-    w = (2.0 / (v @ v)) * v if m > 1 else v  # H = I - v w^T; at m = 1, v = 0
-    schur_q = drift.schur_q - np.outer(v, w @ drift.schur_q)
-    schur_q.setflags(write=False)
-    matrix = drift.matrix - np.outer(v, w @ drift.matrix)  # H A, then (H A) H
-    matrix -= np.outer(matrix @ v, w)
-    turned = DriftMatrix(matrix, drift.schur_t, schur_q)
-    gamma0 = rates.gamma0 * (geom.n_layers / m)
-    return turned, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
-
-
-def _block_response(
-    diag: np.ndarray,
-    off: np.ndarray,
-    geom: ArrayGeometry,
-    rates: RateSet,
-    det: DetuningSpec,
-) -> UnitResponse:
-    """:func:`unit_response` of the Lanczos tridiagonal (``diag``, ``off``)
-    of ``geom``'s kernel, solved as its :func:`equivalent_stack`."""
-    drift = reduced_drift(diag, off, geom.n_layers, rates, det)
-    return unit_response(*equivalent_stack(drift, geom, rates))
-
-
 @one_blas_thread()
 def krylov_response(
     eps: np.ndarray,
@@ -341,28 +304,23 @@ def krylov_response(
     the collective mode, and the steady state on the Krylov space of
     the evanescent kernel (band ``eps``) from it is exact once the space
     is exhausted; before that it matches moments (Gauss quadrature of
-    the kernel's spectral measure).  Each m x m problem of
-    :func:`layers.reduced_drift` is solved as its m-layer
-    :func:`equivalent_stack`, so nothing N_z x N_z is built, and the
-    response carries the stack and the tridiagonal it converged on.
+    the kernel's spectral measure).  Each m x m problem is solved as its
+    m-layer :func:`layers.equivalent_stack`, so nothing N_z x N_z is
+    built, and the response carries the stack and the tridiagonal it
+    converged on.
     """
     n_z = geom.n_layers
-
-    def solve(diag: np.ndarray, off: np.ndarray) -> UnitResponse:
-        return _block_response(diag, off, geom, rates, det)
-
     first = previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
-        if exhausted:
-            return replace(solve(diag, off), lanczos=(diag, off))
-        if first is None:  # solved only if the space lasts to the next m
+        if first is None and not exhausted:  # solved only if the space lasts
             first = diag, off
             continue
-        if previous is None:
-            previous = solve(*first)
-        response = solve(diag, off)
-        if abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n) and (
-            abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
+        if previous is None and not exhausted:
+            previous = unit_response(*equivalent_stack(*first, geom, rates, det))
+        response = unit_response(*equivalent_stack(diag, off, geom, rates, det))
+        if exhausted or (
+            abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n)
+            and abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
         ):
             return replace(response, lanczos=(diag, off))
         previous = response
@@ -434,7 +392,8 @@ def oracle_stacks(
     diag, off = response.lanczos or ((), ())
     m = 1
     while m < len(diag) and pending:
-        rung = _block_response(diag[:m], off[: m - 1], geom, rates, det)
+        block = equivalent_stack(diag[:m], off[: m - 1], geom, rates, det)
+        rung = unit_response(*block)
         for i in list(pending):
             miss = abs(_xi2_or_nan(rung, specs[i]) - targets[i])
             if miss <= ORACLE_RTOL * abs(targets[i]):

@@ -123,6 +123,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     template: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
     template.update(validity_columns(report))
     template.update(purity=config.purity, r0=rates.r0, n_eff=report.n_eff)
+    specs = [SqueezedVacuumSpec(n, config.purity) for n in config.n_photons_grid]
     det = alpha = response = None
     # The first error of the detuning, the contrast and the numeric solve.
     setup_error = ""
@@ -153,17 +154,13 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             del kernel  # N_z x N_z, freed before the solve, where the memory peaks
             response = unit_response(drift, geom, rates)
         if want_mc:  # chosen here, so that the workers cannot change the choice
-            specs = [
-                SqueezedVacuumSpec(n_photons=n, purity=config.purity)
-                for n in config.n_photons_grid
-            ]
             stacks = oracle_stacks(response, specs, geom, rates, det)
     except _ROW_ERRORS as exc:
         setup_error = _error_text(exc)
 
-    def evaluate(item: tuple[int, float]) -> dict[str, Any]:
-        index, n_photons = item
-        spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
+    def evaluate(index: int) -> dict[str, Any]:
+        spec = specs[index]
+        n_photons = spec.n_photons
         row = template.copy()
         row["n_photons"] = n_photons
         row["xi2_field"] = input_quadrature_variance(spec)
@@ -197,7 +194,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             row["error"] = _error_text(exc)
         return row
 
-    items = list(enumerate(config.n_photons_grid))
+    items = range(len(specs))
     # Only trajectory points carry enough work to pay for a thread; the
     # others are closed-form evaluations of the one unit solve.
     if want_mc and config.workers > 1:

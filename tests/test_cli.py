@@ -10,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,23 @@ def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
     assert out == ""
     assert err.startswith("config error: mc: (t_burn + t_avg)/dt = ")
     assert "exceeds the budget of 1e+07" in err
+
+
+@pytest.mark.parametrize("spacing", ["1.0", "0.75"])
+def test_overflowing_residual_fails_every_row(capsys, spacing):
+    # At gamma_s = 1e300 the norm of the drift matrix overflows and the
+    # residual is NaN; the Krylov (1.0) and dense (0.75) routes both refuse
+    # it as a ResidualError, with no numpy warning on the way.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "numeric", "--set", "rates.gamma_s=1e300",
+            "--set", f"geometry.layer_spacing={spacing}",
+        )
+    assert code == 3
+    rows = parse_csv(out)
+    assert rows and all(row["error"].startswith("ResidualError: ") for row in rows)
+    assert caught == [] and "Warning" not in err
 
 
 # Every documented key that takes a number, and values that probe its

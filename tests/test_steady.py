@@ -691,26 +691,31 @@ def test_turned_reduced_process_carries_the_collective_mode(
 
 @pytest.mark.parametrize("m", [1, 2, 10, 160])
 def test_equivalent_stack_turns_as_the_dense_reflection(m):
-    # The turn applies H = I - 2 v v^T / v^T v as rank-one updates; it
-    # must give the dense H A H and H Q, exactly so at m = 1 where H = I.
+    # The builder applies H = I - 2 v v^T / v^T v to T_m as rank-one
+    # updates; its drift must be the dense H A_red H of the reduced drift
+    # A_red = beta I - i T_m - (gamma0 N_z/2) e1 e1^T, exactly so at m = 1
+    # where H = I, and its Schur factors must rebuild that drift.
     geom, rates = stack(2 * m + 1, lattice_const=0.9, gamma_s_frac=1e-3)
+    det = DetuningSpec(0.3)
     rng = np.random.default_rng(m)
-    drift = layers.reduced_drift(
-        rng.normal(size=m), rng.normal(size=m - 1), geom.n_layers, rates,
-        DetuningSpec(0.3),
-    )
-    turned, g, r = steady.equivalent_stack(drift, geom, rates)
+    diag, off = rng.normal(size=m), rng.normal(size=m - 1)
+    drift, g, r = layers.equivalent_stack(diag, off, geom, rates, det)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    a_red = (1j * det.eff_detuning - 0.5 * rates.gamma_s) * np.eye(m) - 1j * t
+    a_red[0, 0] -= 0.5 * rates.gamma0 * geom.n_layers
     v = np.full(m, -1.0 / math.sqrt(m))
     v[0] += 1.0
     h = np.eye(m) - (np.outer(v, v) * (2.0 / (v @ v)) if m > 1 else 0.0)
-    assert g.n_layers == m and r.gamma0 == rates.gamma0 * (geom.n_layers / m)
-    assert turned.schur_t is drift.schur_t and not turned.schur_q.flags.writeable
-    for got, want in ((turned.matrix, h @ drift.matrix @ h),
-                      (turned.schur_q, h @ drift.schur_q)):
-        scale = np.abs(want).max()
-        if m == 1:
-            assert np.array_equal(got, want)
-        assert np.abs(got - want).max() <= 1e-14 * scale
+    want = h @ a_red @ h
+    scale = np.abs(want).max()
+    if m == 1:
+        assert np.array_equal(drift.matrix, want)
+    assert np.abs(drift.matrix - want).max() <= 1e-14 * scale
+    q, tri = drift.schur_q, drift.schur_t
+    assert np.abs(q @ tri @ q.conj().T - drift.matrix).max() <= 1e-13 * scale
+    assert not q.flags.writeable and not tri.flags.writeable
+    assert g == dataclasses.replace(geom, n_layers=m)
+    assert r == dataclasses.replace(rates, gamma0=rates.gamma0 * (geom.n_layers / m))
 
 
 def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
@@ -898,6 +903,5 @@ def test_oracle_samples_the_first_block_within_tolerance(
     diag, off = response.lanczos
     m = 1
     while m < sampled[1].n_layers:  # every smaller block misses
-        block = layers.reduced_drift(diag[:m], off[: m - 1], n_layers, rates, det)
-        assert misses(steady.equivalent_stack(block, geom, rates))
+        assert misses(layers.equivalent_stack(diag[:m], off[: m - 1], geom, rates, det))
         m *= 2
