@@ -26,26 +26,26 @@ purity |c_m|/c_n.
 
 At integer layer spacing every phase is 1, and the drive, the collective
 mode and the radiative coupling all lie along the uniform vector.
-:func:`krylov_response` then solves the same two equations on the Krylov
-space of the banded evanescent kernel from that vector
+:func:`numeric_response` then solves the same two equations on the
+Krylov space of the banded evanescent kernel from that vector
 (:func:`layers.kernel_lanczos`): an m x m problem, m doubling from
-``KRYLOV_START`` until c_n and c_m move by less than ``KRYLOV_RTOL``.  It
-is exact once the space is exhausted and matches moments before that,
+``KRYLOV_START`` until c_n and c_m move by less than ``KRYLOV_RTOL``.
+It is exact once the space is exhausted and matches moments before that,
 which is Gauss quadrature of the kernel's spectral measure (Golub and
-Meurant, Matrices, Moments and Quadrature, 2010).  It costs O(N_z m (w +
-m)) for band width w instead of O(N_z^3).  The dense solve stays for
-other spacings.  The Krylov space and its orthogonal complement are both
-invariant under A, and the commutator kernel projects to
+Meurant, Matrices, Moments and Quadrature, 2010).  It costs
+O(N_z m (w + m)) for band width w instead of O(N_z^3); other spacings
+take the dense solve.  The Krylov space and its orthogonal complement
+are both invariant under A, and the commutator kernel projects to
 gamma0 N_z e1 e1^T + gamma_s I with no cross terms, so the collective
 mode's statistics are those of the m-dimensional process.  A Householder
 reflection of e1 onto the uniform vector makes that process an m-layer
 stack with coupling gamma0 N_z/m per layer, which
 :func:`layers.equivalent_stack` builds and factorises, and
-:func:`unit_response` solves it like any other stack.
-The trajectory oracle samples the equivalent stack of a leading block of
-the converged tridiagonal instead of the N_z-layer one: the smallest
-whose xi2 at the point's input is within ``ORACLE_RTOL`` of the numeric
-column (:func:`oracle_stacks`).
+:func:`unit_response` solves it like any other stack.  The trajectory
+oracle samples the equivalent stack of a leading block of the converged
+tridiagonal instead of the N_z-layer one: the smallest whose xi2 at the
+point's input is within ``ORACLE_RTOL`` of the numeric column
+(:func:`oracle_stacks`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,17 @@ from .analytic import DetuningSpec
 from .blas import one_blas_thread
 from .exceptions import ConvergenceError, PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
-from .layers import DriftMatrix, Stack, equivalent_stack, kernel_lanczos
+from .layers import (
+    DEFAULT_EPS_TOL,
+    DEFAULT_MAX_ORDER,
+    DriftMatrix,
+    Stack,
+    drift_matrix,
+    equivalent_stack,
+    evanescent_band,
+    interaction_kernel,
+    kernel_lanczos,
+)
 from .rates import RateSet
 from .squeezed_input import (
     DiffusionSet,
@@ -255,7 +265,7 @@ class UnitResponse:
     rates) that :func:`unit_response` solved: the N_z-layer stack on the
     dense route, :func:`layers.equivalent_stack` on the Krylov route.
     ``lanczos`` is the (diagonal, off-diagonal) of the tridiagonal that
-    :func:`krylov_response` converged on, ``None`` on the dense route;
+    :func:`numeric_response` converged on, ``None`` on the dense route;
     :func:`oracle_stacks` solves its leading blocks.
     """
 
@@ -292,24 +302,31 @@ def unit_response(
 
 
 @one_blas_thread()
-def krylov_response(
-    eps: np.ndarray,
+def numeric_response(
     geom: ArrayGeometry,
     rates: RateSet,
     det: DetuningSpec,
+    include_evanescent: bool = True,
+    tol: float = DEFAULT_EPS_TOL,
+    max_order: int = DEFAULT_MAX_ORDER,
 ) -> UnitResponse:
-    """:func:`unit_response` of a stack at integer layer spacing.
+    """:func:`unit_response` of ``geom``'s stack by the route its spacing allows.
 
-    Every phase is 1 there, so the uniform vector spans the drive and
-    the collective mode, and the steady state on the Krylov space of
-    the evanescent kernel (band ``eps``) from it is exact once the space
-    is exhausted; before that it matches moments (Gauss quadrature of
-    the kernel's spectral measure).  Each m x m problem is solved as its
-    m-layer :func:`layers.equivalent_stack`, so nothing N_z x N_z is
-    built, and the response carries the stack and the tridiagonal it
-    converged on.
+    At exact integer spacing every phase is 1, and the Krylov reduction
+    solves the m-layer :func:`layers.equivalent_stack` of m doubling Lanczos
+    steps until c_n and c_m settle; the response carries the last stack and
+    its tridiagonal.  Every other spacing, 1 + 1e-10 too, whose phases
+    drift along the stack, builds and solves the N_z x N_z drift matrix.
     """
+    if geom.layer_spacing != round(geom.layer_spacing):
+        kernel = interaction_kernel(geom, rates, tol, include_evanescent, max_order)
+        drift = drift_matrix(kernel, rates, det)
+        del kernel  # N_z x N_z, freed before the solve, where the memory peaks
+        return unit_response(drift, geom, rates)
     n_z = geom.n_layers
+    eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
+    if include_evanescent:
+        eps, _ = evanescent_band(geom, tol, max_order)
     first = previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
         if first is None and not exhausted:  # solved only if the space lasts

@@ -21,7 +21,6 @@ import numpy as np
 from .analytic import DetuningSpec, squeezing_contrast, xi2_min, xi2_min_vs_layers
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, ConvergenceError, SpinSqueezeError
-from .layers import drift_matrix, evanescent_band, interaction_kernel
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, linearizes, validity_report
 from .squeezed_input import (
@@ -30,7 +29,7 @@ from .squeezed_input import (
     input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import krylov_response, oracle_stacks, unit_response, xi2_from_response
+from .steady import numeric_response, oracle_stacks, xi2_from_response
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -100,17 +99,15 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     ``n_eff`` are computed once per sweep; each point adds what depends
     on N, up to ``valid_linearization`` and ``valid_all``.  The numeric
     model solves its drift matrix once, for unit sources, and evaluates
-    every point in closed form; at integer layer spacing that solve is
-    the Krylov reduction of :func:`steady.krylov_response`, and the
-    N_z x N_z drift matrix is built only at other spacings.  ``mc-check``
-    samples at each point the stack that :func:`steady.oracle_stacks`
-    picks before any trajectory runs.  Solver errors,
-    including an unstable drift matrix, an evanescent sum that does not
-    converge or numpy's ``LinAlgError`` (as a ``ConvergenceError``),
-    land in the ``error`` column of each row they affect instead of
-    aborting the whole sweep.  A detuning or contrast that cannot be
-    resolved fails every row, which keeps only the columns that do not
-    depend on it.
+    every point in closed form; :func:`steady.numeric_response` picks
+    the route.  ``mc-check`` samples at each point the stack that
+    :func:`steady.oracle_stacks` picks before any trajectory runs.
+    Solver errors, including an unstable drift matrix, an evanescent sum
+    that does not converge or numpy's ``LinAlgError`` (as a
+    ``ConvergenceError``), land in the ``error`` column of each row they
+    affect instead of aborting the whole sweep.  A detuning or contrast
+    that cannot be resolved fails every row, which keeps only the columns
+    that do not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -132,27 +129,9 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         template["eff_detuning"] = det.eff_detuning
         unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
         alpha = template["alpha_eff"] = squeezing_contrast(rates, unit, det)
-        # At integer spacing every phase is 1, and the solve and the
-        # trajectories both run on the Krylov-reduced process.
-        integer_spacing = geom.layer_spacing == round(geom.layer_spacing)
-        if want_numeric and integer_spacing:
-            eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
-            if config.include_evanescent:
-                eps, _ = evanescent_band(
-                    geom, config.kernel_tol, config.kernel_max_order
-                )
-            response = krylov_response(eps, geom, rates, det)
-        elif want_numeric:
-            kernel = interaction_kernel(
-                geom,
-                rates,
-                tol=config.kernel_tol,
-                include_evanescent=config.include_evanescent,
-                max_order=config.kernel_max_order,
-            )
-            drift = drift_matrix(kernel, rates, det)
-            del kernel  # N_z x N_z, freed before the solve, where the memory peaks
-            response = unit_response(drift, geom, rates)
+        if want_numeric:
+            response = numeric_response(geom, rates, det, config.include_evanescent,
+                                        config.kernel_tol, config.kernel_max_order)
         if want_mc:  # chosen here, so that the workers cannot change the choice
             stacks = oracle_stacks(response, specs, geom, rates, det)
     except _ROW_ERRORS as exc:

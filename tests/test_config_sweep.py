@@ -310,8 +310,7 @@ def test_run_sweep_matches_per_point_calls_bit_for_bit(
         return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("krylov_response", "unit_response"):
-            mp.setattr(sweep, name, record(getattr(sweep, name)))
+        mp.setattr(sweep, "numeric_response", record(sweep.numeric_response))
         rows = run_sweep(config)
     assert len(responses) == (model != "analytic")
     expected = _per_point_rows(config, responses[0] if responses else None)

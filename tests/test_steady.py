@@ -352,8 +352,9 @@ def test_contrast_above_one_is_refused_beyond_roundoff(monkeypatch):
     })
 
     def respond(alpha):
-        for route in ("unit_response", "krylov_response"):
-            monkeypatch.setattr(sweep, route, lambda *args: fake_response(alpha))
+        monkeypatch.setattr(
+            sweep, "numeric_response", lambda *args: fake_response(alpha)
+        )
 
     respond(1.0 + 1e-6)
     for row in run_sweep(config):
@@ -494,8 +495,7 @@ def dense_and_reduced(geom, rates, det):
     dense = unit_response(
         drift_matrix(interaction_kernel(geom, rates), rates, det), geom, rates
     )
-    eps = layers.evanescent_band(geom)[0]
-    return dense, steady.krylov_response(eps, geom, rates, det)
+    return dense, steady.numeric_response(geom, rates, det)
 
 
 def assert_same_response(dense, reduced, rel):
@@ -513,7 +513,9 @@ def test_krylov_route_without_evanescent_coupling_is_the_beam_splitter(n_layers)
         np.zeros(1), n_layers, steady.KRYLOV_START, steady.KRYLOV_CAP
     ))
     assert [(len(diag), exhausted) for diag, _, exhausted in steps] == [(1, True)]
-    response = steady.krylov_response(np.zeros(1), geom, rates, DetuningSpec(0.7))
+    response = steady.numeric_response(
+        geom, rates, DetuningSpec(0.7), include_evanescent=False
+    )
     g0, gs, eta = rates.gamma0, rates.gamma_s, rates.eta
     expected = eta * n_layers * g0 / (n_layers * g0 + gs)
     assert abs(response.c_n - expected) <= 1e-14 * expected
@@ -571,9 +573,7 @@ def test_krylov_route_refuses_what_the_dense_route_refuses(n_layers, gamma_s_fra
     kernel = interaction_kernel(geom, rates)
     routes = (
         lambda: drift_matrix(kernel, rates, det),
-        lambda: steady.krylov_response(
-            layers.evanescent_band(geom)[0], geom, rates, det
-        ),
+        lambda: steady.numeric_response(geom, rates, det),
     )
     for route in routes:
         if unstable:
@@ -595,7 +595,7 @@ def numeric_config(**keys):
 def test_integer_spacing_takes_the_krylov_route(monkeypatch):
     drifts = count_calls(monkeypatch, layers.drift_matrix)
     kernels = count_calls(monkeypatch, layers.interaction_kernel)
-    reduced = count_calls(monkeypatch, steady.krylov_response)
+    reduced = count_calls(monkeypatch, layers.kernel_lanczos)
     for spacing in ("1.0", "2"):
         for model in ("numeric", "both"):
             rows = run_sweep(numeric_config(geometry__layer_spacing=spacing,
@@ -615,7 +615,7 @@ def test_other_spacings_and_trajectories_stay_dense(monkeypatch, spacing, model)
     # reduction would drop.
     drifts = count_calls(monkeypatch, layers.drift_matrix)
     kernels = count_calls(monkeypatch, layers.interaction_kernel)
-    reduced = count_calls(monkeypatch, steady.krylov_response)
+    reduced = count_calls(monkeypatch, layers.kernel_lanczos)
     config = numeric_config(
         geometry__layer_spacing=spacing, geometry__n_layers="6", model=model,
         mc__n_traj="2", mc__t_burn="0", mc__t_avg="2",
@@ -629,7 +629,7 @@ def test_integer_spacing_trajectories_take_the_krylov_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense drift built at integer spacing")
 
-    reduced = count_calls(monkeypatch, steady.krylov_response)
+    reduced = count_calls(monkeypatch, layers.kernel_lanczos)
     rebind(monkeypatch, layers.interaction_kernel, refuse)
     rebind(monkeypatch, layers.drift_matrix, refuse)
     for spacing in ("1.0", "2"):
@@ -783,8 +783,7 @@ def test_krylov_route_doubles_until_settled(monkeypatch, n_layers):
     monkeypatch.setattr(steady, "collective_moments", spy)
     geom, rates = stack(n_layers, lattice_const=0.95, gamma_s_frac=1e-3)
     det = DetuningSpec(layers.delta_prime(geom))
-    eps = layers.evanescent_band(geom)[0]
-    response = steady.krylov_response(eps, geom, rates, det)
+    response = steady.numeric_response(geom, rates, det)
     assert (response.c_n, response.c_m) == solves[-1][1:]
     sizes = [size for size, _, _ in solves]
     changes = [
@@ -853,9 +852,7 @@ def test_oracle_climbs_where_the_contrast_deficit_is_amplified(monkeypatch):
     )
     assert layers_95 == [2, 5]
     geom, rates = stack(10, lattice_const=0.95)
-    response = steady.krylov_response(
-        layers.evanescent_band(geom)[0], geom, rates, DetuningSpec()
-    )
+    response = steady.numeric_response(geom, rates, DetuningSpec())
     assert response.stack[1].n_layers == 5
 
 
@@ -890,7 +887,7 @@ def test_oracle_samples_the_first_block_within_tolerance(
     geom, rates = stack(n_layers, lattice_const=lattice_const,
                         gamma_s_frac=10.0**log10_gamma_s)
     det = DetuningSpec(layers.delta_prime(geom) if corrected else 0.0)
-    response = steady.krylov_response(layers.evanescent_band(geom)[0], geom, rates, det)
+    response = steady.numeric_response(geom, rates, det)
     spec = SqueezedVacuumSpec(n_photons=10.0**log10_n_photons, purity=purity)
     target = xi2_from_response(response, spec).xi2
 
