@@ -66,6 +66,7 @@ from .steady import (
     SteadyStateMoments,
     UnitResponse,
     collective_moments,
+    numeric_response,
     solve_moments,
     unit_response,
     xi2_from_response,
@@ -114,6 +115,7 @@ __all__ = [
     "interaction_kernel",
     "load_config_file",
     "noise_diffusions",
+    "numeric_response",
     "overlap_chi",
     "overlap_efficiency",
     "parse_config_text",

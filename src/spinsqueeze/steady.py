@@ -55,6 +55,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import norm
 from scipy.linalg.lapack import ztrsyl
 
 from .analytic import DetuningSpec
@@ -122,6 +123,12 @@ class SteadyStateMoments:
     residual_m: float
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm by BLAS nrm2, which scales its sum of squares, so it
+    overflows only where the norm itself does; a NaN entry gives NaN."""
+    return norm(a.ravel("K"), check_finite=False)
+
+
 def _residual(
     a_left: np.ndarray,
     a_right: np.ndarray,
@@ -129,15 +136,11 @@ def _residual(
     source: np.ndarray,
 ) -> float:
     res = a_left @ x + x @ a_right + source
-    x_norm = np.linalg.norm(x)
-    scale = (
-        np.linalg.norm(a_left) * x_norm
-        + x_norm * np.linalg.norm(a_right)
-        + np.linalg.norm(source)
-    )
+    x_norm = _norm(x)
+    scale = _norm(a_left) * x_norm + x_norm * _norm(a_right) + _norm(source)
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(res) / scale)
+    return float(_norm(res) / scale)
 
 
 @one_blas_thread()
@@ -188,7 +191,7 @@ def solve_moments(
     n_mat = 0.5 * (n_mat + n_mat.conj().T)
     m_mat = 0.5 * (m_mat + m_mat.T)
 
-    # Norms near the float range overflow, and the NaN residual is refused.
+    # Products near the float range may overflow; a NaN residual is refused.
     with np.errstate(over="ignore", invalid="ignore"):
         res_n = _residual(a.conj(), a.T, n_mat, diff.s_n)
         res_m = _residual(a, a.T, m_mat, diff.s_m)

@@ -340,6 +340,23 @@ def test_unit_solve_failure_fills_every_row(monkeypatch, tmp_path):
     assert out.read_text().count("ResidualError: ") == 3
 
 
+@pytest.mark.parametrize("spacing", ["1.0", "0.75"])
+def test_nan_solve_is_refused(monkeypatch, spacing):
+    # A solve that returns NaN makes the residual NaN, which a plain
+    # "residual > limit" lets through; both routes must refuse it.
+    def nan_solve(r, u, s, v, q):
+        return np.full_like(q, np.nan)
+
+    monkeypatch.setattr(steady, "solve_sylvester", nan_solve)
+    rows = run_sweep(numeric_config(geometry__layer_spacing=spacing,
+                                    geometry__n_layers="6"))
+    for row in rows:
+        assert row["error"].startswith(
+            "ResidualError: steady-state solve residual nan"
+        )
+        assert row["xi2_numeric"] == ""
+
+
 def fake_response(alpha):
     return UnitResponse(c_n=0.5, c_m=-0.5 * alpha, residual_n=0.0, residual_m=0.0)
 
