@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConfigError, DomainError
 from .geometry import ArrayGeometry, BeamProfile
-from .layers import DEFAULT_EPS_TOL, DEFAULT_MAX_ORDER, delta_prime
+from .layers import delta_prime
 from .mc import McParams
 from .rates import RateSet, compute_rates, single_layer_rate, waist_for_overlap
 from .squeezed_input import MAX_PHOTONS
@@ -42,8 +42,6 @@ DEFAULTS: dict[str, str] = {
     "detuning.value": "0.0",
     "model": "both",
     "kernel.include_evanescent": "true",
-    "kernel.tol": repr(DEFAULT_EPS_TOL),
-    "kernel.max_order": str(DEFAULT_MAX_ORDER),
     "mc.dt": "0.05",
     "mc.t_burn": "50.0",
     "mc.t_avg": "500.0",
@@ -77,8 +75,6 @@ class ExperimentConfig:
     detuning_value: float
     model: str
     include_evanescent: bool
-    kernel_tol: float
-    kernel_max_order: int
     mc: McParams
     workers: int
     out_path: str
@@ -91,10 +87,9 @@ class ExperimentConfig:
             raise ConfigError(f"rates: {exc}") from exc
 
     def collective_shift(self) -> float:
-        """Signed evanescent shift delta' of the phase-matched mode."""
-        return delta_prime(
-            self.geometry, tol=self.kernel_tol, max_order=self.kernel_max_order
-        )
+        """Signed evanescent shift delta' of the phase-matched mode (0 without
+        the evanescent part)."""
+        return delta_prime(self.geometry) if self.include_evanescent else 0.0
 
 
 def resolve_config_path(name: str) -> str:
@@ -306,13 +301,6 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
     if workers < 1:
         raise ConfigError("key 'workers': must be at least 1")
 
-    kernel_tol = _parse_float(flat, "kernel.tol")
-    if kernel_tol <= 0.0:
-        raise ConfigError("key 'kernel.tol': must be positive")
-    kernel_max_order = _parse_int(flat, "kernel.max_order")
-    if kernel_max_order < 1:
-        raise ConfigError("key 'kernel.max_order': must be at least 1")
-
     return ExperimentConfig(
         geometry=geometry,
         beam=beam,
@@ -323,8 +311,6 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
         detuning_value=_parse_float(flat, "detuning.value"),
         model=_parse_choice(flat, "model", _MODELS),
         include_evanescent=_parse_bool(flat, "kernel.include_evanescent"),
-        kernel_tol=kernel_tol,
-        kernel_max_order=kernel_max_order,
         mc=mc,
         workers=workers,
         out_path=flat["output.path"],

@@ -345,11 +345,7 @@ def equivalent_stack(
     return drift, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 
-def delta_prime(
-    geom: ArrayGeometry,
-    tol: float = DEFAULT_EPS_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> float:
+def delta_prime(geom: ArrayGeometry) -> float:
     """Frequency shift of the phase-matched collective mode.
 
     Projecting the evanescent part of the kernel onto the travelling
@@ -368,7 +364,7 @@ def delta_prime(
     order.
     """
     n_z = geom.n_layers
-    eps, _ = evanescent_band(geom, tol, max_order)
+    eps, _ = evanescent_band(geom)
     seps = np.arange(1, min(len(eps), n_z))
     weights = (n_z - seps) * geom.layer_phases()[seps].real
     return float(2.0 / n_z * np.dot(weights, eps[seps]))

@@ -63,8 +63,6 @@ from .blas import one_blas_thread
 from .exceptions import ConvergenceError, PhysicalityError, ResidualError
 from .geometry import ArrayGeometry
 from .layers import (
-    DEFAULT_EPS_TOL,
-    DEFAULT_MAX_ORDER,
     DriftMatrix,
     Stack,
     drift_matrix,
@@ -84,7 +82,6 @@ from .squeezed_input import (
 )
 
 RESIDUAL_HARD_LIMIT = 1e-8
-RESIDUAL_TARGET = 1e-10
 # Largest excess of purity * alpha over 1 that is taken for roundoff and
 # clamped; a positive steady state has |c_m| <= c_n.
 CONTRAST_ROUNDOFF = 1e-12
@@ -135,6 +132,12 @@ def _residual(
     x: np.ndarray,
     source: np.ndarray,
 ) -> float:
+    # The equation is homogeneous in the drift and the source, so both are
+    # divided by the drift's largest entry (at least gamma0/2), which keeps
+    # their norms finite at the top of the float range.  x is not: near there
+    # it is itself subnormal, and its reciprocal would overflow.
+    peak = np.abs(a_right).max()
+    a_left, a_right, source = a_left / peak, a_right / peak, source / peak
     res = a_left @ x + x @ a_right + source
     x_norm = _norm(x)
     scale = _norm(a_left) * x_norm + x_norm * _norm(a_right) + _norm(source)
@@ -310,8 +313,6 @@ def numeric_response(
     rates: RateSet,
     det: DetuningSpec,
     include_evanescent: bool = True,
-    tol: float = DEFAULT_EPS_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> UnitResponse:
     """:func:`unit_response` of ``geom``'s stack by the route its spacing allows.
 
@@ -322,14 +323,14 @@ def numeric_response(
     drift along the stack, builds and solves the N_z x N_z drift matrix.
     """
     if geom.layer_spacing != round(geom.layer_spacing):
-        kernel = interaction_kernel(geom, rates, tol, include_evanescent, max_order)
+        kernel = interaction_kernel(geom, rates, include_evanescent=include_evanescent)
         drift = drift_matrix(kernel, rates, det)
         del kernel  # N_z x N_z, freed before the solve, where the memory peaks
         return unit_response(drift, geom, rates)
     n_z = geom.n_layers
     eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
     if include_evanescent:
-        eps, _ = evanescent_band(geom, tol, max_order)
+        eps, _ = evanescent_band(geom)
     first = previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
         if first is None and not exhausted:  # solved only if the space lasts

@@ -130,8 +130,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
         alpha = template["alpha_eff"] = squeezing_contrast(rates, unit, det)
         if want_numeric:
-            response = numeric_response(geom, rates, det, config.include_evanescent,
-                                        config.kernel_tol, config.kernel_max_order)
+            response = numeric_response(geom, rates, det, config.include_evanescent)
         if want_mc:  # chosen here, so that the workers cannot change the choice
             stacks = oracle_stacks(response, specs, geom, rates, det)
     except _ROW_ERRORS as exc:

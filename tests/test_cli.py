@@ -222,7 +222,7 @@ def test_all_points_failing_exits_three(monkeypatch, capsys):
         ),
         (
             "numeric",
-            "kernel.max_order=2",
+            "geometry.layer_spacing=0.1",
             "ConvergenceError: evanescent sum for separation 1",
         ),
     ],
@@ -254,7 +254,7 @@ def test_unresolvable_detuning_fills_every_row(capsys):
     code = cli.main([
         "sweep",
         "--set", "detuning.mode=delta-prime-corrected",
-        "--set", "kernel.max_order=2",
+        "--set", "geometry.layer_spacing=0.1",
         "--set", "input.n_photons=1,10",
     ])
     captured = capsys.readouterr()
@@ -270,6 +270,24 @@ def test_unresolvable_detuning_fills_every_row(capsys):
         )
         assert all(row[column] != "" for column in kept)
         assert row["eff_detuning"] == row["xi2_analytic"] == row["xi2_numeric"] == ""
+
+
+def test_no_collective_shift_without_the_evanescent_part(capsys):
+    # delta' is the shift that the evanescent coupling gives the
+    # phase-matched mode.  With that coupling off there is no shift, and
+    # the corrected drive is the resonant one.
+    args = ["--set", "kernel.include_evanescent=false",
+            "--set", "geometry.lattice_const=0.95"]
+    code, out, _ = run_cli(capsys, "rates", *args)
+    assert code == 0
+    assert float(parse_csv(out)[0]["delta_prime"]) == 0.0
+    resonant, corrected = (
+        run_cli(capsys, "sweep", *args, "--set", f"detuning.mode={mode}",
+                "--set", "input.n_photons=1,10")
+        for mode in ("on-resonance", "delta-prime-corrected")
+    )
+    assert resonant[0] == 0
+    assert corrected == resonant
 
 
 def test_linalg_error_fills_the_row_error(capsys, monkeypatch):
@@ -473,8 +491,8 @@ NUMERIC_KEYS = [
     "geometry.n_side", "geometry.lattice_const", "geometry.n_layers",
     "geometry.layer_spacing", "beam.waist", "beam.eta", "rates.gamma_s",
     "rates.gamma_s_over_gamma0", "input.n_photons", "input.purity",
-    "detuning.value", "kernel.tol", "kernel.max_order", "mc.dt", "mc.t_burn",
-    "mc.t_avg", "mc.n_traj", "seed", "workers",
+    "detuning.value", "mc.dt", "mc.t_burn", "mc.t_avg", "mc.n_traj", "seed",
+    "workers",
 ]
 HOSTILE_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "", "1e-154", "abc"]
 COMMANDS = [
@@ -671,7 +689,9 @@ def test_fig_commands_validate_their_config(tmp_path, capsys):
 
 
 def test_fig_command_fails_when_every_row_fails(tmp_path, capsys):
-    code = cli.main(["fig3b", "--set", "kernel.max_order=2", "--out", str(tmp_path)])
+    code = cli.main([
+        "fig3b", "--set", "geometry.layer_spacing=0.1", "--out", str(tmp_path),
+    ])
     captured = capsys.readouterr()
     assert code == 3
     assert "every grid point failed" in captured.err

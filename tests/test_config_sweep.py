@@ -117,7 +117,8 @@ def test_build_config_exclusions_and_validation():
         build_config({"beam.waist": "40", "beam.eta": "0.9"})
     with pytest.raises(ConfigError):
         build_config({"rates.gamma_s": "0.01", "rates.gamma_s_over_gamma0": "0.1"})
-    for retired in ("mc.method", "input.alpha_override"):
+    for retired in ("mc.method", "input.alpha_override", "kernel.tol",
+                    "kernel.max_order"):
         with pytest.raises(ConfigError, match="unknown key"):
             build_config({retired: "1"})
     with pytest.raises(ConfigError):
@@ -132,8 +133,6 @@ def test_build_config_exclusions_and_validation():
         build_config({"workers": "0"})
     with pytest.raises(ConfigError):
         build_config({"geometry.n_side": "12.5"})
-    with pytest.raises(ConfigError):
-        build_config({"kernel.tol": "-1e-10"})
 
 
 def test_gamma_s_alone_replaces_the_relative_default():

@@ -40,6 +40,9 @@ from spinsqueeze.steady import (
     xi2_from_response,
 )
 
+# Relative residual that a well-conditioned solve stays below.
+RESIDUAL_TARGET = 1e-10
+
 
 def stack(n_layers, lattice_const=0.68, layer_spacing=1.0, eta=0.99,
           gamma_s_frac=0.1):
@@ -284,7 +287,7 @@ def test_unit_response_keeps_the_unit_solve_residuals():
     assert (response.residual_n, response.residual_m) == (
         unit.residual_n, unit.residual_m
     )
-    assert max(response.residual_n, response.residual_m) < steady.RESIDUAL_TARGET
+    assert max(response.residual_n, response.residual_m) < RESIDUAL_TARGET
 
 
 def rebind(monkeypatch, fn, replacement):
@@ -354,6 +357,23 @@ def test_nan_solve_is_refused(monkeypatch, spacing):
         assert row["error"].startswith(
             "ResidualError: steady-state solve residual nan"
         )
+        assert row["xi2_numeric"] == ""
+
+
+@pytest.mark.parametrize("factor", [3.0, 1.0 + 1e-6])
+@pytest.mark.parametrize("gamma_s", ["1.7e308", "0.1"])
+@pytest.mark.parametrize("spacing", ["1.0", "0.75"])
+def test_wrong_solve_is_refused_up_to_the_float_range(monkeypatch, spacing,
+                                                      gamma_s, factor):
+    # The norm of a drift matrix near the top of the float range overflows;
+    # unscaled, the residual read 0 there and passed any solve.
+    solve = steady.solve_sylvester
+    monkeypatch.setattr(steady, "solve_sylvester",
+                        lambda *args: factor * solve(*args))
+    rows = run_sweep(numeric_config(geometry__layer_spacing=spacing,
+                                    rates__gamma_s=gamma_s))
+    for row in rows:
+        assert row["error"].startswith("ResidualError: steady-state solve residual")
         assert row["xi2_numeric"] == ""
 
 
@@ -746,8 +766,13 @@ def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
 
 
 def test_krylov_route_reports_a_truncated_band_per_row(monkeypatch):
+    # At integer spacing the default shell cap always converges, so the
+    # band is cut to two shells here to make it fail.
+    band = steady.evanescent_band
+    monkeypatch.setattr(steady, "evanescent_band",
+                        lambda geom: band(geom, max_order=2))
     drifts = count_calls(monkeypatch, layers.drift_matrix)
-    rows = run_sweep(numeric_config(model="both", kernel__max_order="2"))
+    rows = run_sweep(numeric_config(model="both"))
     for row in rows:
         assert row["error"].startswith("ConvergenceError: evanescent sum")
         assert row["xi2_numeric"] == ""
