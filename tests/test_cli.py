@@ -464,13 +464,14 @@ def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
     assert "exceeds the budget of 1e+07" in err
 
 
-@pytest.mark.parametrize("gamma_s", ["1e200", "1e300"])
+@pytest.mark.parametrize("gamma_s", ["1e200", "1e300", "1.7e308"])
 @pytest.mark.parametrize("spacing", ["1.0", "0.75"])
 def test_extreme_loss_rate_solves_without_overflow(capsys, spacing, gamma_s):
     # The squared entries of a drift matrix with gamma_s past about 1e154
-    # overflow, but the residual's scaled norms do not: the Krylov (1.0)
-    # and dense (0.75) routes both return xi2 = 1, the answer when the
-    # loss swamps the collective decay, with no numpy warning on the way.
+    # overflow, and at 1.7e308 its norm itself, but the residual's scaled
+    # norms do not: the Krylov (1.0) and dense (0.75) routes both return
+    # xi2 = 1, the answer when the loss swamps the collective decay, with
+    # no numpy warning on the way.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(

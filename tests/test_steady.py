@@ -365,8 +365,8 @@ def test_nan_solve_is_refused(monkeypatch, spacing):
 @pytest.mark.parametrize("spacing", ["1.0", "0.75"])
 def test_wrong_solve_is_refused_up_to_the_float_range(monkeypatch, spacing,
                                                       gamma_s, factor):
-    # The norm of a drift matrix near the top of the float range overflows;
-    # unscaled, the residual read 0 there and passed any solve.
+    # Near the top of the float range the drift matrix's own norm
+    # overflows; the residual must scale it away to still see a wrong solve.
     solve = steady.solve_sylvester
     monkeypatch.setattr(steady, "solve_sylvester",
                         lambda *args: factor * solve(*args))
@@ -766,8 +766,8 @@ def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
 
 
 def test_krylov_route_reports_a_truncated_band_per_row(monkeypatch):
-    # At integer spacing the default shell cap always converges, so the
-    # band is cut to two shells here to make it fail.
+    # The default shell cap converges at integer spacing (a up to 0.99 was
+    # tried), so the band is cut at |m|^2 = 2 here to make it fail.
     band = steady.evanescent_band
     monkeypatch.setattr(steady, "evanescent_band",
                         lambda geom: band(geom, max_order=2))
