@@ -11,7 +11,10 @@ the Sylvester solve, through entirely different code.  Each step
 integrates the process exactly over dt, so the comparison carries no
 step-size bias.  The steps are linear in the state and the normals, so
 they run a chunk of several at a time through one precomputed transfer
-operator, with the same normals in the same order as step by step.
+operator, with the same normals in the same order as step by step, and
+one product through a block-Toeplitz operator of the chunk carry's
+powers carries the state across a group of chunks, the way a prefix scan
+carries a linear recurrence.
 
 The sweep runs this sampler on the stack that :func:`steady.oracle_stacks`
 picks for each grid point: at integer layer spacing an equivalent stack
@@ -52,6 +55,12 @@ _BLOCK_STEPS = 512
 # bounds the chunk operator at _CHUNK_ROWS x (2 chunk + 2 N_z).
 _CHUNK_STEPS = 8
 _CHUNK_ROWS = 4096
+# Quadratures carried per product: a group of _CARRY_ROWS // 2 N_z chunks,
+# one chunk once the state is wider than half of it, so the carry operator
+# is at most max(_CARRY_ROWS, 2 N_z) square.  On one thread, with 64
+# trajectories, wider groups lose more to the operator's product, which
+# grows as the group squared, than they save in Python steps.
+_CARRY_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -172,13 +181,20 @@ def _step_operators(
 
 def _chunk_operators(
     phi: np.ndarray, noise: np.ndarray, proj_xy: np.ndarray, length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk operator K and carry operator C of ``length`` exact steps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chunk operator K, amplitude operator A and carry operator U of
+    ``length`` exact steps.
 
     For row states, s_k = s_0 P^k + sum_{j<k} z_j N^T P^{k-1-j} with
-    P = Phi^T.  C = [P^k proj_xy for k = 1..length, P^length] maps s_0
-    to the amplitudes (x, y) after every step and to the end state; K
-    maps the chunk's normals (z_0, ..., z_{length-1}) to the same outputs.
+    P = Phi^T.  A = [P^k proj_xy for k = 1..length] maps s_0 to the
+    amplitudes (x, y) after every step; K maps the chunk's normals
+    (z_0, ..., z_{length-1}) to the same amplitudes and to the end state.
+    With C = P^length the chunk carry, a chunk starting at s ends at
+    s C + e, where e is K's end-state part.  Over a group of G chunks,
+    chunk i then starts at s_0 C^i + sum_{j<i} e_j C^{i-1-j}, so U is the
+    block upper-triangular Toeplitz matrix with block (r, i) = C^{i+1-r}
+    for i >= r: [s_0, e_0, ..., e_{G-2}] U + [e_0, ..., e_{G-1}] gives
+    the starts of chunks 1..G, the last one the group's end state.
     """
     n2 = len(phi)
     powers = [np.eye(n2)]
@@ -192,23 +208,45 @@ def _chunk_operators(
         )
         for j in range(length)
     ])
-    return chunk, np.hstack([amps[:, 2:], powers[-1]])
+    group = max(1, _CARRY_ROWS // n2)
+    carries = [powers[-1]]
+    for _ in range(group - 1):
+        carries.append(carries[-1] @ powers[-1])
+    row = np.hstack(carries)
+    carry = np.zeros((group * n2, group * n2))
+    for r in range(group):
+        carry[r * n2 : (r + 1) * n2, r * n2 :] = row[:, : (group - r) * n2]
+    return chunk, amps[:, 2:], carry
 
 
 def _propagate(
-    state: np.ndarray, z: np.ndarray, chunk: np.ndarray, carry: np.ndarray
+    state: np.ndarray,
+    z: np.ndarray,
+    chunk: np.ndarray,
+    amps: np.ndarray,
+    carry: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes (x, y) after every step, (n_traj, steps, 2), and the end
     state of ``state`` run through the chunks of normals ``z``,
-    (n_traj, chunks, length 2m)."""
-    width = carry.shape[1] - len(carry)
+    (n_traj, chunks, length 2m).  Row i + 1 of ``starts`` holds chunk
+    i's noise-driven end state e_i until the product through ``carry``
+    for its group adds the carried part and leaves chunk i + 1's start."""
+    n_traj, n_chunks, _ = z.shape
+    n2 = state.shape[1]
+    width = amps.shape[1]
+    group = len(carry) // n2
     driven = z @ chunk
-    starts = np.empty(z.shape[:2] + state.shape[1:])
-    for i in range(z.shape[1]):
-        starts[:, i] = state
-        state = state @ carry[:, width:] + driven[:, i, width:]
-    xy = driven[..., :width] + starts @ carry[:, :width]
-    return xy.reshape(len(state), -1, 2), state
+    starts = np.empty((n_traj, n_chunks + 1, n2))
+    starts[:, 0] = state
+    starts[:, 1:] = driven[..., width:]
+    for lo in range(0, n_chunks, group):
+        hi = min(lo + group, n_chunks)
+        span = (hi - lo) * n2
+        starts[:, lo + 1 : hi + 1] += (
+            starts[:, lo:hi].reshape(n_traj, span) @ carry[:span, :span]
+        ).reshape(n_traj, hi - lo, n2)
+    xy = driven[..., :width] + starts[:, :-1] @ amps
+    return xy.reshape(n_traj, -1, 2), starts[:, -1]
 
 
 @one_blas_thread()
@@ -232,11 +270,14 @@ def simulate_xi2(
     trajectory fills its rows of a preallocated normal buffer from its
     own Philox stream; one batched product through the chunk operator of
     :func:`_chunk_operators` gives every chunk's noise-driven amplitudes
-    and end state, a loop over the chunks carries the state from one to
-    the next, and one more product adds the carried part to the
-    amplitudes.  The steps past burn-in are then accumulated.  The normal
-    buffer, not the run length, sets the peak memory.  The products are
-    too small for a second OpenBLAS thread to pay, so they run on one.
+    and end state, one product through its block-Toeplitz carry operator
+    per group of chunks (:data:`_CARRY_ROWS` over the state width, at
+    least one) gives every chunk's start state and the block's end state,
+    and one more product adds the carried part to the amplitudes.  One
+    batched Gram product then accumulates the steps past burn-in.  The
+    normal buffer, not the run length, sets the peak memory.  The
+    products are too small for a second OpenBLAS thread to pay, so they
+    run on one.
     """
     gen = stacked_drift(drift)
     cov = stacked_covariance(diff)
@@ -269,9 +310,8 @@ def simulate_xi2(
     xy = np.empty((n_traj, block, 2))
     state = np.zeros((n_traj, n2))
     # Per trajectory, over the averaging window, with P = x + iy the
-    # collective amplitude: the sums of x^2 and y^2, and the sum of xy.
-    acc_sq = np.zeros((n_traj, 2))
-    acc_xy = np.zeros(n_traj)
+    # collective amplitude: the Gram matrix of (x, y), [[xx, xy], [xy, yy]].
+    acc = np.zeros((n_traj, 2, 2))
 
     done = 0
     while done < n_steps:
@@ -284,8 +324,7 @@ def simulate_xi2(
         xy[:, :padded], state = _propagate(state, z, *ops)
         # Step done + t + 1 is averaged once it is past burn-in.
         kept = xy[:, max(0, n_burn - done) : blen]
-        acc_sq += np.einsum("tsi,tsi->ti", kept, kept)
-        acc_xy += np.einsum("ts,ts->t", kept[..., 0], kept[..., 1])
+        acc += kept.transpose(0, 2, 1) @ kept
         done += blen
         # Written so that NaN, which compares False, also counts as divergence.
         if not float(np.max(np.abs(state))) <= _DIVERGENCE_BOUND:
@@ -297,8 +336,8 @@ def simulate_xi2(
             )
 
     # |P|^2 = x^2 + y^2 and P^2 = x^2 - y^2 + 2ixy.
-    a2 = (acc_sq[:, 0] + acc_sq[:, 1]) / n_avg
-    b = (acc_sq[:, 0] - acc_sq[:, 1] + 2j * acc_xy) / n_avg
+    a2 = (acc[:, 0, 0] + acc[:, 1, 1]) / n_avg
+    b = (acc[:, 0, 0] - acc[:, 1, 1] + 2j * acc[:, 0, 1]) / n_avg
     b_mean = complex(np.mean(b))
     if b_mean == 0:
         rotation = 1.0 + 0.0j

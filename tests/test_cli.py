@@ -511,9 +511,9 @@ COMMANDS = [
 @given(
     command=st.sampled_from(COMMANDS),
     overrides=st.builds(
-        lambda key, value: [f"{key}={value}"],
-        st.sampled_from(NUMERIC_KEYS),
-        st.sampled_from(HOSTILE_VALUES),
+        lambda keys, values: [f"{k}={v}" for k, v in zip(keys, values)],
+        st.lists(st.sampled_from(NUMERIC_KEYS), min_size=2, max_size=2, unique=True),
+        st.lists(st.sampled_from(HOSTILE_VALUES), min_size=2, max_size=2),
     ),
 )
 @example(

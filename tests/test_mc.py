@@ -36,8 +36,10 @@ from spinsqueeze.exceptions import DomainError, PhysicalityError, StabilityError
 from spinsqueeze.layers import DriftMatrix
 from spinsqueeze.mc import (
     _BLOCK_STEPS,
+    _CARRY_ROWS,
     _CHUNK_ROWS,
     _CHUNK_STEPS,
+    _chunk_operators,
     _psd_sqrt,
     _step_operators,
 )
@@ -283,10 +285,13 @@ def test_nan_divergence_is_caught():
 
 # The first layer count whose 2 N_z quadratures halve the chunk.
 CLAMP_LAYERS = _CHUNK_ROWS // (2 * _CHUNK_STEPS) + 1
+# The first layer count whose state is carried one chunk per product.
+GROUP_LAYERS = _CARRY_ROWS // 4 + 1
 
-# (layers, burn-in steps, averaged steps) around the block and chunk
-# boundaries.  The chunk divides the block, so every block boundary is
-# also a chunk boundary.
+# (layers, burn-in steps, averaged steps) around the block, chunk and
+# carry-group boundaries.  The chunk divides the block, so every block
+# boundary is also a chunk boundary; a group need not divide the block,
+# so a block's last group may be short.
 BLOCK_CASES = {
     "no-burn-in": (2, 0, 700),
     "burn-in-ends-mid-second-block": (2, _BLOCK_STEPS + 188, 600),
@@ -298,12 +303,39 @@ BLOCK_CASES = {
     "run-not-a-multiple-of-the-chunk": (2, 1, 40 * _CHUNK_STEPS + 2),
     "widest-full-chunk": (CLAMP_LAYERS - 1, 5, 3 * _CHUNK_STEPS + 1),
     "first-clamped-chunk": (CLAMP_LAYERS, 5, 3 * _CHUNK_STEPS + 1),
+    "widest-grouped-carry": (GROUP_LAYERS - 1, 5, 8 * _CHUNK_STEPS + 1),
+    "first-ungrouped-carry": (GROUP_LAYERS, 5, 8 * _CHUNK_STEPS + 1),
+    "one-layer-blocks-then-padded-block": (1, 40, 3 * _BLOCK_STEPS + 5 * _CHUNK_STEPS + 3),
 }
 
 
 def test_chunk_tiles_the_block():
     assert _CHUNK_STEPS & (_CHUNK_STEPS - 1) == 0
     assert _BLOCK_STEPS % _CHUNK_STEPS == 0
+
+
+@pytest.mark.parametrize(
+    "n_layers, grouped",
+    [(1, True), (GROUP_LAYERS - 1, True), (GROUP_LAYERS, False),
+     (CLAMP_LAYERS, False), (400, False)],
+)
+def test_carry_operator_size_follows_the_state_width(n_layers, grouped):
+    # The carry operator of a group of G chunks is G 2N_z square, at most
+    # _CARRY_ROWS square while G > 1.  From GROUP_LAYERS on, G = 1 and it
+    # is the chunk carry itself, as wide as the state and no wider, so
+    # the dense route's memory and per-chunk products stay as they were.
+    n2 = 2 * n_layers
+    length = _CHUNK_STEPS
+    while length > 1 and length * n2 > _CHUNK_ROWS:
+        length //= 2
+    phi = np.diag(np.linspace(0.5, 0.9, n2))
+    _, _, carry = _chunk_operators(phi, np.eye(n2), np.ones((n2, 2)), length)
+    assert (len(carry) > n2) == grouped
+    assert carry.shape == (len(carry), len(carry))
+    assert len(carry) <= max(_CARRY_ROWS, n2)
+    np.testing.assert_allclose(
+        carry[:n2, :n2], np.diag(np.diag(phi) ** length), rtol=1e-14, atol=0.0
+    )
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
