@@ -305,7 +305,9 @@ BLOCK_CASES = {
     "first-clamped-chunk": (CLAMP_LAYERS, 5, 3 * _CHUNK_STEPS + 1),
     "widest-grouped-carry": (GROUP_LAYERS - 1, 5, 8 * _CHUNK_STEPS + 1),
     "first-ungrouped-carry": (GROUP_LAYERS, 5, 8 * _CHUNK_STEPS + 1),
-    "one-layer-blocks-then-padded-block": (1, 40, 3 * _BLOCK_STEPS + 5 * _CHUNK_STEPS + 3),
+    "one-layer-blocks-then-padded-block": (
+        1, 40, 3 * _BLOCK_STEPS + 5 * _CHUNK_STEPS + 3
+    ),
 }
 
 
