@@ -74,11 +74,6 @@ class ArrayGeometry:
     def atoms_per_layer(self) -> int:
         return self.n_side * self.n_side
 
-    @property
-    def axial_phase(self) -> float:
-        """Phase accumulated between adjacent layers, 2*pi*layer_spacing."""
-        return TWO_PI * self.layer_spacing
-
     def layer_phases(self) -> np.ndarray:
         """Phase factors e^{i k a_z n} of layers n = 0 ... N_z - 1, reduced
         mod one turn first so that they do not drift with n: every factor

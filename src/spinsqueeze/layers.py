@@ -276,7 +276,8 @@ def kernel_lanczos(
     vanishing off-diagonal ends the iteration with T_m exact on the
     Krylov space of the uniform vector.  The even modes number
     ceil(N_z/2), so m is clamped to ceil(N_z/2) + 1, which leaves one
-    step for rounding: a cap at or past it always ends exhausted.
+    step for rounding: a cap at or past it always ends exhausted.  Even
+    modes that start and 2 start would span are taken whole in one rung.
     """
     band = np.asarray(eps[1:n_z], dtype=float)
     stencil = np.concatenate((band[::-1], [0.0], band))
@@ -284,8 +285,9 @@ def kernel_lanczos(
     basis = np.full((1, n_z), 1.0 / math.sqrt(n_z))
     diag: list[float] = []
     off: list[float] = []
-    cap = min(cap, (n_z + 1) // 2 + 1)
-    m = min(start, cap)
+    even = (n_z + 1) // 2
+    cap = min(cap, even + 1)
+    m = min(start if even > 2 * start else even + 1, cap)
     while len(diag) < m:
         basis = np.concatenate((basis, np.empty((m + 1 - len(basis), n_z))))
         for j in range(len(diag), m):

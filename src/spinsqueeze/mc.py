@@ -124,12 +124,16 @@ def stacked_covariance(diff: DiffusionSet) -> np.ndarray:
     semidefinite for a physical drive, up to the rounding of its own
     scale: a pure squeezed vacuum of N photons puts eigenvalues of order
     N next to ones of order 1, and rounds the small ones by about eps N.
+    One past the float range is a :class:`DomainError`.
     """
-    sigma = diff.s_n + 0.5 * diff.comm
-    r = diff.s_m
-    zero = np.zeros_like(sigma)
-    cov = np.block([[0.5 * (sigma + r), zero], [zero, 0.5 * (sigma - r)]])
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = diff.s_n + 0.5 * diff.comm
+        r = diff.s_m
+        zero = np.zeros_like(sigma)
+        cov = np.block([[0.5 * (sigma + r), zero], [zero, 0.5 * (sigma - r)]])
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise DomainError("stacked noise covariance overflows the float range")
     eigs = np.linalg.eigvalsh(cov)
     min_eig = float(eigs[0])
     if min_eig < -_PSD_RTOL * float(np.abs(eigs).max()):
@@ -160,18 +164,21 @@ def _step_operators(
     e^{|G| h}, and the product that forms the covariance cancels as it
     does, so the block is taken at h = dt / 2^k with ||G||_1 h <= 1/2
     and k doublings Q <- Q + Phi Q Phi^T, Phi <- Phi^2 carry the step to
-    dt (Van Loan, IEEE TAC 23, 395, 1978).
+    dt (Van Loan, IEEE TAC 23, 395, 1978).  expm scales the block by its
+    norm, so it holds cov / max|cov|, in which Q is linear: a bright drive
+    then costs Phi no accuracy.
     """
     n2 = gen.shape[0]
     reach = 2.0 * float(np.linalg.norm(gen, 1)) * dt
     doublings = math.ceil(math.log2(reach)) if reach > 1.0 else 0
+    unit = float(np.abs(cov).max())
     block = np.zeros((2 * n2, 2 * n2))
     block[:n2, :n2] = -gen
-    block[:n2, n2:] = cov
+    block[:n2, n2:] = cov / unit
     block[n2:, n2:] = gen.T
     e = expm(block * math.ldexp(dt, -doublings))
     phi = e[n2:, n2:].T
-    q = phi @ e[:n2, n2:]
+    q = unit * (phi @ e[:n2, n2:])
     for _ in range(doublings):
         q = q + phi @ q @ phi.T
         phi = phi @ phi

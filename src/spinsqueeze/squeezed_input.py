@@ -10,7 +10,7 @@ leaving N untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,20 +143,19 @@ def moment_diffusions(
     The travelling drive addresses layer n with phase k a_z n, so the
     occupation source depends on separations, cos(k a_z (n - m)), while
     the anomalous source depends on the total phase, cos(k a_z (n + m)).
-    The commutator kernel is the phase-matched vacuum decay plus the
-    local extra loss.  ``s_n`` is linear in N and ``s_m`` in M, which is
-    what lets one solve at N = M = 1 serve every input
-    (:func:`steady.unit_response`).
+    Both index the real part of :meth:`ArrayGeometry.layer_phases` over
+    2 N_z - 1 layers, the phases the kernel reads, so the commutator
+    kernel, the phase-matched vacuum decay plus the local extra loss, is
+    exactly -(A + A^H) of the drift matrix at every spacing.  ``s_n`` is
+    linear in N and ``s_m`` in M, which is what lets one solve at
+    N = M = 1 serve every input (:func:`steady.unit_response`).
     """
     n_z = geom.n_layers
-    kaz = geom.axial_phase
+    cosines = replace(geom, n_layers=2 * n_z - 1).layer_phases().real
     idx = np.arange(n_z)
-    diff_phase = kaz * (idx[:, None] - idx[None, :])
-    sum_phase = kaz * (idx[:, None] + idx[None, :])
-
     drive = rates.eta * rates.gamma0
-    cos_diff = np.cos(diff_phase)
+    cos_diff = cosines[np.abs(np.subtract.outer(idx, idx))]
     s_n = drive * n_phot * cos_diff
-    s_m = -drive * m_anom * np.cos(sum_phase)
+    s_m = -drive * m_anom * cosines[np.add.outer(idx, idx)]
     comm = rates.gamma0 * cos_diff + rates.gamma_s * np.eye(n_z)
     return DiffusionSet(s_n=s_n, s_m=s_m, comm=comm)

@@ -331,15 +331,10 @@ def numeric_response(
     eps = np.zeros(1)  # eps(0) alone: no evanescent coupling
     if include_evanescent:
         eps, _ = evanescent_band(geom)
-    first = previous = None
+    previous = None
     for diag, off, exhausted in kernel_lanczos(eps, n_z, KRYLOV_START, KRYLOV_CAP):
-        if first is None and not exhausted:  # solved only if the space lasts
-            first = diag, off
-            continue
-        if previous is None and not exhausted:
-            previous = unit_response(*equivalent_stack(*first, geom, rates, det))
         response = unit_response(*equivalent_stack(diag, off, geom, rates, det))
-        if exhausted or (
+        if exhausted or previous is not None and (
             abs(response.c_n - previous.c_n) <= KRYLOV_RTOL * abs(response.c_n)
             and abs(response.c_m - previous.c_m) <= KRYLOV_RTOL * abs(response.c_m)
         ):

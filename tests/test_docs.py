@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from spinsqueeze import layers, steady
 from spinsqueeze.config import DEFAULTS
 from spinsqueeze.sweep import PRESETS
 
@@ -47,4 +48,33 @@ def test_config_reference_lists_every_preset_with_its_keys():
         documented[cells[0]] = dict(pairs), tuple(re.findall(r"`([^`]+)`", cells[2]))
     assert documented == {
         fid: (preset.keys, preset.varies) for fid, preset in PRESETS.items()
+    }
+
+
+def documented_numbers(text, pattern):
+    """Every number that ``pattern``'s group matches in ``text``, commas
+    dropped; words of the pattern may break across lines."""
+    found = re.findall(pattern.replace(" ", r"\s+"), text)
+    assert found, f"docs/config.md no longer says {pattern!r}"
+    return {float(value.replace(",", "")) for value in found}
+
+
+def test_config_reference_states_the_solver_constants():
+    text = (ROOT / "docs" / "config.md").read_text(encoding="utf-8")
+    cap = steady.KRYLOV_CAP
+    assert documented_numbers(text, r"`KRYLOV_CAP` = ([\d,]+)") == {cap}
+    assert documented_numbers(text, r"after ([\d,]+) Lanczos steps") == {cap}
+    # The exhaustion clamp ceil(N_z/2) + 1 stays within the cap up to
+    # 2 (cap - 1) layers.
+    assert documented_numbers(text, r"up to ([\d,]+) layers") == {2 * (cap - 1)}
+    assert documented_numbers(text, r"It takes m = (\d+), ") == {steady.KRYLOV_START}
+    assert documented_numbers(text, r"less than ([\d.e-]+) \(relative\)") == {
+        steady.KRYLOV_RTOL
+    }
+    assert documented_numbers(text, r"more than ([\d.e-]+) after") == {
+        steady.KRYLOV_RTOL
+    }
+    assert documented_numbers(text, r"\|m\|\^2 = (\d+)") == {layers.DEFAULT_MAX_ORDER}
+    assert documented_numbers(text, r"([\d.e-]+) \|eps\(1\)\|") == {
+        layers.DEFAULT_EPS_TOL
     }

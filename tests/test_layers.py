@@ -26,6 +26,7 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import ConvergenceError, DomainError, StabilityError
+from spinsqueeze.geometry import TWO_PI
 from spinsqueeze.sweep import figure_config, preset_fig3b, preset_fig4
 
 
@@ -64,7 +65,8 @@ def brute_force_eps(geom, seps, half_width=60):
     dx, dy = geom.dipole_orientation
     weight = ((mx * dx + my * dy) ** 2 / (a * a) - 1.0) / kappa
     return np.array([
-        0.25 * gamma0 * math.fsum(weight * np.exp(-geom.axial_phase * sep * kappa))
+        0.25 * gamma0
+        * math.fsum(weight * np.exp(-TWO_PI * geom.layer_spacing * sep * kappa))
         for sep in seps
     ])
 
@@ -134,7 +136,7 @@ def test_evanescent_eps_decay_rate():
     magnitudes = [abs(v) for v in values]
     assert magnitudes == sorted(magnitudes, reverse=True)
     kappa_min = math.sqrt(1.0 / 0.81 - 1.0)
-    settled = math.exp(-geom.axial_phase * kappa_min)
+    settled = math.exp(-TWO_PI * geom.layer_spacing * kappa_min)
     assert values[3] / values[2] == pytest.approx(settled, rel=1e-4)
 
 
@@ -161,7 +163,7 @@ def test_layer_phases_are_the_travelling_wave_without_drift(layer_spacing):
     # up to 1.4e-12 at 2,000 layers and spacing 1.
     geom, _ = stack(n_layers=10_000, layer_spacing=layer_spacing)
     phases = geom.layer_phases()
-    direct = np.exp(1j * geom.axial_phase * np.arange(50))
+    direct = np.exp(1j * TWO_PI * geom.layer_spacing * np.arange(50))
     assert np.allclose(phases[:50], direct, rtol=0.0, atol=1e-13)
     if layer_spacing == round(layer_spacing):
         assert np.array_equal(phases, np.ones(10_000))
@@ -179,7 +181,7 @@ def test_interaction_kernel_structure():
         diag = np.diagonal(d, offset=sep)
         assert np.allclose(diag, diag[0])
         expected = 0.5 * rates.gamma0 * np.exp(
-            1j * geom.axial_phase * sep
+            1j * TWO_PI * geom.layer_spacing * sep
         ) + 1j * eps_at(geom, sep)
         assert diag[0] == pytest.approx(expected, rel=1e-12)
     assert kernel.truncation.max_order >= 1
@@ -190,7 +192,7 @@ def test_interaction_kernel_without_evanescent_part():
     kernel = interaction_kernel(geom, rates, include_evanescent=False)
     assert kernel.truncation.terms_summed == 0
     assert kernel.d_matrix[0, 1] == pytest.approx(
-        0.5 * rates.gamma0 * np.exp(1j * geom.axial_phase), rel=1e-14
+        0.5 * rates.gamma0 * np.exp(1j * TWO_PI * geom.layer_spacing), rel=1e-14
     )
 
 
@@ -277,7 +279,7 @@ def test_delta_prime_matches_direct_projection():
     for lattice_const, n_layers in ((0.9, 7), (0.95, 60)):
         geom, _ = stack(lattice_const=lattice_const, n_layers=n_layers)
         n_z = geom.n_layers
-        phase = geom.axial_phase
+        phase = TWO_PI * geom.layer_spacing
         eps = reference_eps(geom, n_z)
         total = 0.0j
         for n in range(n_z):

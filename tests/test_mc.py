@@ -163,6 +163,21 @@ def test_bright_squeezed_vacuum_passes_the_covariance_check(spacing):
     assert all(isinstance(row["mc_estimate"], float) for row in rows)
 
 
+def test_covariance_past_the_float_range_is_a_row_error():
+    # At a = 1e-154 one layer's gamma0 is 2.4e307: the rates are finite,
+    # but the noise covariance of a bright drive is not.
+    rows = run_sweep(build_config({
+        "model": "mc-check",
+        "geometry.lattice_const": "1e-154", "geometry.n_layers": "1",
+        "input.n_photons": "1,1000",
+        "mc.n_traj": "2", "mc.t_burn": "0", "mc.t_avg": "1",
+    }))
+    assert rows[0]["error"] == "" and isinstance(rows[0]["mc_estimate"], float)
+    assert rows[1]["error"] == (
+        "DomainError: stacked noise covariance overflows the float range"
+    )
+
+
 def test_noise_sampler_reproduces_target_covariance():
     _, _, diff = stack(2, layer_spacing=0.8, n_photons=0.8, purity=0.9)
     cov = stacked_covariance(diff)
@@ -234,6 +249,19 @@ def test_step_covariance_is_exact_at_every_dt(dt):
     scale = np.linalg.norm(stationary)
     assert np.linalg.norm(phi - expm(gen * dt)) <= 1e-12 * max(1.0, np.linalg.norm(phi))
     assert np.linalg.norm(noise @ noise.T - q) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_photons", [1e8, 1e16, 1e20])
+@pytest.mark.parametrize("spacing", [0.75, 1.0])
+def test_step_propagator_ignores_the_drive_strength(spacing, n_photons):
+    # The propagator e^{G dt} does not depend on the noise, but expm scales
+    # the Van Loan block by its norm, which a bright drive's covariance
+    # would dominate: unscaled, Phi missed e^{G dt} by 4.7e-10 at N = 1e8
+    # and by 100 at N = 1e20 (spacing 0.75).
+    geom, drift, diff = stack(10, layer_spacing=spacing, n_photons=n_photons)
+    gen = stacked_drift(drift)
+    phi, _ = _step_operators(gen, stacked_covariance(diff), 0.05)
+    assert np.abs(phi - expm(gen * 0.05)).max() <= 1e-14
 
 
 def mc_check(**keys):

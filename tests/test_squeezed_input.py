@@ -13,16 +13,20 @@ from hypothesis import strategies as st
 from spinsqueeze import (
     ArrayGeometry,
     BeamProfile,
+    DetuningSpec,
     SqueezedVacuumSpec,
     beam_splitter,
     compute_rates,
+    drift_matrix,
     field_moments,
     input_quadrature_variance,
+    interaction_kernel,
     noise_diffusions,
     single_layer_rate,
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
+from spinsqueeze.geometry import TWO_PI
 from spinsqueeze.squeezed_input import MAX_PHOTONS
 
 EPS = np.finfo(float).eps
@@ -133,24 +137,46 @@ def _stack(n_layers=4, layer_spacing=0.8):
 
 
 def test_diffusion_kernels_entrywise():
+    # The phase of a layer separation or sum is reduced mod one turn before
+    # the cosine, as ArrayGeometry.layer_phases reduces it.
     geom, rates = _stack()
     spec = SqueezedVacuumSpec(n_photons=1.3, purity=0.9)
     diff = noise_diffusions(spec, geom, rates)
     n_ph, m_ph = field_moments(spec)
-    kaz = geom.axial_phase
+
+    def cos_layers(s):
+        return math.cos(TWO_PI * ((geom.layer_spacing * s) % 1.0))
+
     eta_g = rates.eta * rates.gamma0
     for n in range(4):
         for m in range(4):
             assert diff.s_n[n, m] == pytest.approx(
-                eta_g * n_ph * math.cos(kaz * (n - m)), rel=1e-14, abs=1e-16
+                eta_g * n_ph * cos_layers(abs(n - m)), rel=1e-14, abs=1e-16
             )
             assert diff.s_m[n, m] == pytest.approx(
-                -eta_g * m_ph * math.cos(kaz * (n + m)), rel=1e-14, abs=1e-16
+                -eta_g * m_ph * cos_layers(n + m), rel=1e-14, abs=1e-16
             )
-            comm = rates.gamma0 * math.cos(kaz * (n - m))
+            comm = rates.gamma0 * cos_layers(abs(n - m))
             if n == m:
                 comm += rates.gamma_s
             assert diff.comm[n, m] == pytest.approx(comm, rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("include_evanescent", [True, False])
+@pytest.mark.parametrize("layer_spacing", [0.5, 0.75, 1.3, 2.5, 0.6180339887, 1.0])
+def test_commutator_kernel_is_the_drift_dissipation_bitwise(
+    layer_spacing, include_evanescent
+):
+    # The trajectory oracle is exact because comm = -(A + A^H): the vacuum
+    # noise is twice the drift's dissipative part.  Both are built from the
+    # one phase column of layer_phases, so the identity holds to the bit
+    # at every spacing, deep stacks and a detuned drive included.
+    geom, rates = _stack(n_layers=200, layer_spacing=layer_spacing)
+    kernel = interaction_kernel(geom, rates, include_evanescent=include_evanescent)
+    a = drift_matrix(kernel, rates, DetuningSpec(0.3)).matrix
+    comm = noise_diffusions(SqueezedVacuumSpec(n_photons=1.0), geom, rates).comm
+    # a + b is exactly 0 only where a == -b exactly.
+    assert np.abs(comm + (a + a.conj().T).real).max() == 0.0
 
 
 def test_diffusion_kernels_symmetric():
