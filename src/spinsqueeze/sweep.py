@@ -1,9 +1,10 @@
 """Parameter sweeps, figure presets, and table output.
 
 A sweep evaluates the selected models over the photon-number grid and
-returns one plain dict per grid point.  Rows keep a fixed column order
-and every float is written with 17 significant digits, so reruns with
-the same configuration are byte-identical.
+returns one plain dict per grid point.  Rows keep a fixed column order;
+CSV writes every float with 17 significant digits and JSON with
+Python's shortest ``repr``, which reads back to the same float, so reruns
+with the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, NamedTuple
+from itertools import groupby, repeat
+from operator import is_, itemgetter
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,6 +121,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
 
     # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
     report = validity_report(geom, config.beam, 0.0, rates)
+    geometry_ok = report.geometry_ok
     template: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
     template.update(validity_columns(report))
     template.update(purity=config.purity, r0=rates.r0, n_eff=report.n_eff)
@@ -143,7 +148,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         row["n_photons"] = n_photons
         row["xi2_field"] = input_quadrature_variance(spec)
         row["valid_linearization"] = linear = linearizes(n_photons, report.n_eff)
-        row["valid_all"] = report.geometry_ok and linear
+        row["valid_all"] = geometry_ok and linear
         if alpha is None:  # no detuning or no contrast
             row["error"] = setup_error
             return row
@@ -181,24 +186,66 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     return [evaluate(item) for item in items]
 
 
+# A float at 17 significant digits, as a CSV cell.
+_csv_float = "{:.17g}".format
+
+
 def format_value(value: Any) -> str:
     """Render one cell: floats at 17 significant digits, booleans as
     lowercase words, everything else via str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return _csv_float(value)
     return str(value)
 
 
+def _column_texts(
+    cells: list[Any], encode: Callable[[Any], str], float_text: Callable[[float], str]
+) -> str | Iterator[str]:
+    """The text of each cell of one column, or one text if every cell is
+    the same object.
+
+    Each distinct object is encoded once, by ``encode``; cells are shared
+    by identity, never by equality, because ``0.0 == -0.0`` and
+    ``1 == 1.0 == True`` yet each is written differently.  A column of
+    distinct, exact and finite floats goes through ``float_text`` instead,
+    which must write them as ``encode`` does.
+    """
+    first = cells[0]
+    if all(map(is_, cells, repeat(first))):
+        return encode(first)
+    if set(map(type, cells)) == {float} and all(map(math.isfinite, cells)):
+        return map(float_text, cells)
+    distinct = dict(zip(map(id, cells), cells))
+    texts = {key: encode(cell) for key, cell in distinct.items()}
+    return map(texts.__getitem__, map(id, cells))
+
+
+def _text_rows(columns: list[str | Iterator[str]], n_rows: int) -> Iterator[tuple]:
+    """Column texts turned into rows, a shared text repeated in each."""
+    cells = [repeat(col, n_rows) if isinstance(col, str) else col for col in columns]
+    return zip(*cells) if cells else repeat((), n_rows)
+
+
 def rows_to_csv(rows: list[dict[str, Any]]) -> str:
-    """Serialise rows as RFC-4180 CSV, headed by the first row's keys."""
+    """Serialise rows as RFC-4180 CSV, headed by the first row's keys.
+
+    The table is encoded a column at a time by :func:`_column_texts`, a
+    missing cell as ``""``, and written by ``csv.writer`` a row at a
+    time.  A column whose every cell is the same object (identity, not
+    equality) is encoded once; every other cell is written as
+    :func:`format_value` writes it, floats at 17 significant digits.
+    """
     columns = list(rows[0].keys()) if rows else []
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(row.get(col, "")) for col in columns])
+    texts = [
+        _column_texts([row.get(col, "") for row in rows], format_value, _csv_float)
+        for col in columns
+    ]
+    writer.writerows(_text_rows(texts, len(rows)))
     return buffer.getvalue()
 
 
@@ -217,22 +264,70 @@ _OBJECT_ENCODERS = [
 ]
 
 
+def _json_objects(objs: list[dict[str, Any]], depth: int) -> list[str]:
+    """Flat objects as ``json.dumps(indent=2, sort_keys=True)`` writes
+    them ``depth`` levels deep, other values mapped by ``_jsonable`` (a
+    complex one's ``{"re", "im"}`` items break at this same depth, not one
+    deeper).
+
+    Consecutive objects with the same keys share one ``%`` template, laid
+    out by the encoder itself, so that it sorts, converts and escapes the
+    keys; their values are encoded a column at a time by
+    :func:`_column_texts`, with a column's shared value baked into the
+    template.
+    """
+    encoder = _OBJECT_ENCODERS[depth]
+    sep = encoder.item_separator
+    texts: list[str] = []
+    for keys, run in groupby(objs, list):
+        group = list(run)
+        columns = [
+            _column_texts(
+                list(map(itemgetter(key), group)), encoder.encode, float.__repr__
+            )
+            for key in keys
+        ]
+        # Each key's value is its column number; the items come out sorted.
+        numbered = encoder.encode(dict(zip(keys, range(len(keys)))))
+        items, varying = [], []
+        for item in numbered[1:-1].split(sep) if keys else []:
+            name, _, number = item.rpartition(": ")
+            column = columns[int(number)]
+            if isinstance(column, str):
+                items.append((name + ": " + column).replace("%", "%%"))
+            else:
+                items.append(name.replace("%", "%%") + ": %s")
+                varying.append(column)
+        if items:
+            template = "{" + sep[1:] + sep.join(items) + "\n" + "  " * depth + "}"
+        else:
+            template = "{}"
+        texts.extend(map(template.__mod__, _text_rows(varying, len(group))))
+    return texts
+
+
 def _json_object(obj: dict[str, Any], depth: int) -> str:
-    """A flat object as ``json.dumps(indent=2, sort_keys=True)`` writes it
-    ``depth`` levels deep, other values mapped by ``_jsonable`` (a complex
-    one's ``{"re", "im"}`` items break at this same depth, not one deeper)."""
-    if not obj:
-        return "{}"
-    text = _OBJECT_ENCODERS[depth].encode(obj)
-    return "{\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + "}"
+    """One flat object as :func:`_json_objects` writes it."""
+    return _json_objects([obj], depth)[0]
 
 
 def rows_to_json(rows: list[dict[str, Any]], meta: dict[str, Any] | None = None) -> str:
     """Serialise rows (and optional metadata) as deterministic JSON, laid
-    out as ``json.dumps(indent=2, sort_keys=True)`` lays it out."""
+    out as ``json.dumps(indent=2, sort_keys=True)`` lays it out.
+
+    The rows are encoded a column at a time by :func:`_json_objects`.  A
+    column whose every cell is the same object (identity, not equality)
+    is encoded once, into the rows' template; a column of finite floats
+    is written by ``float.__repr__``, which the json module calls for
+    them, and every other cell by the json module itself.
+    """
     head = "{\n" if meta is None else '{\n  "meta": ' + _json_object(meta, 1) + ",\n"
-    body = ",\n".join("    " + _json_object(row, 2) for row in rows)
-    return head + '  "rows": ' + ("[\n" + body + "\n  ]" if rows else "[]") + "\n}\n"
+    if not rows:
+        return head + '  "rows": []\n}\n'
+    # One join copies the rows' text once; a chain of + would copy it at
+    # each step and hold two copies at a time, which sets the peak memory.
+    body = ",\n    ".join(_json_objects(rows, 2))
+    return "".join((head, '  "rows": [\n    ', body, "\n  ]\n}\n"))
 
 
 def format_table(rows: list[dict[str, Any]], out_format: str) -> str:

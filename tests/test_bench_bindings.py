@@ -59,3 +59,12 @@ def test_format_table_calls_json_through_the_module_binding(monkeypatch):
     rows = [{"a": 1.0}]
     sweep.format_table(rows, "json")
     assert calls == [rows]
+
+
+def test_format_table_calls_csv_through_the_module_binding(monkeypatch):
+    # The tracer times sweep.serialise by wrapping this module global too.
+    calls = []
+    monkeypatch.setattr(sweep, "rows_to_csv", lambda rows: calls.append(rows) or "")
+    rows = [{"a": 1.0}]
+    sweep.format_table(rows, "csv")
+    assert calls == [rows]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -416,8 +418,47 @@ _CELLS = st.one_of(
 _FLAT = st.dictionaries(_TEXT, _CELLS, max_size=6)
 
 
+@st.composite
+def _template_rows(draw):
+    """Rows as run_sweep builds them: copies of one template, which share
+    its value objects, with some cells dropped, replaced or added."""
+    template = draw(_FLAT)
+    keys = st.sampled_from(sorted(template)) | _TEXT if template else _TEXT
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = template.copy()
+        for key in draw(st.sets(keys, max_size=2)):
+            row.pop(key, None)
+        row.update(draw(st.dictionaries(keys, _CELLS, max_size=2)))
+        rows.append(row)
+    return rows
+
+
+_ROWS = st.one_of(st.lists(_FLAT, max_size=4), _template_rows())
+
+# Columns that the column writers must not get wrong: integer keys, "%" in
+# a key and in a value, shared and not, equal cells that are written
+# differently, and non-finite floats in a column of floats.
+_SHARP_ROWS = [
+    [{10: 0.5, 9: "a"}, {10: 1.5, 9: "a"}],
+    [{"%d": 0.5, "100%": "5%s", "a%%": "%"}, {"%d": 1.5, "100%": "5%s", "a%%": "%%"}],
+    [{"x": 0.0}, {"x": -0.0}],
+    [{"x": 1}, {"x": 1.0}, {"x": True}],
+    [{"x": math.nan, "y": 0.5}, {"x": 0.5, "y": math.inf}, {"x": 2.5, "y": -math.inf}],
+]
+
+
+def _sharp_examples(**given_too):
+    def decorate(test):
+        for rows in _SHARP_ROWS:
+            test = example(rows=rows, **given_too)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(rows=st.lists(_FLAT, max_size=4), meta=st.none() | _FLAT)
+@given(rows=_ROWS, meta=st.none() | _FLAT)
 @example(rows=[], meta=None)
 @example(rows=[], meta={})
 @example(rows=[{}], meta=None)
@@ -427,8 +468,31 @@ _FLAT = st.dictionaries(_TEXT, _CELLS, max_size=6)
     meta={"big": 2**64 + 1, "neg": -(2**63) - 1, "flag": True, "none": None},
 )
 @example(rows=[{'q"\\': '"\\\x01\n\u00e9\u2603😀'}], meta={"s": "\x1f"})
+@_sharp_examples(meta={"%": "%s"})
 def test_rows_to_json_is_byte_identical_to_indented_dumps(rows, meta):
     assert rows_to_json(rows, meta) == _indented_json(rows, meta)
+
+
+def _row_by_row_csv(rows):
+    """The CSV that rows_to_csv promises, written a row at a time:
+    csv.writer with format_value per cell, a missing cell as ""."""
+    columns = list(rows[0].keys()) if rows else []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_value(row.get(col, "")) for col in columns])
+    return buffer.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS)
+@example(rows=[])
+@example(rows=[{}, {"a": 1}])
+@example(rows=[{"a": 1.5, "b": "x"}, {"b": "x"}, {"c": 2.5, "b": "x"}])
+@_sharp_examples()
+def test_rows_to_csv_is_byte_identical_to_the_row_by_row_writer(rows):
+    assert rows_to_csv(rows) == _row_by_row_csv(rows)
 
 
 def test_rows_to_json_writes_complex_values_as_re_im_objects():
@@ -437,6 +501,20 @@ def test_rows_to_json_writes_complex_values_as_re_im_objects():
         "meta": {"c": {"re": 0.0, "im": 1.0}},
         "rows": [{"a": 1, "z": {"re": 1.5, "im": -2.0}}],
     }
+    # The items break at the object's own depth, not one deeper.
+    assert payload == (
+        '{\n  "meta": {\n    "c": {"im": 1.0,\n    "re": 0.0}\n  },\n'
+        '  "rows": [\n    {\n      "a": 1,\n      "z": {"im": -2.0,\n      "re": 1.5}\n'
+        "    }\n  ]\n}\n"
+    )
+    shared = 2.5 + 0.5j
+    assert rows_to_json([{"z": shared, "w": 1j}, {"z": shared, "w": -1j}]) == (
+        '{\n  "rows": [\n'
+        '    {\n      "w": {"im": 1.0,\n      "re": 0.0},\n'
+        '      "z": {"im": 0.5,\n      "re": 2.5}\n    },\n'
+        '    {\n      "w": {"im": -1.0,\n      "re": -0.0},\n'
+        '      "z": {"im": 0.5,\n      "re": 2.5}\n    }\n  ]\n}\n'
+    )
 
 
 @pytest.mark.parametrize("summary", [{}, {"b": 0.5, "a": -math.inf, "c": math.nan}])
