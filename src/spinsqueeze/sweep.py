@@ -208,8 +208,8 @@ def _column_texts(
 
     Each distinct object is encoded once, by ``encode``; cells are shared
     by identity, never by equality, because ``0.0 == -0.0`` and
-    ``1 == 1.0 == True`` yet each is written differently.  A column of
-    distinct, exact and finite floats goes through ``float_text`` instead,
+    ``1 == 1.0 == True`` yet each is written differently.  Any other
+    column of exact, finite floats goes through ``float_text`` instead,
     which must write them as ``encode`` does.
     """
     first = cells[0]

@@ -448,10 +448,10 @@ _SHARP_ROWS = [
 ]
 
 
-def _sharp_examples(**given_too):
+def _sharp_examples(**other_args):
     def decorate(test):
         for rows in _SHARP_ROWS:
-            test = example(rows=rows, **given_too)(test)
+            test = example(rows=rows, **other_args)(test)
         return test
 
     return decorate
