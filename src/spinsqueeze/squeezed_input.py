@@ -69,7 +69,10 @@ class SqueezingResult:
 
 
 def beam_splitter(
-    reflectivity: float, n_photons: float, contrast: float, theta_opt: float = 0.0
+    reflectivity: float,
+    n_photons: float | np.ndarray,
+    contrast: float,
+    theta_opt: float = 0.0,
 ) -> SqueezingResult:
     """The beam-splitter law that every squeezing route reduces to.
 
@@ -83,12 +86,14 @@ def beam_splitter(
 
         v = (1 + 4 N (N+1) (1 - c)(1 + c)) / (1 + 2N + 2c sqrt(N(N+1))),
 
-    which keeps full relative precision for every c in [0, 1].
+    which keeps full relative precision for every c in [0, 1].  For an
+    array N, ``xi2`` and ``xi2_anti`` are arrays, each element the bits of
+    its N alone: the law takes only + - * / and sqrt, correctly rounded.
     """
     if not 0.0 <= contrast <= 1.0:
         raise DomainError(f"squeezing contrast must lie in [0, 1], got {contrast}")
     n = n_photons
-    root = math.sqrt(n * (n + 1.0))
+    root = (np.sqrt if isinstance(n, np.ndarray) else math.sqrt)(n * (n + 1.0))
     field = (1.0 + 4.0 * n * (n + 1.0) * (1.0 - contrast) * (1.0 + contrast)) / (
         1.0 + 2.0 * n + 2.0 * contrast * root
     )

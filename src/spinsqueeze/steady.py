@@ -22,7 +22,7 @@ so one solve at N = M = 1 (:func:`unit_response`) gives the collective
 moments of every input to the same drift matrix, and
 :func:`xi2_from_response` evaluates each input with the beam-splitter law
 (:func:`squeezed_input.beam_splitter`), reflectivity c_n and contrast
-purity |c_m|/c_n.
+purity |c_m|/c_n; :func:`xi2_over_grid` evaluates a grid of them at once.
 
 At integer layer spacing every phase is 1, and the drive, the collective
 mode and the radiative coupling all lie along the uniform vector.
@@ -346,6 +346,17 @@ def numeric_response(
     )
 
 
+def _contrast(response: UnitResponse, purity: float) -> float:
+    coeff = purity * response.alpha
+    if coeff > 1.0:
+        if coeff - 1.0 > CONTRAST_ROUNDOFF:
+            raise PhysicalityError(
+                f"squeezing contrast purity*|c_m|/c_n = {coeff!r} exceeds 1"
+            )
+        coeff = 1.0
+    return coeff
+
+
 def xi2_from_response(
     response: UnitResponse,
     spec: SqueezedVacuumSpec,
@@ -359,18 +370,32 @@ def xi2_from_response(
     is broken and raises :class:`PhysicalityError`.
     """
     n_phot, m_anom = field_moments(spec)
-    pdp = response.c_n * n_phot
-    _check_occupation(pdp)
-    coeff = spec.purity * response.alpha
-    if coeff > 1.0:
-        if coeff - 1.0 > CONTRAST_ROUNDOFF:
-            raise PhysicalityError(
-                f"squeezing contrast purity*|c_m|/c_n = {coeff!r} exceeds 1"
-            )
-        coeff = 1.0
-    return beam_splitter(
-        response.c_n, n_phot, coeff, _theta_opt(m_anom * response.c_m)
-    )
+    _check_occupation(response.c_n * n_phot)
+    coeff, theta = _contrast(response, spec.purity), _theta_opt(m_anom * response.c_m)
+    return beam_splitter(response.c_n, n_phot, coeff, theta)
+
+
+def xi2_over_grid(
+    response: UnitResponse, n_photons: np.ndarray, purity: float
+) -> tuple[list[float], dict[int, PhysicalityError]]:
+    """:func:`xi2_from_response`'s ``xi2`` at each photon number of
+    ``n_photons``, bit for bit, from one array pass of the law, and by index
+    its error at each input of negative occupation (whose xi2 is void).  A
+    contrast error, the same at every input, is raised: c_n <= 0 makes the
+    contrast 0, so no input fails both checks.
+    """
+    coeff = _contrast(response, purity)
+    # Overflow and inf - inf give inf and nan silently, as in float arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pdp = response.c_n * n_photons
+        xi2 = beam_splitter(response.c_n, n_photons, coeff).xi2.tolist()
+    failed: dict[int, PhysicalityError] = {}
+    for index in np.flatnonzero(pdp < 0.0).tolist():  # all that might fail
+        try:
+            _check_occupation(pdp[index].item())
+        except PhysicalityError as exc:
+            failed[index] = exc
+    return xi2, failed
 
 
 def _xi2_or_nan(response: UnitResponse, spec: SqueezedVacuumSpec) -> float:

@@ -28,12 +28,12 @@ from .exceptions import ConfigError, ConvergenceError, SpinSqueezeError
 from .mc import simulate_xi2
 from .rates import ValidityReport, compute_rates, linearizes, validity_report
 from .squeezed_input import (
+    MAX_PHOTONS,
     SqueezedVacuumSpec,
     beam_splitter,
-    input_quadrature_variance,
     noise_diffusions,
 )
-from .steady import numeric_response, oracle_stacks, xi2_from_response
+from .steady import numeric_response, oracle_stacks, xi2_over_grid
 
 SWEEP_COLUMNS = [
     "n_photons",
@@ -98,20 +98,20 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Evaluate the configured models over the photon-number grid.
 
     Returns one row dict per grid point, in grid order; this is the one
-    place a model is evaluated.  The detuning, the contrast ``alpha_eff``
-    (purity and detuning only), the geometric validity flags and
-    ``n_eff`` are computed once per sweep; each point adds what depends
-    on N, up to ``valid_linearization`` and ``valid_all``.  The numeric
-    model solves its drift matrix once, for unit sources, and evaluates
-    every point in closed form; :func:`steady.numeric_response` picks
-    the route.  ``mc-check`` samples at each point the stack that
-    :func:`steady.oracle_stacks` picks before any trajectory runs.
-    Solver errors, including an unstable drift matrix, an evanescent sum
-    that does not converge or numpy's ``LinAlgError`` (as a
-    ``ConvergenceError``), land in the ``error`` column of each row they
-    affect instead of aborting the whole sweep.  A detuning or contrast
-    that cannot be resolved fails every row, which keeps only the columns
-    that do not depend on it.
+    place a model is evaluated.  What no point changes (the detuning, the
+    contrast ``alpha_eff``, the geometric validity flags and ``n_eff``) is
+    computed once, and each column that depends on N is one array pass
+    over the grid: the closed-form columns by
+    :func:`squeezed_input.beam_splitter`, ``xi2_numeric`` by
+    :func:`steady.xi2_over_grid` from the one unit solve of
+    :func:`steady.numeric_response`.  Only ``mc-check``'s trajectories run
+    per point, on ``workers`` threads, on the stacks that
+    :func:`steady.oracle_stacks` picks first.  Solver errors, including an
+    unstable drift matrix, an evanescent sum that does not converge or
+    numpy's ``LinAlgError`` (as a ``ConvergenceError``), fill the ``error``
+    column of each row they affect instead of aborting the sweep.  A
+    detuning or contrast that cannot be resolved fails every row, which
+    keeps only the columns that do not depend on it.
     """
     geom = config.geometry
     rates = config.rates()
@@ -121,69 +121,89 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
 
     # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
     report = validity_report(geom, config.beam, 0.0, rates)
-    geometry_ok = report.geometry_ok
-    template: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
-    template.update(validity_columns(report))
-    template.update(purity=config.purity, r0=rates.r0, n_eff=report.n_eff)
-    specs = [SqueezedVacuumSpec(n, config.purity) for n in config.n_photons_grid]
+    # A column is a list of one cell per row, or one cell that every row shares.
+    columns: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
+    columns.update(
+        validity_columns(report), purity=config.purity, r0=rates.r0, n_eff=report.n_eff
+    )
+    grid = config.n_photons_grid
+    if not grid:
+        return []
+    n_photons = np.array(grid, dtype=float)
+    # The first spec of a spec per point to fail raises its error: point 0's
+    # if the purity fails, else that of the first N out of range, if any.
+    in_range = (n_photons >= 0.0) & (n_photons <= MAX_PHOTONS)
+    for index in (0, int(in_range.argmin())):
+        SqueezedVacuumSpec(grid[index], config.purity)
     det = alpha = response = None
     # The first error of the detuning, the contrast and the numeric solve.
     setup_error = ""
     try:
         det = DetuningSpec(_resolve_detuning(config))
-        template["eff_detuning"] = det.eff_detuning
+        columns["eff_detuning"] = det.eff_detuning
         unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
-        alpha = template["alpha_eff"] = squeezing_contrast(rates, unit, det)
+        alpha = columns["alpha_eff"] = squeezing_contrast(rates, unit, det)
         if want_numeric:
             response = numeric_response(geom, rates, det, config.include_evanescent)
         if want_mc:  # chosen here, so that the workers cannot change the choice
+            specs = [SqueezedVacuumSpec(n, config.purity) for n in grid]
             stacks = oracle_stacks(response, specs, geom, rates, det)
     except _ROW_ERRORS as exc:
         setup_error = _error_text(exc)
 
-    def evaluate(index: int) -> dict[str, Any]:
-        spec = specs[index]
-        n_photons = spec.n_photons
-        row = template.copy()
-        row["n_photons"] = n_photons
-        row["xi2_field"] = input_quadrature_variance(spec)
-        row["valid_linearization"] = linear = linearizes(n_photons, report.n_eff)
-        row["valid_all"] = geometry_ok and linear
-        if alpha is None:  # no detuning or no contrast
-            row["error"] = setup_error
-            return row
+    errors = [setup_error] * len(grid)
+    linear = linearizes(n_photons, report.n_eff)
+    columns.update(
+        n_photons=list(grid),
+        xi2_field=beam_splitter(1.0, n_photons, config.purity).xi2.tolist(),
+        valid_linearization=linear.tolist(),
+        valid_all=(linear & report.geometry_ok).tolist(),
+    )
+    if alpha is not None:  # a detuning and a contrast
         try:
             if want_analytic:  # xi2_analytic, at the contrast of the sweep
                 analytic = beam_splitter(rates.r0, n_photons, alpha)
-                row["xi2_analytic"] = analytic.xi2
-                row["theta_opt"] = analytic.theta_opt
-                row["xi2_anti"] = analytic.xi2_anti
-            if setup_error:
-                row["error"] = setup_error
-                return row
-            if want_numeric:
-                row["xi2_numeric"] = xi2_from_response(response, spec).xi2
-            if want_mc:
-                params = dataclasses.replace(
-                    config.mc,
-                    seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index,
+                columns.update(
+                    xi2_analytic=analytic.xi2.tolist(),
+                    theta_opt=analytic.theta_opt,
+                    xi2_anti=analytic.xi2_anti.tolist(),
                 )
-                drift, g, r = stacks[index]
-                diff = noise_diffusions(spec, g, r)
-                estimate, stderr = simulate_xi2(drift, diff, g, params)
-                row["mc_estimate"] = estimate
-                row["mc_stderr"] = stderr
-        except _ROW_ERRORS as exc:
-            row["error"] = _error_text(exc)
-        return row
+            if want_numeric and not setup_error:
+                xi2, failed = xi2_over_grid(response, n_photons, config.purity)
+                for index, exc in failed.items():
+                    xi2[index], errors[index] = "", _error_text(exc)
+                columns["xi2_numeric"] = xi2
+        except _ROW_ERRORS as exc:  # a contrast error fails every row
+            errors[:] = [_error_text(exc)] * len(grid)
 
-    items = range(len(specs))
-    # Only trajectory points carry enough work to pay for a thread; the
-    # others are closed-form evaluations of the one unit solve.
-    if want_mc and config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(evaluate, items))
-    return [evaluate(item) for item in items]
+    def trajectories(index: int) -> None:
+        params = dataclasses.replace(
+            config.mc, seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index
+        )
+        drift, g, r = stacks[index]
+        try:
+            diff = noise_diffusions(specs[index], g, r)
+            estimates[index], stderrs[index] = simulate_xi2(drift, diff, g, params)
+        except _ROW_ERRORS as exc:
+            errors[index] = _error_text(exc)
+
+    if want_mc:  # at every point that the other columns leave without error
+        points = [index for index, error in enumerate(errors) if not error]
+        estimates, stderrs = [""] * len(grid), [""] * len(grid)
+        columns.update(mc_estimate=estimates, mc_stderr=stderrs)
+        if config.workers > 1:  # only trajectories carry enough work for a thread
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                list(pool.map(trajectories, points))
+        else:
+            for index in points:
+                trajectories(index)
+    columns["error"] = errors
+    rows = [columns.copy() for _ in grid]
+    for key, column in columns.items():
+        if isinstance(column, list):  # one cell per row; any other is shared
+            for row, cell in zip(rows, column):
+                row[key] = cell
+    return rows
 
 
 # A float at 17 significant digits, as a CSV cell.
@@ -192,7 +212,10 @@ _csv_float = "{:.17g}".format
 
 def format_value(value: Any) -> str:
     """Render one cell: floats at 17 significant digits, booleans as
-    lowercase words, everything else via str."""
+    lowercase words, everything else via str; a numpy scalar as the
+    Python value of its ``.item()``."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -250,6 +273,8 @@ def rows_to_csv(rows: list[dict[str, Any]]) -> str:
 
 
 def _jsonable(value: Any) -> Any:
+    if isinstance(value, np.generic):  # np.bool_ and np.int64 are no bool or int
+        return value.item()
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return str(value)

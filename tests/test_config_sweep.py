@@ -22,10 +22,19 @@ from spinsqueeze.config import (
     resolve_config_path,
 )
 from spinsqueeze.analytic import DetuningSpec, squeezing_contrast, xi2_analytic
-from spinsqueeze.exceptions import ConfigError, DomainError, StabilityError
+from spinsqueeze.exceptions import (
+    ConfigError,
+    DomainError,
+    SpinSqueezeError,
+    StabilityError,
+)
 from spinsqueeze.rates import validity_report
-from spinsqueeze.squeezed_input import SqueezedVacuumSpec, input_quadrature_variance
-from spinsqueeze.steady import xi2_from_response
+from spinsqueeze.squeezed_input import (
+    SqueezedVacuumSpec,
+    beam_splitter,
+    input_quadrature_variance,
+)
+from spinsqueeze.steady import UnitResponse, xi2_from_response
 from spinsqueeze.sweep import (
     FIG3B_COLUMNS,
     SWEEP_COLUMNS,
@@ -319,6 +328,93 @@ def test_run_sweep_matches_per_point_calls_bit_for_bit(
     assert [row["valid_linearization"] for row in rows] == [True] * 3 + [False] * 2
 
 
+def _per_point_rows_with_errors(config, response, alpha):
+    """Every row of run_sweep(config) at contrast ``alpha`` and unit
+    response ``response``, point by point from the public one-input calls,
+    a failing call's error in its row."""
+    rates = config.rates()
+    rows = []
+    for n_photons in config.n_photons_grid:
+        spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
+        report = validity_report(config.geometry, config.beam, n_photons, rates)
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(
+            n_photons=n_photons,
+            purity=config.purity,
+            eff_detuning=0.0,
+            r0=rates.r0,
+            alpha_eff=alpha,
+            xi2_field=input_quadrature_variance(spec),
+            **validity_columns(report),
+            n_eff=report.n_eff,
+        )
+        try:
+            if config.model == "both":
+                analytic = beam_splitter(rates.r0, n_photons, alpha)
+                row.update(
+                    xi2_analytic=analytic.xi2,
+                    theta_opt=analytic.theta_opt,
+                    xi2_anti=analytic.xi2_anti,
+                )
+            row["xi2_numeric"] = xi2_from_response(response, spec).xi2
+        except SpinSqueezeError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
+
+
+# (c_n, c_m, analytic contrast) of the sweeps whose rows fail.  At the unit
+# response's contrast of 1 + 1e-9 every row fails, 1 + 5e-13 is clamped.
+_FAILING_SWEEPS = {
+    "negative occupation": (-1e-12, 0j, 1.0),
+    "clamped contrast": (0.5, 0.5 * (1.0 + 5e-13), 1.0),
+    "refused contrast": (0.5, 0.5 * (1.0 + 1e-9), 1.0),
+    "nan contrast": (0.5, complex(math.nan, 0.0), 1.0),
+    "analytic contrast": (0.5, 0.25j, 1.0 + 1e-9),
+    "both contrasts": (0.5, 0.5 * (1.0 + 1e-9), -0.5),
+    "negative occupation, analytic contrast": (-1e-12, 0j, 1.5),
+}
+
+
+@pytest.mark.parametrize("model", ["numeric", "both"])
+@pytest.mark.parametrize("case", list(_FAILING_SWEEPS))
+def test_run_sweep_error_rows_match_per_point_calls(model, case):
+    c_n, c_m, alpha = _FAILING_SWEEPS[case]
+    response = UnitResponse(c_n, c_m, 0.0, 0.0)
+    grid = "0,1,50,100,200,1e4,1e8"
+    config = _small_sweep_config(
+        model=model, **{"input.purity": "1", "input.n_photons": grid}
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "numeric_response", lambda *args: response)
+        mp.setattr(sweep, "squeezing_contrast", lambda *args: alpha)
+        rows = run_sweep(config)
+    assert repr(rows) == repr(_per_point_rows_with_errors(config, response, alpha))
+    if case == "negative occupation":  # each failing row names its own value
+        failing = [(row["n_photons"], row["error"]) for row in rows if row["error"]]
+        assert len(failing) >= 3
+        assert all(f"= {c_n * n:.3e} is" in error for n, error in failing)
+
+
+def test_run_sweep_calls_the_law_once_per_column(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(np.atleast_1d(args[1])))
+        return law(*args)
+
+    law = beam_splitter
+    for module in ("analytic", "squeezed_input", "steady", "sweep"):
+        monkeypatch.setattr(f"spinsqueeze.{module}.beam_splitter", counted)
+    counts = []
+    for points in (5, 500):
+        calls.clear()
+        run_sweep(_small_sweep_config(**{"input.n_photons": f"log:0.01:1e3:{points}"}))
+        counts.append(calls.copy())
+    # xi2_field, the closed-form columns and xi2_numeric, each over the grid.
+    assert counts == [[5] * 3, [500] * 3]
+
+
 def test_run_sweep_evaluates_what_no_point_changes_once(monkeypatch):
     calls = {"validity_report": 0, "squeezing_contrast": 0}
 
@@ -373,6 +469,23 @@ def test_format_value_conventions():
     assert format_value(1.0) == "1"
     assert format_value("text") == "text"
     assert format_value(7) == "7"
+
+
+def test_numpy_scalars_are_written_as_their_python_values():
+    # np.bool_ and np.int64 subclass neither bool nor int, np.float64 float.
+    numpy_row = {
+        "flag": np.bool_(True),
+        "count": np.int64(5),
+        "x": np.float64(0.1),
+        "z": np.complex128(1.0 - 2.0j),
+    }
+    python_row = {"flag": True, "count": 5, "x": 0.1, "z": 1.0 - 2.0j}
+    assert rows_to_csv([numpy_row]) == rows_to_csv([python_row])
+    assert rows_to_json([numpy_row] * 2, meta=numpy_row) == rows_to_json(
+        [python_row] * 2, meta=python_row
+    )
+    assert format_value(np.bool_(False)) == "false"
+    assert json.loads(rows_to_json([numpy_row]))["rows"][0]["count"] == 5
 
 
 def test_rows_to_csv_rfc4180():

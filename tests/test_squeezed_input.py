@@ -119,6 +119,46 @@ def test_beam_splitter_uncertainty_and_floor(reflectivity, n_photons, contrast):
     assert res.xi2 >= 1.0 - reflectivity
 
 
+_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_PHOTONS = (
+    st.sampled_from([0.0, 1e-300, 1.0, 1e150, MAX_PHOTONS])
+    | st.floats(0.0, 1e6)
+    | st.floats(0.0, MAX_PHOTONS)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    reflectivity=_UNIT,
+    n_photons=st.lists(_PHOTONS, min_size=1, max_size=8),
+    contrast=_UNIT,
+)
+@example(reflectivity=1.0, n_photons=[0.0, 1e-300, MAX_PHOTONS], contrast=1.0)
+@example(reflectivity=0.0, n_photons=[MAX_PHOTONS, 0.0], contrast=0.0)
+# Inputs whose xi2 bits differ if the root is taken of N N + N, not N (N + 1).
+@example(
+    reflectivity=1.0, n_photons=[88.37780053832864, 0.3442710041620428], contrast=1.0
+)
+def test_array_beam_splitter_is_the_scalar_law_bit_for_bit(
+    reflectivity, n_photons, contrast
+):
+    grid = beam_splitter(reflectivity, np.array(n_photons), contrast, 0.5)
+    assert grid.theta_opt == 0.5
+    for n, xi2, xi2_anti in zip(n_photons, grid.xi2.tolist(), grid.xi2_anti.tolist()):
+        point = beam_splitter(reflectivity, n, contrast, 0.5)
+        assert type(point.xi2) is type(point.xi2_anti) is float
+        assert (xi2.hex(), xi2_anti.hex()) == (point.xi2.hex(), point.xi2_anti.hex())
+
+
+@pytest.mark.parametrize("contrast", [-1e-300, -1e-12, 1.0 + 1e-12, math.inf, math.nan])
+def test_array_beam_splitter_refuses_the_scalar_laws_contrasts(contrast):
+    with pytest.raises(DomainError) as point:
+        beam_splitter(0.5, 1.0, contrast)
+    with pytest.raises(DomainError) as grid:
+        beam_splitter(0.5, np.array([0.0, 1.0, MAX_PHOTONS]), contrast)
+    assert str(grid.value) == str(point.value)
+
+
 def test_beam_splitter_frozen_point():
     # R = 1/2, N = 1, c = 1: 1 + (1 - sqrt 2) and 1 + (1 + sqrt 2).
     res = beam_splitter(0.5, 1.0, 1.0, theta_opt=0.25)
