@@ -385,10 +385,8 @@ def xi2_over_grid(
     contrast 0, so no input fails both checks.
     """
     coeff = _contrast(response, purity)
-    # Overflow and inf - inf give inf and nan silently, as in float arithmetic.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pdp = response.c_n * n_photons
-        xi2 = beam_splitter(response.c_n, n_photons, coeff).xi2.tolist()
+    pdp = response.c_n * n_photons
+    xi2 = beam_splitter(response.c_n, n_photons, coeff).xi2.tolist()
     failed: dict[int, PhysicalityError] = {}
     for index in np.flatnonzero(pdp < 0.0).tolist():  # all that might fail
         try:

@@ -155,6 +155,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     linear = linearizes(n_photons, report.n_eff)
     columns.update(
         n_photons=list(grid),
+        # input_quadrature_variance at each N: the law at full reflectivity
         xi2_field=beam_splitter(1.0, n_photons, config.purity).xi2.tolist(),
         valid_linearization=linear.tolist(),
         valid_all=(linear & report.geometry_ok).tolist(),
