@@ -397,13 +397,12 @@ def test_run_sweep_error_rows_match_per_point_calls(model, case):
 
 
 def test_run_sweep_calls_the_law_once_per_column(monkeypatch):
-    calls = []
+    calls, law = [], beam_splitter
 
-    def counted(*args):
+    def counted(*args):  # records the number of photon numbers per call
         calls.append(len(np.atleast_1d(args[1])))
         return law(*args)
 
-    law = beam_splitter
     for module in ("analytic", "squeezed_input", "steady", "sweep"):
         monkeypatch.setattr(f"spinsqueeze.{module}.beam_splitter", counted)
     counts = []
@@ -472,7 +471,7 @@ def test_format_value_conventions():
 
 
 def test_numpy_scalars_are_written_as_their_python_values():
-    # np.bool_ and np.int64 subclass neither bool nor int, np.float64 float.
+    # np.bool_ and np.int64 subclass neither bool nor int; np.float64 is a float.
     numpy_row = {
         "flag": np.bool_(True),
         "count": np.int64(5),
