@@ -80,14 +80,10 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.out is not None:
-        overrides["output.path"] = args.out
-    if args.format is not None:
-        overrides["output.format"] = args.format
-    if args.workers is not None:
-        overrides["workers"] = str(args.workers)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+    for flag, key in [("out", "output.path"), ("format", "output.format"),
+                      ("workers", "workers"), ("seed", "seed")]:
+        if getattr(args, flag) is not None:
+            overrides[key] = str(getattr(args, flag))
     return overrides
 
 

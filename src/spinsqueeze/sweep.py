@@ -106,76 +106,70 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     :func:`steady.xi2_over_grid` from the one unit solve of
     :func:`steady.numeric_response`.  Only ``mc-check``'s trajectories run
     per point, on ``workers`` threads, on the stacks that
-    :func:`steady.oracle_stacks` picks first.  Solver errors, including an
-    unstable drift matrix, an evanescent sum that does not converge or
-    numpy's ``LinAlgError`` (as a ``ConvergenceError``), fill the ``error``
-    column of each row they affect instead of aborting the sweep.  A
-    detuning or contrast that cannot be resolved fails every row, which
-    keeps only the columns that do not depend on it.
+    :func:`steady.oracle_stacks` picks first.
+
+    Errors follow one rule.  The columns are filled in a fixed order: the
+    input check, ``xi2_field``, the detuning, ``alpha_eff``, the
+    closed-form columns, the numeric solve, the oracle's stacks and
+    ``xi2_numeric``.  An error met on the way (a ``SpinSqueezeError``, or
+    numpy's ``LinAlgError`` as a ``ConvergenceError``) fails every row,
+    and every column filled before it stays written.  Only the occupation
+    check of ``xi2_numeric`` and the trajectories fail their own row.  The
+    one error raised is the ``ConfigError`` of ``config.rates()``; an N or
+    a purity out of range, which only a hand-built config can hold, fails
+    the input check like any other error.
     """
     geom = config.geometry
     rates = config.rates()
-    want_numeric = config.model in ("numeric", "both", "mc-check")
-    want_analytic = config.model in ("analytic", "both")
-    want_mc = config.model == "mc-check"
-
-    # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
-    report = validity_report(geom, config.beam, 0.0, rates)
-    # A column is a list of one cell per row, or one cell that every row shares.
-    columns: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
-    columns.update(
-        validity_columns(report), purity=config.purity, r0=rates.r0, n_eff=report.n_eff
-    )
     grid = config.n_photons_grid
     if not grid:
         return []
+    # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
+    report = validity_report(geom, config.beam, 0.0, rates)
     n_photons = np.array(grid, dtype=float)
-    # The first spec of a spec per point to fail raises its error: point 0's
-    # if the purity fails, else that of the first N out of range, if any.
-    in_range = (n_photons >= 0.0) & (n_photons <= MAX_PHOTONS)
-    for index in (0, int(in_range.argmin())):
-        SqueezedVacuumSpec(grid[index], config.purity)
-    det = alpha = response = None
-    # The first error of the detuning, the contrast and the numeric solve.
-    setup_error = ""
+    linear = linearizes(n_photons, report.n_eff)
+    # A column is a list of one cell per row, or one cell that every row shares.
+    columns: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
+    columns.update(
+        validity_columns(report),
+        n_photons=list(grid),
+        purity=config.purity,
+        r0=rates.r0,
+        n_eff=report.n_eff,
+        valid_linearization=linear.tolist(),
+        valid_all=(linear & report.geometry_ok).tolist(),
+    )
+    errors = [""] * len(grid)
     try:
+        # The first spec of a spec per point to fail raises its error: point 0's
+        # if the purity fails, else that of the first N out of range, if any.
+        in_range = (n_photons >= 0.0) & (n_photons <= MAX_PHOTONS)
+        for index in (0, int(in_range.argmin())):
+            SqueezedVacuumSpec(grid[index], config.purity)
+        # input_quadrature_variance at each N: the law at full reflectivity
+        columns["xi2_field"] = beam_splitter(1.0, n_photons, config.purity).xi2.tolist()
         det = DetuningSpec(_resolve_detuning(config))
         columns["eff_detuning"] = det.eff_detuning
         unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
         alpha = columns["alpha_eff"] = squeezing_contrast(rates, unit, det)
-        if want_numeric:
+        if config.model in ("analytic", "both"):  # at the contrast of the sweep
+            analytic = beam_splitter(rates.r0, n_photons, alpha)
+            columns.update(
+                xi2_analytic=analytic.xi2.tolist(),
+                theta_opt=analytic.theta_opt,
+                xi2_anti=analytic.xi2_anti.tolist(),
+            )
+        if config.model != "analytic":
             response = numeric_response(geom, rates, det, config.include_evanescent)
-        if want_mc:  # chosen here, so that the workers cannot change the choice
-            specs = [SqueezedVacuumSpec(n, config.purity) for n in grid]
-            stacks = oracle_stacks(response, specs, geom, rates, det)
+            if config.model == "mc-check":  # chosen before the workers start
+                specs = [SqueezedVacuumSpec(n, config.purity) for n in grid]
+                stacks = oracle_stacks(response, specs, geom, rates, det)
+            xi2, failed = xi2_over_grid(response, n_photons, config.purity)
+            for index, exc in failed.items():
+                xi2[index], errors[index] = "", _error_text(exc)
+            columns["xi2_numeric"] = xi2
     except _ROW_ERRORS as exc:
-        setup_error = _error_text(exc)
-
-    errors = [setup_error] * len(grid)
-    linear = linearizes(n_photons, report.n_eff)
-    columns.update(
-        n_photons=list(grid),
-        # input_quadrature_variance at each N: the law at full reflectivity
-        xi2_field=beam_splitter(1.0, n_photons, config.purity).xi2.tolist(),
-        valid_linearization=linear.tolist(),
-        valid_all=(linear & report.geometry_ok).tolist(),
-    )
-    if alpha is not None:  # a detuning and a contrast
-        try:
-            if want_analytic:  # xi2_analytic, at the contrast of the sweep
-                analytic = beam_splitter(rates.r0, n_photons, alpha)
-                columns.update(
-                    xi2_analytic=analytic.xi2.tolist(),
-                    theta_opt=analytic.theta_opt,
-                    xi2_anti=analytic.xi2_anti.tolist(),
-                )
-            if want_numeric and not setup_error:
-                xi2, failed = xi2_over_grid(response, n_photons, config.purity)
-                for index, exc in failed.items():
-                    xi2[index], errors[index] = "", _error_text(exc)
-                columns["xi2_numeric"] = xi2
-        except _ROW_ERRORS as exc:  # a contrast error fails every row
-            errors[:] = [_error_text(exc)] * len(grid)
+        errors[:] = [_error_text(exc)] * len(grid)
 
     def trajectories(index: int) -> None:
         params = dataclasses.replace(
@@ -188,7 +182,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         except _ROW_ERRORS as exc:
             errors[index] = _error_text(exc)
 
-    if want_mc:  # at every point that the other columns leave without error
+    if config.model == "mc-check":  # at every point whose other columns did not fail
         points = [index for index, error in enumerate(errors) if not error]
         estimates, stderrs = [""] * len(grid), [""] * len(grid)
         columns.update(mc_estimate=estimates, mc_stderr=stderrs)
@@ -406,7 +400,8 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
     The closed-form optimum is tabulated for every layer count from 1
     to 100 together with its two asymptotes, and the steady-state model
     is evaluated at the optimal photon number as an independent check:
-    a one-point numeric sweep per layer count.
+    a one-point numeric sweep per layer count.  Its row and error are the
+    check's; a pure source's infinite optimum fails the check's input.
     """
     rows: list[dict[str, Any]] = []
     for entry in xi2_min_vs_layers(
@@ -420,12 +415,9 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
             model="numeric",
             n_photons_grid=(entry["n_photons_opt"],),
         )
-        try:
-            (check,) = run_sweep(case)
-            row["xi2_numeric"] = check["xi2_numeric"]
-            row["error"] = check["error"]
-        except SpinSqueezeError as exc:  # an infinite optimum is no valid input
-            row["error"] = _error_text(exc)
+        (check,) = run_sweep(case)
+        row["xi2_numeric"] = check["xi2_numeric"]
+        row["error"] = check["error"]
         rows.append(row)
 
     g10 = dataclasses.replace(config.geometry, n_layers=10)

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import build_config, parse_config_text, sweep
+from spinsqueeze import build_config, parse_config_text, steady, sweep
 from spinsqueeze.config import (
+    DEFAULTS,
     ENV_CONFIG_DIR,
     load_config_file,
     parse_grid,
@@ -24,6 +25,7 @@ from spinsqueeze.config import (
 from spinsqueeze.analytic import DetuningSpec, squeezing_contrast, xi2_analytic
 from spinsqueeze.exceptions import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     SpinSqueezeError,
     StabilityError,
@@ -442,6 +444,125 @@ def test_a_contrast_error_fails_every_row(monkeypatch):
         assert row["eff_detuning"] == 0.0 and row["xi2_field"] != ""
         empty = ("alpha_eff", "xi2_analytic", "theta_opt", "xi2_anti", "xi2_numeric")
         assert all(row[key] == "" for key in empty)
+
+
+def _raise(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+def _failing_oracle_block(*args):
+    """oracle_stacks with the solve of its first leading block failing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steady, "equivalent_stack", _raise(ConvergenceError("block")))
+        return steady.oracle_stacks(*args)
+
+
+def _trajectories_failing_at_point_1(drift, diff, geom, params):
+    if params.seed == int(DEFAULTS["seed"]) + sweep._PER_POINT_SEED_STRIDE:
+        raise StabilityError("trajectory")
+    return 1.0, 0.1
+
+
+# Columns of every row, whatever fails: the flags and what the config fixes.
+_SHARED = {"n_photons", "purity", "r0", "n_eff"} | {
+    key for key in SWEEP_COLUMNS if key.startswith("valid_")
+}
+_CLOSED_FORM = {"xi2_analytic", "theta_opt", "xi2_anti"}
+_CONTRAST = {"xi2_field", "eff_detuning", "alpha_eff"}
+
+# case: (config keys, what sweep binds instead, grid or purity set on the
+# built config, the failing rows, their error's start, the columns that the
+# failing rows and the others keep).
+_STAGES = {
+    "input N": (
+        {}, {}, {"n_photons_grid": (1.0, math.inf, 2.0)}, [0, 1, 2],
+        "DomainError: n_photons must be finite", _SHARED, None,
+    ),
+    "input purity": (
+        {}, {}, {"purity": 1.5}, [0, 1, 2],
+        "DomainError: purity must lie in [0, 1]", _SHARED, None,
+    ),
+    "detuning": (
+        {"detuning.mode": "delta-prime-corrected", "geometry.layer_spacing": "0.1"},
+        {}, {}, [0, 1, 2], "ConvergenceError", _SHARED | {"xi2_field"}, None,
+    ),
+    "contrast": (
+        {}, {"squeezing_contrast": _raise(DomainError("contrast"))}, {}, [0, 1, 2],
+        "DomainError: contrast", _SHARED | {"xi2_field", "eff_detuning"}, None,
+    ),
+    "closed-form columns": (
+        {}, {"squeezing_contrast": lambda *args: 1.5}, {}, [0, 1, 2],
+        "DomainError", _SHARED | _CONTRAST, None,
+    ),
+    "numeric solve": (
+        {}, {"numeric_response": _raise(StabilityError("solve"))}, {}, [0, 1, 2],
+        "StabilityError: solve", _SHARED | _CONTRAST | _CLOSED_FORM, None,
+    ),
+    "oracle block": (
+        {"model": "mc-check"}, {"oracle_stacks": _failing_oracle_block}, {},
+        [0, 1, 2], "ConvergenceError: block", _SHARED | _CONTRAST, None,
+    ),
+    "numeric contrast": (
+        {},
+        {"numeric_response": lambda *args: UnitResponse(0.5, 0.5 + 1e-9, 0.0, 0.0)},
+        {}, [0, 1, 2], "PhysicalityError", _SHARED | _CONTRAST | _CLOSED_FORM, None,
+    ),
+    "occupation": (
+        {"input.n_photons": "1, 2, 1e4"},
+        {"numeric_response": lambda *args: UnitResponse(-1e-12, 0j, 0.0, 0.0)},
+        {}, [2], "PhysicalityError", _SHARED | _CONTRAST | _CLOSED_FORM,
+        _SHARED | _CONTRAST | _CLOSED_FORM | {"xi2_numeric"},
+    ),
+    "trajectories": (
+        {"model": "mc-check"},
+        {"simulate_xi2": _trajectories_failing_at_point_1}, {}, [1],
+        "StabilityError: trajectory", _SHARED | _CONTRAST | {"xi2_numeric"},
+        _SHARED | _CONTRAST | {"xi2_numeric", "mc_estimate", "mc_stderr"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_STAGES))
+def test_an_error_fails_its_rows_and_keeps_the_columns_filled_before_it(case):
+    keys, bound, fields, failing, error, kept, kept_elsewhere = _STAGES[case]
+    config = dataclasses.replace(_small_sweep_config(**keys), **fields)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in bound.items():
+            mp.setattr(sweep, name, value)
+        rows = run_sweep(config)
+    assert [i for i, row in enumerate(rows) if row["error"]] == failing
+    for i, row in enumerate(rows):
+        filled = {key for key, cell in row.items() if cell != ""}
+        if i in failing:
+            assert row["error"].startswith(error)
+            assert filled == kept | {"error"}
+        else:
+            assert filled == kept_elsewhere
+
+
+@pytest.mark.parametrize(
+    "fields, spec",
+    [
+        ({"n_photons_grid": (1.0, -1.0, math.inf)}, (-1.0, 1.0)),
+        ({"n_photons_grid": (1.0, math.nan)}, (math.nan, 1.0)),
+        ({"purity": 1.5}, (0.5, 1.5)),
+        ({"purity": -0.5, "n_photons_grid": (0.5, math.inf)}, (0.5, -0.5)),
+    ],
+)
+@pytest.mark.parametrize("model", ["analytic", "numeric", "mc-check"])
+def test_run_sweep_returns_an_invalid_input_as_row_errors(model, fields, spec):
+    # The config parser refuses these values; a config built by hand reaches
+    # run_sweep with them, and every row carries the first failing spec's error.
+    config = dataclasses.replace(
+        _small_sweep_config(model=model, **{"input.purity": "1"}), **fields
+    )
+    with pytest.raises(DomainError) as refused:
+        SqueezedVacuumSpec(*spec)
+    rows = run_sweep(config)
+    assert len(rows) == len(config.n_photons_grid)
+    assert all(row["error"] == f"DomainError: {refused.value}" for row in rows)
 
 
 def test_run_sweep_mc_check_is_deterministic():
