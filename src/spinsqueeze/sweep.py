@@ -400,8 +400,9 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
     The closed-form optimum is tabulated for every layer count from 1
     to 100 together with its two asymptotes, and the steady-state model
     is evaluated at the optimal photon number as an independent check:
-    a one-point numeric sweep per layer count.  Its row and error are the
-    check's; a pure source's infinite optimum fails the check's input.
+    a one-point numeric sweep per layer count, whose ``xi2_numeric`` and
+    ``error`` each row copies.  A pure source's infinite optimum fails the
+    check's input check, so it is an error of that row.
     """
     rows: list[dict[str, Any]] = []
     for entry in xi2_min_vs_layers(

@@ -433,19 +433,6 @@ def test_run_sweep_evaluates_what_no_point_changes_once(monkeypatch):
     assert calls == {"validity_report": 1, "squeezing_contrast": 1}
 
 
-def test_a_contrast_error_fails_every_row(monkeypatch):
-    def refuse(*args):
-        raise DomainError("synthetic contrast")
-
-    monkeypatch.setattr(sweep, "squeezing_contrast", refuse)
-    rows = run_sweep(_small_sweep_config())
-    assert [row["error"] for row in rows] == ["DomainError: synthetic contrast"] * 3
-    for row in rows:
-        assert row["eff_detuning"] == 0.0 and row["xi2_field"] != ""
-        empty = ("alpha_eff", "xi2_analytic", "theta_opt", "xi2_anti", "xi2_numeric")
-        assert all(row[key] == "" for key in empty)
-
-
 def _raise(exc):
     def fail(*args):
         raise exc
@@ -470,7 +457,7 @@ _SHARED = {"n_photons", "purity", "r0", "n_eff"} | {
     key for key in SWEEP_COLUMNS if key.startswith("valid_")
 }
 _CLOSED_FORM = {"xi2_analytic", "theta_opt", "xi2_anti"}
-_CONTRAST = {"xi2_field", "eff_detuning", "alpha_eff"}
+_SET_UP = {"xi2_field", "eff_detuning", "alpha_eff"}
 
 # case: (config keys, what sweep binds instead, grid or purity set on the
 # built config, the failing rows, their error's start, the columns that the
@@ -489,37 +476,38 @@ _STAGES = {
         {}, {}, [0, 1, 2], "ConvergenceError", _SHARED | {"xi2_field"}, None,
     ),
     "contrast": (
-        {}, {"squeezing_contrast": _raise(DomainError("contrast"))}, {}, [0, 1, 2],
-        "DomainError: contrast", _SHARED | {"xi2_field", "eff_detuning"}, None,
+        {}, {"squeezing_contrast": _raise(DomainError("synthetic contrast"))}, {},
+        [0, 1, 2], "DomainError: synthetic contrast",
+        _SHARED | {"xi2_field", "eff_detuning"}, None,
     ),
     "closed-form columns": (
         {}, {"squeezing_contrast": lambda *args: 1.5}, {}, [0, 1, 2],
-        "DomainError", _SHARED | _CONTRAST, None,
+        "DomainError", _SHARED | _SET_UP, None,
     ),
     "numeric solve": (
         {}, {"numeric_response": _raise(StabilityError("solve"))}, {}, [0, 1, 2],
-        "StabilityError: solve", _SHARED | _CONTRAST | _CLOSED_FORM, None,
+        "StabilityError: solve", _SHARED | _SET_UP | _CLOSED_FORM, None,
     ),
     "oracle block": (
         {"model": "mc-check"}, {"oracle_stacks": _failing_oracle_block}, {},
-        [0, 1, 2], "ConvergenceError: block", _SHARED | _CONTRAST, None,
+        [0, 1, 2], "ConvergenceError: block", _SHARED | _SET_UP, None,
     ),
     "numeric contrast": (
         {},
         {"numeric_response": lambda *args: UnitResponse(0.5, 0.5 + 1e-9, 0.0, 0.0)},
-        {}, [0, 1, 2], "PhysicalityError", _SHARED | _CONTRAST | _CLOSED_FORM, None,
+        {}, [0, 1, 2], "PhysicalityError", _SHARED | _SET_UP | _CLOSED_FORM, None,
     ),
     "occupation": (
         {"input.n_photons": "1, 2, 1e4"},
         {"numeric_response": lambda *args: UnitResponse(-1e-12, 0j, 0.0, 0.0)},
-        {}, [2], "PhysicalityError", _SHARED | _CONTRAST | _CLOSED_FORM,
-        _SHARED | _CONTRAST | _CLOSED_FORM | {"xi2_numeric"},
+        {}, [2], "PhysicalityError", _SHARED | _SET_UP | _CLOSED_FORM,
+        _SHARED | _SET_UP | _CLOSED_FORM | {"xi2_numeric"},
     ),
     "trajectories": (
         {"model": "mc-check"},
         {"simulate_xi2": _trajectories_failing_at_point_1}, {}, [1],
-        "StabilityError: trajectory", _SHARED | _CONTRAST | {"xi2_numeric"},
-        _SHARED | _CONTRAST | {"xi2_numeric", "mc_estimate", "mc_stderr"},
+        "StabilityError: trajectory", _SHARED | _SET_UP | {"xi2_numeric"},
+        _SHARED | _SET_UP | {"xi2_numeric", "mc_estimate", "mc_stderr"},
     ),
 }
 
@@ -555,9 +543,7 @@ def test_an_error_fails_its_rows_and_keeps_the_columns_filled_before_it(case):
 def test_run_sweep_returns_an_invalid_input_as_row_errors(model, fields, spec):
     # The config parser refuses these values; a config built by hand reaches
     # run_sweep with them, and every row carries the first failing spec's error.
-    config = dataclasses.replace(
-        _small_sweep_config(model=model, **{"input.purity": "1"}), **fields
-    )
+    config = dataclasses.replace(_small_sweep_config(model=model), **fields)
     with pytest.raises(DomainError) as refused:
         SqueezedVacuumSpec(*spec)
     rows = run_sweep(config)
