@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands map onto the model selector: ``rates`` prints the scalar
+Commands map onto the model selector: ``rates`` prints the scalar
 rate set for a configuration, ``analytic``, ``numeric`` and
 ``mc-check`` force the respective model, ``sweep`` honours whatever the
 config selects, and the ``fig3a``/``fig3b``/``fig4`` presets reproduce
@@ -35,7 +35,31 @@ from .sweep import (
 )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+# Each command with the line that ``--help`` lists it with.
+COMMANDS = {
+    "rates": "print the collective rates and validity report",
+    "analytic": "closed-form squeezing over the photon grid",
+    "numeric": "steady-state layer model over the photon grid",
+    "mc-check": "trajectory cross-check against the steady state",
+    "sweep": "run the sweep with the model chosen in the config",
+    "fig3a": "squeezing vs photon number preset (a=0.68)",
+    "fig3b": "optimal squeezing vs layer count preset (a=0.68)",
+    "fig4": "detuning compensation preset (a=0.95)",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; the flags may come before or after it."""
+    parser = argparse.ArgumentParser(
+        prog="spinsqueeze",
+        description="Spin squeezing of layered atomic arrays from squeezed light",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:10s}{text}" for name, text in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
+    )
     parser.add_argument("--config", help="config file (see docs/config.md)")
     parser.add_argument(
         "--set",
@@ -48,26 +72,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--workers", type=int, help="threads for mc-check grid points")
     parser.add_argument("--seed", type=int, help="random seed for mc-check")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinsqueeze",
-        description="Spin squeezing of layered atomic arrays from squeezed light",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("rates", "print the collective rates and validity report"),
-        ("analytic", "closed-form squeezing over the photon grid"),
-        ("numeric", "steady-state layer model over the photon grid"),
-        ("mc-check", "trajectory cross-check against the steady state"),
-        ("sweep", "run the sweep with the model chosen in the config"),
-        ("fig3a", "squeezing vs photon number preset (a=0.68)"),
-        ("fig3b", "optimal squeezing vs layer count preset (a=0.68)"),
-        ("fig4", "detuning compensation preset (a=0.95)"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
     return parser
 
 

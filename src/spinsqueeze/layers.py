@@ -297,7 +297,7 @@ def kernel_lanczos(
             for _ in range(2):
                 w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
             w = 0.5 * (w + w[::-1])
-            beta = float(np.linalg.norm(w))
+            beta = math.sqrt(w @ w)
             if beta <= floor:
                 yield np.array(diag), np.array(off), True
                 return

@@ -126,24 +126,26 @@ def _norm(a: np.ndarray) -> float:
     return norm(a.ravel("K"), check_finite=False)
 
 
-def _residual(
-    a_left: np.ndarray,
-    a_right: np.ndarray,
-    x: np.ndarray,
-    source: np.ndarray,
-) -> float:
-    # The equation is homogeneous in the drift and the source, so both are
+def _residuals(
+    a: np.ndarray, n_mat: np.ndarray, m_mat: np.ndarray, diff: DiffusionSet
+) -> tuple[float, float]:
+    """Relative residuals of conj(A) N + N A^T + S_n and A M + M A^T + S_m."""
+    # The equations are homogeneous in the drift and the source, so both are
     # divided by the drift's largest entry (at least gamma0/2), which keeps
     # their norms finite at the top of the float range.  x is not: near there
     # it is itself subnormal, and its reciprocal would overflow.
-    peak = np.abs(a_right).max()
-    a_left, a_right, source = a_left / peak, a_right / peak, source / peak
-    res = a_left @ x + x @ a_right + source
-    x_norm = _norm(x)
-    scale = _norm(a_left) * x_norm + x_norm * _norm(a_right) + _norm(source)
-    if scale == 0.0:
-        return 0.0
-    return float(_norm(res) / scale)
+    peak = np.abs(a).max()
+    a = a / peak
+    a_norm = _norm(a)  # also the norm of conj(A) and of A^T
+
+    def residual(a_left: np.ndarray, x: np.ndarray, source: np.ndarray) -> float:
+        source = source / peak
+        res = a_left @ x + x @ a.T + source
+        # ||a_left|| ||x|| + ||x|| ||A^T||, whose two terms are equal.
+        scale = 2.0 * (a_norm * _norm(x)) + _norm(source)
+        return 0.0 if scale == 0.0 else float(_norm(res) / scale)
+
+    return residual(a.conj(), n_mat, diff.s_n), residual(a, m_mat, diff.s_m)
 
 
 @one_blas_thread()
@@ -196,8 +198,7 @@ def solve_moments(
 
     # Products near the float range may overflow; a NaN residual is refused.
     with np.errstate(over="ignore", invalid="ignore"):
-        res_n = _residual(a.conj(), a.T, n_mat, diff.s_n)
-        res_m = _residual(a, a.T, m_mat, diff.s_m)
+        res_n, res_m = _residuals(a, n_mat, m_mat, diff)
     worst = float(np.maximum(res_n, res_m))  # NaN if either is
     if not worst <= RESIDUAL_HARD_LIMIT:
         raise ResidualError(
@@ -205,12 +206,7 @@ def solve_moments(
             f"{RESIDUAL_HARD_LIMIT:.1e}; the drift matrix is likely near "
             "singular"
         )
-    return SteadyStateMoments(
-        n_matrix=n_mat,
-        m_matrix=m_mat,
-        residual_n=res_n,
-        residual_m=res_m,
-    )
+    return SteadyStateMoments(n_mat, m_mat, res_n, res_m)
 
 
 @one_blas_thread()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from spinsqueeze import layers, steady
+from spinsqueeze import cli, layers, steady
 from spinsqueeze.config import DEFAULTS
 from spinsqueeze.sweep import PRESETS
 
@@ -78,3 +78,12 @@ def test_config_reference_states_the_solver_constants():
     assert documented_numbers(text, r"([\d.e-]+) \|eps\(1\)\|") == {
         layers.DEFAULT_EPS_TOL
     }
+
+
+def test_readme_command_line_names_every_command():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (command,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    assert command.choices
+    for name in command.choices:
+        assert re.search(rf"^spinsqueeze {re.escape(name)}\b", section, re.M), name

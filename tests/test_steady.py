@@ -154,12 +154,8 @@ def solve_eigenbasis(drift, diff):
     m_mat = eig_sylvester(a, a.T, diff.s_m.astype(complex))
     n_mat = 0.5 * (n_mat + n_mat.conj().T)
     m_mat = 0.5 * (m_mat + m_mat.T)
-    moments = SteadyStateMoments(
-        n_matrix=n_mat,
-        m_matrix=m_mat,
-        residual_n=steady._residual(a.conj(), a.T, n_mat, diff.s_n),
-        residual_m=steady._residual(a, a.T, m_mat, diff.s_m),
-    )
+    residuals = steady._residuals(a, n_mat, m_mat, diff)
+    moments = SteadyStateMoments(n_mat, m_mat, *residuals)
     worst = max(moments.residual_n, moments.residual_m)
     assert worst <= steady.RESIDUAL_HARD_LIMIT
     return moments
@@ -466,6 +462,46 @@ def test_residuals_are_recorded_and_small():
     moments = solve_moments(drift, diff)
     assert moments.residual_n < 1e-10
     assert moments.residual_m < 1e-10
+
+
+def per_term_residual(a_left, a_right, x, source):
+    """The relative residual with a norm taken of each term on its own."""
+    peak = np.abs(a_right).max()
+    a_left, a_right, source = a_left / peak, a_right / peak, source / peak
+    res = a_left @ x + x @ a_right + source
+    x_norm = steady._norm(x)
+    scale = (steady._norm(a_left) * x_norm + x_norm * steady._norm(a_right)
+             + steady._norm(source))
+    return 0.0 if scale == 0.0 else float(steady._norm(res) / scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 60),
+    log10_gamma_s=st.floats(-5.0, 300.0),
+    layer_spacing=st.sampled_from([1.0, 0.75]),
+    purity=st.floats(0.0, 1.0),
+)
+@example(n_layers=12, log10_gamma_s=300.0, layer_spacing=1.0, purity=0.9)
+@example(n_layers=12, log10_gamma_s=300.0, layer_spacing=0.75, purity=0.9)
+def test_shared_drift_norm_keeps_the_per_term_residual_bits(
+    n_layers, log10_gamma_s, layer_spacing, purity
+):
+    # conj(A), A^T and A have one norm; solve_moments takes it, and the
+    # drift's peak, once for both equations, which moves no bit.
+    geom, rates = stack(n_layers, layer_spacing=layer_spacing,
+                        gamma_s_frac=10.0**log10_gamma_s)
+    spec = SqueezedVacuumSpec(n_photons=3.0, purity=purity)
+    drift, diff = build_problem(geom, rates, spec)
+    moments = solve_moments(drift, diff)
+    a = drift.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert moments.residual_n == per_term_residual(
+            a.conj(), a.T, moments.n_matrix, diff.s_n
+        )
+        assert moments.residual_m == per_term_residual(
+            a, a.T, moments.m_matrix, diff.s_m
+        )
 
 
 def test_moment_matrices_are_physical():
