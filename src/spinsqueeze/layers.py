@@ -218,7 +218,6 @@ def interaction_kernel(
     return LayerKernel(d_matrix=toeplitz(column, column), truncation=truncation)
 
 
-@one_blas_thread()
 def drift_matrix(
     kernel: LayerKernel,
     rates: RateSet,
@@ -241,12 +240,15 @@ def drift_matrix(
     return _factorise(a, rates)
 
 
+@one_blas_thread()
 def _factorise(
     a: np.ndarray, rates: RateSet, abscissa: float = -math.inf
 ) -> DriftMatrix:
-    """Schur form of ``a``, refused unless its spectral abscissa is
-    below -1e-12 gamma0; ``abscissa`` is an eigenvalue real part known
-    to belong to the full generator that ``a`` represents."""
+    """Schur form of ``a``, on one OpenBLAS thread, refused unless its
+    spectral abscissa is below -1e-12 gamma0; ``abscissa`` is an
+    eigenvalue real part known to belong to the full generator that
+    ``a`` represents.  Every drift matrix of the package, dense or
+    reduced, is factorised here."""
     schur_t, schur_q = schur(a, output="complex")
     schur_t.setflags(write=False)
     schur_q.setflags(write=False)

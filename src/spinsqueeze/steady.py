@@ -44,7 +44,8 @@ stack with coupling gamma0 N_z/m per layer, which
 :func:`unit_response` solves it like any other stack.  The trajectory
 oracle samples the equivalent stack of a leading block of the converged
 tridiagonal instead of the N_z-layer one: the smallest whose xi2 at the
-point's input is within ``ORACLE_RTOL`` of the numeric column
+point's input is within ``ORACLE_RTOL`` of the numeric column, each
+block tested on the whole grid by one :func:`xi2_over_grid` call
 (:func:`oracle_stacks`).
 """
 
@@ -392,47 +393,47 @@ def xi2_over_grid(
     return xi2, failed
 
 
-def _xi2_or_nan(response: UnitResponse, spec: SqueezedVacuumSpec) -> float:
-    try:
-        return xi2_from_response(response, spec).xi2
-    except PhysicalityError:  # matches no target, so the row keeps its own error
-        return math.nan
-
-
 def oracle_stacks(
     response: UnitResponse,
-    specs: list[SqueezedVacuumSpec],
+    targets: list[float],
+    n_photons: np.ndarray,
+    purity: float,
     geom: ArrayGeometry,
     rates: RateSet,
     det: DetuningSpec,
 ) -> list[Stack]:
-    """The stack that the trajectory oracle samples at each input of ``specs``.
+    """The stack that the trajectory oracle samples at each photon number
+    of ``n_photons``, whose numeric column ``targets`` is
+    ``xi2_over_grid(response, n_photons, purity)``'s ``xi2``.
 
     The oracle reads only the collective mode, whose statistics the
     leading m x m blocks of the converged Lanczos tridiagonal carry ever
     more exactly as m grows; the trajectories cost 2m normals and an
     O(m^2) propagation per step.  Each input gets the equivalent stack of
     the first block of m = 1, 2, 4, ... below the converged m whose xi2
-    at that input (its own N and purity, which is where large N amplifies
-    a contrast deficit 1 - alpha) lies within ``ORACLE_RTOL`` of
-    ``xi2_from_response(response, spec)``.  The blocks are the leading
-    rows of what :func:`layers.kernel_lanczos` produced, so no Lanczos
-    step is repeated, and each costs one m x m unit solve.  Inputs that no
-    block passes, and every input on the dense route, get
-    ``response.stack``.
+    at that input lies within ``ORACLE_RTOL`` of its target.  The test
+    is per point because large N amplifies a contrast deficit 1 - alpha.
+    One :func:`xi2_over_grid` call tests a block at every input still
+    pending: a block whose contrast fails matches none, and an input in
+    its ``failed`` map does not match.  The blocks are the leading rows
+    of what :func:`layers.kernel_lanczos` produced, so no Lanczos step is
+    repeated, and each costs one m x m unit solve.  Inputs that no block
+    passes, and every input on the dense route, get ``response.stack``.
     """
-    targets = [_xi2_or_nan(response, spec) for spec in specs]
-    stacks = [response.stack] * len(specs)
-    pending = set(range(len(specs)))
+    stacks = dict.fromkeys(range(len(targets)), response.stack)
+    targets, pending = np.asarray(targets), np.arange(len(targets))
     diag, off = response.lanczos or ((), ())
     m = 1
-    while m < len(diag) and pending:
+    while m < len(diag) and pending.size:
         block = equivalent_stack(diag[:m], off[: m - 1], geom, rates, det)
         rung = unit_response(*block)
-        for i in list(pending):
-            miss = abs(_xi2_or_nan(rung, specs[i]) - targets[i])
-            if miss <= ORACLE_RTOL * abs(targets[i]):
-                stacks[i] = rung.stack
-                pending.remove(i)
+        try:
+            xi2, failed = xi2_over_grid(rung, n_photons[pending], purity)
+        except PhysicalityError:  # the block's contrast, at every input
+            xi2, failed = math.nan, {}
+        match = np.abs(np.subtract(xi2, targets)) <= ORACLE_RTOL * np.abs(targets)
+        match[list(failed)] = False
+        stacks.update(dict.fromkeys(pending[match].tolist(), rung.stack))
+        pending, targets = pending[~match], targets[~match]
         m *= 2
-    return stacks
+    return list(stacks.values())

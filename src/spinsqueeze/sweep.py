@@ -106,20 +106,22 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     :func:`steady.xi2_over_grid` from the one unit solve of
     :func:`steady.numeric_response`.  Only ``mc-check``'s trajectories run
     per point, on ``workers`` threads, on the stacks that
-    :func:`steady.oracle_stacks` picks first.
+    :func:`steady.oracle_stacks` picks first from that column; point i
+    runs on seed (``seed`` + 1000003 i) mod 2^63.
 
     Errors follow one rule.  The columns are filled in a fixed order: the
     input check, ``xi2_field``, the detuning, ``alpha_eff``, the
-    closed-form columns, the numeric solve, the oracle's stacks and
-    ``xi2_numeric``.  An error met on the way (a ``SpinSqueezeError``, or
-    numpy's ``LinAlgError`` as a ``ConvergenceError``) fails every row,
-    and every column filled before it stays written.  Only the occupation
-    check of ``xi2_numeric`` and the trajectories fail their own row.  The
-    one error raised is the ``ConfigError`` of ``config.rates()``; an N or
-    a purity out of range, which only a hand-built config can hold, fails
-    the input check like any other error.
+    closed-form columns, the numeric solve, its contrast, the oracle's
+    stacks and ``xi2_numeric``.  An error met on the way (a
+    ``SpinSqueezeError``, or numpy's ``LinAlgError`` as a
+    ``ConvergenceError``) fails every row, and every column filled before
+    it stays written.  Only the occupation check of ``xi2_numeric`` and
+    the trajectories fail their own row.  The one error raised is the
+    ``ConfigError`` of ``config.rates()``; an N or a purity out of range,
+    which only a hand-built config can hold, fails the input check like
+    any other error.
     """
-    geom = config.geometry
+    geom, purity = config.geometry, config.purity
     rates = config.rates()
     grid = config.n_photons_grid
     if not grid:
@@ -133,7 +135,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     columns.update(
         validity_columns(report),
         n_photons=list(grid),
-        purity=config.purity,
+        purity=purity,
         r0=rates.r0,
         n_eff=report.n_eff,
         valid_linearization=linear.tolist(),
@@ -145,12 +147,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         # if the purity fails, else that of the first N out of range, if any.
         in_range = (n_photons >= 0.0) & (n_photons <= MAX_PHOTONS)
         for index in (0, int(in_range.argmin())):
-            SqueezedVacuumSpec(grid[index], config.purity)
+            SqueezedVacuumSpec(grid[index], purity)
         # input_quadrature_variance at each N: the law at full reflectivity
-        columns["xi2_field"] = beam_splitter(1.0, n_photons, config.purity).xi2.tolist()
+        columns["xi2_field"] = beam_splitter(1.0, n_photons, purity).xi2.tolist()
         det = DetuningSpec(_resolve_detuning(config))
         columns["eff_detuning"] = det.eff_detuning
-        unit = SqueezedVacuumSpec(n_photons=0.0, purity=config.purity)
+        unit = SqueezedVacuumSpec(n_photons=0.0, purity=purity)
         alpha = columns["alpha_eff"] = squeezing_contrast(rates, unit, det)
         if config.model in ("analytic", "both"):  # at the contrast of the sweep
             analytic = beam_splitter(rates.r0, n_photons, alpha)
@@ -161,10 +163,11 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
             )
         if config.model != "analytic":
             response = numeric_response(geom, rates, det, config.include_evanescent)
+            xi2, failed = xi2_over_grid(response, n_photons, purity)
             if config.model == "mc-check":  # chosen before the workers start
-                specs = [SqueezedVacuumSpec(n, config.purity) for n in grid]
-                stacks = oracle_stacks(response, specs, geom, rates, det)
-            xi2, failed = xi2_over_grid(response, n_photons, config.purity)
+                stacks = oracle_stacks(
+                    response, xi2, n_photons, purity, geom, rates, det
+                )
             for index, exc in failed.items():
                 xi2[index], errors[index] = "", _error_text(exc)
             columns["xi2_numeric"] = xi2
@@ -172,12 +175,11 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
         errors[:] = [_error_text(exc)] * len(grid)
 
     def trajectories(index: int) -> None:
-        params = dataclasses.replace(
-            config.mc, seed=config.mc.seed + _PER_POINT_SEED_STRIDE * index
-        )
+        seed = (config.mc.seed + _PER_POINT_SEED_STRIDE * index) % 2**63
+        params = dataclasses.replace(config.mc, seed=seed)
         drift, g, r = stacks[index]
         try:
-            diff = noise_diffusions(specs[index], g, r)
+            diff = noise_diffusions(SqueezedVacuumSpec(grid[index], purity), g, r)
             estimates[index], stderrs[index] = simulate_xi2(drift, diff, g, params)
         except _ROW_ERRORS as exc:
             errors[index] = _error_text(exc)

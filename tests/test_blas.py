@@ -101,6 +101,33 @@ def test_numeric_sweep_factorises_and_solves_on_one_thread(two_threads, monkeypa
     assert set(thread_counts()) == {2}
 
 
+def test_mc_check_sweep_factorises_and_solves_on_one_thread(two_threads, monkeypatch):
+    # The Krylov rungs and the oracle's leading blocks both factorise.
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append((name, np.shape(args[0]), tuple(thread_counts())))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(layers, "schur", spy("schur", layers.schur))
+    monkeypatch.setattr(steady, "ztrsyl", spy("ztrsyl", steady.ztrsyl))
+    config = build_config({
+        "model": "mc-check",
+        "mc.n_traj": "2",
+        "mc.t_burn": "0",
+        "mc.t_avg": "1",
+    })
+    assert config.geometry.n_layers == 10
+    rows = run_sweep(config)
+    assert [row["error"] for row in rows] == [""] * len(rows)
+    assert ("schur", (1, 1)) in {(name, shape) for name, shape, _ in seen}
+    ones = (1,) * len(blas._controls())
+    assert {counts for _, _, counts in seen} == {ones}
+    assert set(thread_counts()) == {2}
+
+
 def test_collective_projection_runs_on_one_thread(two_threads):
     # The projection's vector-matrix products would wake the BLAS pool,
     # whose threads then spin on the other core after the call returns.

@@ -184,6 +184,25 @@ def test_workers_flag_runs_threads_and_writes_the_same_bytes(capsys, monkeypatch
     assert pools == [2]
 
 
+def test_per_point_seeds_wrap_below_two_to_the_63(capsys, monkeypatch):
+    # Point i runs on (seed + 1000003 i) mod 2^63, so the largest seed the
+    # config takes still gives every point a valid stream.
+    seeds = []
+
+    def record(drift, diff, geom, params):
+        seeds.append(params.seed)
+        return 1.0, 0.1
+
+    monkeypatch.setattr(sweep, "simulate_xi2", record)
+    code, out, _ = run_cli(
+        capsys, "mc-check", "--set", "seed=9223372036854775807",
+        "--set", "input.n_photons=1,2,3", "--set", "geometry.n_layers=2",
+    )
+    assert code == 0
+    assert [row["error"] for row in parse_csv(out)] == [""] * 3
+    assert seeds == [9223372036854775807, 1000002, 2000005]
+
+
 def test_bad_config_file_reports_line(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("model = both\nwhat is this\n", encoding="utf-8")

@@ -1011,10 +1011,158 @@ def test_oracle_samples_the_first_block_within_tolerance(
         xi2 = xi2_from_response(unit_response(*stack_), spec).xi2
         return abs(xi2 - target) > steady.ORACLE_RTOL * target
 
-    (sampled,) = steady.oracle_stacks(response, [spec], geom, rates, det)
+    (sampled,) = steady.oracle_stacks(
+        response, [target], np.array([spec.n_photons]), purity, geom, rates, det
+    )
     assert not misses(sampled)
     diag, off = response.lanczos
     m = 1
     while m < sampled[1].n_layers:  # every smaller block misses
         assert misses(layers.equivalent_stack(diag[:m], off[: m - 1], geom, rates, det))
         m *= 2
+
+
+def _xi2_or_nan(response, spec):
+    try:
+        return xi2_from_response(response, spec).xi2
+    except PhysicalityError:  # matches no target, so the row keeps its own error
+        return math.nan
+
+
+def _per_point_oracle_stacks(response, specs, geom, rates, det):
+    """The oracle's choice tested point by point through xi2_from_response,
+    with each block's contrast and occupation checked at each point."""
+    targets = [_xi2_or_nan(response, spec) for spec in specs]
+    stacks = [response.stack] * len(specs)
+    pending = set(range(len(specs)))
+    diag, off = response.lanczos or ((), ())
+    m = 1
+    while m < len(diag) and pending:
+        block = steady.equivalent_stack(diag[:m], off[: m - 1], geom, rates, det)
+        rung = steady.unit_response(*block)
+        for i in list(pending):
+            miss = abs(_xi2_or_nan(rung, specs[i]) - targets[i])
+            if miss <= steady.ORACLE_RTOL * abs(targets[i]):
+                stacks[i] = rung.stack
+                pending.remove(i)
+        m *= 2
+    return stacks
+
+
+def assert_oracle_matches_per_point(response, n_photons, purity, geom, rates, det):
+    """oracle_stacks on the numeric column picks the per-point reference's
+    stack, by layer count and drift bits, at every point that runs
+    trajectories (those whose own occupation check passes)."""
+    grid = np.array(n_photons, dtype=float)
+    xi2, failed = steady.xi2_over_grid(response, grid, purity)
+    stacks = steady.oracle_stacks(response, xi2, grid, purity, geom, rates, det)
+    specs = [SqueezedVacuumSpec(n, purity) for n in n_photons]
+    reference = _per_point_oracle_stacks(response, specs, geom, rates, det)
+    runs = [i for i in range(len(n_photons)) if i not in failed]
+    assert runs
+    for i in runs:
+        (drift, g, _), (want, want_g, _) = stacks[i], reference[i]
+        assert g.n_layers == want_g.n_layers
+        assert drift.matrix.tobytes() == want.matrix.tobytes()
+    return [stacks[i][1].n_layers for i in runs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_layers=st.integers(1, 300),
+    lattice_const=st.floats(0.5, 0.99),
+    log10_gamma_s=st.floats(-5.0, 0.0),
+    purity=st.one_of(st.just(1.0), st.floats(0.99, 1.0)),
+    n_photons=st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 12.0).map(lambda x: 10.0**x)),
+        min_size=1, max_size=6,
+    ),
+)
+# Deep corners; at a = 0.9, 0.97 and 0.99 the oracle climbs past m = 1.
+@example(50, 0.97, -5.0, 1.0, [0.01, 1.0, 100.0, 1e4])
+@example(300, 0.95, -3.0, 1.0, [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
+@example(300, 0.99, -5.0, 1.0, [1.0, 1000.0])
+@example(50, 0.99, -5.0, 1.0, [1.0, 1000.0])
+@example(20, 0.9, -1.0, 0.99, [0.0, 1e6, 1e12])
+def test_oracle_on_the_numeric_column_matches_the_per_point_choice(
+    n_layers, lattice_const, log10_gamma_s, purity, n_photons
+):
+    geom, rates = stack(n_layers, lattice_const=lattice_const,
+                        gamma_s_frac=10.0**log10_gamma_s)
+    det = DetuningSpec()
+    response = steady.numeric_response(geom, rates, det)
+    assert_oracle_matches_per_point(response, n_photons, purity, geom, rates, det)
+
+
+def test_oracle_on_the_dense_route_samples_the_whole_stack():
+    geom, rates = stack(8, layer_spacing=0.75)
+    det = DetuningSpec()
+    response = steady.numeric_response(geom, rates, det)
+    sampled = assert_oracle_matches_per_point(
+        response, [1.0, 10.0], 1.0, geom, rates, det
+    )
+    assert sampled == [8, 8]
+
+
+def _unit_response_with(**patch):
+    """unit_response whose 1- and 2-layer blocks get the fields ``patch``
+    makes of their own response."""
+    solve = steady.unit_response
+
+    def patched(drift, geom, rates):
+        response = solve(drift, geom, rates)
+        if geom.n_layers > 2:
+            return response
+        return dataclasses.replace(
+            response, **{key: make(response) for key, make in patch.items()}
+        )
+    return patched
+
+
+def test_oracle_skips_a_block_whose_contrast_exceeds_one(monkeypatch):
+    # At a = 0.95 the points of N = 0.1 and 10 sample 2 and 5 layers; a
+    # 2-layer block with contrast 1 + 1e-9 raises, so N = 0.1 climbs to 4.
+    geom, rates = stack(10, lattice_const=0.95)
+    det = DetuningSpec()
+    response = steady.numeric_response(geom, rates, det)
+    monkeypatch.setattr(
+        steady, "unit_response",
+        _unit_response_with(c_m=lambda r: r.c_n * (1.0 + 1e-9)),
+    )
+    sampled = assert_oracle_matches_per_point(
+        response, [0.1, 10.0], 1.0, geom, rates, det
+    )
+    assert sampled == [4, 5]
+
+
+def test_oracle_skips_the_rows_whose_occupation_fails():
+    # A negative c_n fails the response's own rows from N = 100 on.
+    geom, rates = stack(10, lattice_const=0.95)
+    det = DetuningSpec()
+    response = dataclasses.replace(
+        steady.numeric_response(geom, rates, det), c_n=-1e-12, c_m=0j
+    )
+    n_photons = [0.0, 1e-3, 1.0, 1e4, 1e12]
+    assert steady.xi2_over_grid(response, np.array(n_photons), 1.0)[1].keys() == {3, 4}
+    sampled = assert_oracle_matches_per_point(
+        response, n_photons, 1.0, geom, rates, det
+    )
+    assert sampled == [1, 5, 5]
+
+
+def test_oracle_skips_a_block_whose_occupation_fails(monkeypatch):
+    # The 1- and 2-layer blocks' xi2 lies within ORACLE_RTOL of every
+    # target, but their negative c_n fails their occupation from N = 100.
+    geom, rates = stack(10, lattice_const=0.95)
+    det = DetuningSpec()
+    response = dataclasses.replace(
+        steady.numeric_response(geom, rates, det), c_n=1e-12, c_m=0j
+    )
+    monkeypatch.setattr(
+        steady, "unit_response",
+        _unit_response_with(c_n=lambda r: -1e-12, c_m=lambda r: 0j),
+    )
+    sampled = assert_oracle_matches_per_point(
+        response, [1.0, 1e4], 1.0, geom, rates, det
+    )
+    assert sampled == [1, 5]
