@@ -107,7 +107,7 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
             "r0": rates.r0,
             "delta_prime": shift,
             "delta_prime_over_gamma0": shift / rates.gamma0,
-            "evanescent_range_1": evanescent_range(config.geometry, 1),
+            "evanescent_range_1": evanescent_range(config.geometry),
             "n_eff": report.n_eff,
             "heisenberg_floor": report.heisenberg_floor,
             **validity_columns(report),

@@ -182,14 +182,15 @@ def _parse_choice(flat: dict[str, str], key: str, choices: tuple[str, ...]) -> s
     return raw
 
 
-def parse_grid(raw: str, key: str = "input.n_photons") -> tuple[float, ...]:
-    """Parse a photon-number grid specification.
+def parse_grid(raw: str) -> tuple[float, ...]:
+    """Parse a photon-number grid specification, the value of the one grid
+    key ``input.n_photons``, which every error names.
 
     Accepted forms: a single number, a comma list, ``lin:a:b:n`` and
     ``log:a:b:n``.  Values must be non-negative and strictly
     increasing.
     """
-    raw = raw.strip()
+    key, raw = "input.n_photons", raw.strip()
     try:
         if raw.startswith(("lin:", "log:")):
             kind, a_s, b_s, n_s = raw.split(":")

@@ -22,7 +22,7 @@ from scipy.linalg import schur, toeplitz
 
 from .analytic import DetuningSpec
 from .blas import one_blas_thread
-from .exceptions import ConvergenceError, DomainError, StabilityError
+from .exceptions import ConvergenceError, StabilityError
 from .geometry import TWO_PI, ArrayGeometry
 from .rates import RateSet, single_layer_rate
 
@@ -39,10 +39,10 @@ class TruncationInfo:
 
     ``max_order`` is the squared order index |m_perp|^2 of the last shell
     kept in the band and ``terms_summed`` counts the individual lattice
-    orders added up across its separations.
+    orders added up across its separations; both are 0 for a kernel
+    without its evanescent part.
     """
 
-    tol: float
     max_order: int
     terms_summed: int
 
@@ -119,39 +119,33 @@ def _order_shells(
     )
 
 
-def evanescent_range(geom: ArrayGeometry, order: int = 1) -> float:
-    """1/e range of an evanescent diffraction order, in wavelengths.
+def evanescent_range(geom: ArrayGeometry) -> float:
+    """1/e range of the first evanescent shell, in wavelengths.
 
-    zeta = a / (2 pi sqrt(|m_perp|^2 - a^2)) for the shell with
-    |m_perp|^2 = order.
+    zeta = a / (2 pi sqrt(1 - a^2)) for the shell with |m_perp|^2 = 1,
+    the slowest to decay.
     """
-    if order < 1:
-        raise DomainError(f"order must be at least 1, got {order}")
     a = geom.lattice_const
-    return a / (2.0 * math.pi * math.sqrt(order - a * a))
+    return a / (2.0 * math.pi * math.sqrt(1.0 - a * a))
 
 
-def evanescent_band(
-    geom: ArrayGeometry,
-    tol: float = DEFAULT_EPS_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[np.ndarray, TruncationInfo]:
+def evanescent_band(geom: ArrayGeometry) -> tuple[np.ndarray, TruncationInfo]:
     """Evanescent coupling eps(s) between layers s = 0 ... w apart.
 
     The one place the evanescent sum is carried out; the interaction
     kernel and the collective shift both read it.  eps[0] is 0, since
     same-layer physics is not part of the kernel.  One bound on |eps(s)|,
     B(s) = sum_m |c(m)| e^{-kappa_m k a_z s}, cuts the shells (their part
-    of B(1)) at half of ``tol`` |eps(1)|, leaving the other half for
-    rounding, and the separations (B(w + 1) over all shells) at the whole
-    floor, so every eps kept or omitted is within it.  The last shell
-    below ``max_order`` must be under the floor.  The band depends on
-    the lattice, spacing and dipole but not on the depth or ``n_side``,
-    so one memoised, read-only band serves every stack.
+    of B(1)) at half of the floor ``DEFAULT_EPS_TOL`` |eps(1)|, leaving
+    the other half for rounding, and the separations (B(w + 1) over all
+    shells) at the whole floor, so every eps kept or omitted is within
+    it.  The last shell up to |m|^2 = ``DEFAULT_MAX_ORDER`` must be under
+    the floor, or :class:`ConvergenceError` is raised.  The band depends
+    on the lattice, spacing and dipole but not on the depth or
+    ``n_side``, so one memoised, read-only band serves every stack.
     """
-    return _lattice_band(
-        geom.lattice_const, geom.layer_spacing, geom.dipole_orientation, tol, max_order
-    )
+    lattice = geom.lattice_const, geom.layer_spacing, geom.dipole_orientation
+    return _lattice_band(*lattice, DEFAULT_EPS_TOL, DEFAULT_MAX_ORDER)
 
 
 @lru_cache(maxsize=64)
@@ -162,6 +156,9 @@ def _lattice_band(
     tol: float,
     max_order: int,
 ) -> tuple[np.ndarray, TruncationInfo]:
+    """:func:`evanescent_band` of one lattice at floor ``tol`` |eps(1)| and
+    shell cap ``max_order``; the floor and cap are arguments, and so part
+    of the cache key."""
     shells = _order_shells(lattice_const, dipole, max_order)
     orders, coeffs, counts, decays = (np.array(col) for col in zip(*shells))
     kaz = TWO_PI * layer_spacing
@@ -186,34 +183,31 @@ def _lattice_band(
     sums = coeffs[:kept] @ np.exp(-kaz * np.outer(decays[:kept], seps))
     eps = 0.25 * single_layer_rate(lattice_const) * np.concatenate(([0.0], sums))
     eps.setflags(write=False)
-    return eps, TruncationInfo(
-        tol, int(orders[kept - 1]), int(counts[:kept].sum()) * width
-    )
+    return eps, TruncationInfo(int(orders[kept - 1]), int(counts[:kept].sum()) * width)
 
 
 def interaction_kernel(
     geom: ArrayGeometry,
     rates: RateSet,
-    tol: float = DEFAULT_EPS_TOL,
     include_evanescent: bool = True,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> LayerKernel:
     """Assemble the full inter-layer coupling matrix.
 
     D[n, m] = (gamma0/2) e^{i k a_z |n-m|} + i eps(|n-m|) off the
-    diagonal and zero on it, with eps = 0 past the evanescent band.  The
-    kernel only depends on |n - m|, so it is the complex symmetric
-    Toeplitz matrix of one column.
+    diagonal and zero on it, with eps the :func:`evanescent_band`, and 0
+    past it or without ``include_evanescent``.  The kernel only depends
+    on |n - m|, so it is the complex symmetric Toeplitz matrix of one
+    column.
     """
     n_z = geom.n_layers
     column = 0.5 * rates.gamma0 * geom.layer_phases()
     column[0] = 0.0
     if include_evanescent:
-        eps, truncation = evanescent_band(geom, tol, max_order)
+        eps, truncation = evanescent_band(geom)
         reach = min(len(eps), n_z)
         column[1:reach] += 1j * eps[1:reach]
     else:
-        truncation = TruncationInfo(tol=tol, max_order=0, terms_summed=0)
+        truncation = TruncationInfo(max_order=0, terms_summed=0)
     # Column and row both: toeplitz(column) alone conjugates the upper triangle.
     return LayerKernel(d_matrix=toeplitz(column, column), truncation=truncation)
 
@@ -332,7 +326,10 @@ def equivalent_stack(
     the full generator with real part -gamma_s/2 (for N_z >= 2), and the
     Hermitian part of the projection is at most -gamma_s/2: the full
     spectral abscissa is the larger of the two, checked as in
-    :func:`drift_matrix`.
+    :func:`drift_matrix`.  The coupling gamma0 N_z/m is rounded once, for
+    the drift and for the rates the sources read, and the turned T_m is
+    made exactly symmetric, so the commutator kernel is -(A + A^H) to the
+    bit, as on the dense route.
     """
     m, n_z = len(diag), geom.n_layers
     t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -341,11 +338,12 @@ def equivalent_stack(
     w = (2.0 / (v @ v)) * v if m > 1 else v  # H = I - v w^T; at m = 1, v = 0
     t -= np.outer(v, w @ t)  # H T, then (H T) H
     t -= np.outer(t @ v, w)
+    t = 0.5 * (t + t.T)  # the two updates leave rounding asymmetry
+    gamma0 = rates.gamma0 * (n_z / m)
     a = (1j * det.eff_detuning - 0.5 * rates.gamma_s) * np.eye(m) - 1j * t
-    a -= 0.5 * rates.gamma0 * n_z / m  # (gamma0 N_z/2m) 1 1^T
+    a -= 0.5 * gamma0  # (gamma0 N_z/2m) 1 1^T
     abscissa = -0.5 * (rates.gamma_s + (rates.gamma0 if n_z == 1 else 0.0))
     drift = _factorise(a, rates, abscissa)
-    gamma0 = rates.gamma0 * (n_z / m)
     return drift, replace(geom, n_layers=m), replace(rates, gamma0=gamma0)
 
 

@@ -44,8 +44,15 @@ def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
     return geom, compute_rates(geom, beam, gamma_s=gamma_s)
 
 
-def eps_at(geom, sep, **kwargs):
-    return evanescent_band(geom, **kwargs)[0][sep]
+def eps_at(geom, sep):
+    return evanescent_band(geom)[0][sep]
+
+
+def lattice_band(geom, tol, max_order):
+    """The band of ``geom`` at floor ``tol`` and shell cap ``max_order``,
+    which evanescent_band fixes to DEFAULT_EPS_TOL and DEFAULT_MAX_ORDER."""
+    lattice = geom.lattice_const, geom.layer_spacing, geom.dipole_orientation
+    return layers._lattice_band(*lattice, tol, max_order)
 
 
 def brute_force_eps(geom, seps, half_width=60):
@@ -80,7 +87,7 @@ def assert_band_within_bound(geom, tol=1e-14, max_order=200, past=4, held=1.0):
     # Every entry the band holds, and every one past it (read as 0), is
     # within tol |eps(1)| of the lattice sum; the held ones within ``held``
     # times that.
-    band, _ = evanescent_band(geom, tol, max_order)
+    band, _ = lattice_band(geom, tol, max_order)
     reference = reference_eps(geom, len(band) + past)
     floor = tol * abs(reference[1])
     assert np.max(np.abs(band - reference[: len(band)])) <= held * floor
@@ -143,18 +150,17 @@ def test_evanescent_eps_decay_rate():
 def test_evanescent_eps_error_paths():
     geom, _ = stack()
     with pytest.raises(ConvergenceError, match="evanescent sum for separation 1 "):
-        evanescent_band(geom, max_order=2)
+        lattice_band(geom, layers.DEFAULT_EPS_TOL, 2)
 
 
 def test_evanescent_range_formula():
     geom, _ = stack(lattice_const=0.68)
-    assert evanescent_range(geom, 1) == pytest.approx(
+    assert evanescent_range(geom) == pytest.approx(
         0.68 / (2.0 * math.pi * math.sqrt(1.0 - 0.68**2)), rel=1e-14
     )
-    assert evanescent_range(geom, 1) == pytest.approx(0.14760443758410707, rel=1e-12)
+    assert evanescent_range(geom) == pytest.approx(0.14760443758410707, rel=1e-12)
     geom, _ = stack(lattice_const=0.95)
-    assert evanescent_range(geom, 1) == pytest.approx(0.48421855691891913, rel=1e-12)
-    assert evanescent_range(geom, 2) < evanescent_range(geom, 1)
+    assert evanescent_range(geom) == pytest.approx(0.48421855691891913, rel=1e-12)
 
 
 @pytest.mark.parametrize("layer_spacing", [0.5, 0.75, 1.3, 1.0, 2.0, 3.0])
@@ -198,8 +204,8 @@ def test_interaction_kernel_without_evanescent_part():
 
 def test_truncation_tolerance_is_honored():
     geom, _ = stack()
-    loose = eps_at(geom, 1, tol=1e-6)
-    tight = eps_at(geom, 1, tol=1e-14)
+    loose = lattice_band(geom, 1e-6, layers.DEFAULT_MAX_ORDER)[0][1]
+    tight = eps_at(geom, 1)
     assert loose == pytest.approx(tight, rel=1e-5, abs=0.0)
 
 
@@ -210,10 +216,8 @@ def test_truncation_info_frozen_values(lattice_const, max_shell, terms):
     # Last shell |m_perp|^2 kept, and the lattice orders summed over the
     # band's separations: 5 at a = 0.68 and 16 at a = 0.95.
     geom, _ = stack(lattice_const=lattice_const)
-    _, truncation = evanescent_band(geom, 1e-14, 200)
-    assert truncation == layers.TruncationInfo(
-        tol=1e-14, max_order=max_shell, terms_summed=terms
-    )
+    _, truncation = evanescent_band(geom)
+    assert truncation == layers.TruncationInfo(max_order=max_shell, terms_summed=terms)
 
 
 def test_drift_matrix_entries_and_stability():
@@ -302,7 +306,7 @@ def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
     geom, _ = stack(lattice_const=lattice_const, n_layers=100,
                     layer_spacing=layer_spacing)
     reference = reference_eps(geom, 100)
-    band, _ = evanescent_band(geom, tol)
+    band, _ = evanescent_band(geom)
     assert 2 < len(band) < 100
     floor = tol * abs(reference[1])
     assert np.max(np.abs(band - reference[: len(band)])) <= floor
@@ -311,7 +315,7 @@ def test_kernel_band_matches_per_separation_sums(lattice_const, layer_spacing):
         geom_nz, rates = stack(lattice_const=lattice_const, n_layers=n_z,
                                layer_spacing=layer_spacing)
         evanescent = (
-            interaction_kernel(geom_nz, rates, tol=tol).d_matrix
+            interaction_kernel(geom_nz, rates).d_matrix
             - interaction_kernel(geom_nz, rates, include_evanescent=False).d_matrix
         )
         idx = np.arange(n_z)

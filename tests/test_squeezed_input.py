@@ -22,11 +22,13 @@ from spinsqueeze import (
     input_quadrature_variance,
     interaction_kernel,
     noise_diffusions,
+    numeric_response,
     single_layer_rate,
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
 from spinsqueeze.geometry import TWO_PI
+from spinsqueeze.layers import equivalent_stack
 from spinsqueeze.squeezed_input import MAX_PHOTONS
 
 EPS = np.finfo(float).eps
@@ -203,20 +205,37 @@ def test_diffusion_kernels_entrywise():
 
 
 @pytest.mark.parametrize("include_evanescent", [True, False])
-@pytest.mark.parametrize("layer_spacing", [0.5, 0.75, 1.3, 2.5, 0.6180339887, 1.0])
+@pytest.mark.parametrize("layer_spacing", [0.5, 0.75, 1.3, 2.5, 0.6180339887, 1.0, 2.0])
 def test_commutator_kernel_is_the_drift_dissipation_bitwise(
     layer_spacing, include_evanescent
 ):
     # The trajectory oracle is exact because comm = -(A + A^H): the vacuum
     # noise is twice the drift's dissipative part.  Both are built from the
     # one phase column of layer_phases, so the identity holds to the bit
-    # at every spacing, deep stacks and a detuned drive included.
-    geom, rates = _stack(n_layers=200, layer_spacing=layer_spacing)
+    # at every spacing, deep stacks and a detuned drive included.  At
+    # integer spacing it holds too on the equivalent stack that the
+    # numeric route solves and on each leading block of its tridiagonal
+    # that the oracle may sample instead (steady.oracle_stacks).  The
+    # route settles on m = 10 there, and N_z/m is inexact at 199 layers.
+    geom, rates = _stack(n_layers=199, layer_spacing=layer_spacing)
+    det = DetuningSpec(0.3)
     kernel = interaction_kernel(geom, rates, include_evanescent=include_evanescent)
-    a = drift_matrix(kernel, rates, DetuningSpec(0.3)).matrix
-    comm = noise_diffusions(SqueezedVacuumSpec(n_photons=1.0), geom, rates).comm
-    # a + b is exactly 0 only where a == -b exactly.
-    assert np.abs(comm + (a + a.conj().T).real).max() == 0.0
+    stacks = [(drift_matrix(kernel, rates, det), geom, rates)]
+    if layer_spacing == round(layer_spacing):
+        response = numeric_response(geom, rates, det, include_evanescent)
+        stacks.append(response.stack)
+        diag, off = response.lanczos
+        m = 1
+        while m < len(diag):
+            stacks.append(equivalent_stack(diag[:m], off[: m - 1], geom, rates, det))
+            m *= 2
+    for drift, g, r in stacks:
+        a = drift.matrix
+        comm = noise_diffusions(SqueezedVacuumSpec(n_photons=1.0), g, r).comm
+        # a + b is exactly 0 only where a == -b exactly.
+        total = comm + (a + a.conj().T)
+        assert np.abs(total.real).max() == 0.0
+        assert np.abs(total.imag).max() == 0.0
 
 
 def test_diffusion_kernels_symmetric():

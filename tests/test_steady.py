@@ -840,9 +840,8 @@ def test_krylov_route_ends_exhausted_below_a_lowered_cap(monkeypatch):
 def test_krylov_route_reports_a_truncated_band_per_row(monkeypatch):
     # The default shell cap converges at integer spacing (a up to 0.99 was
     # tried), so the band is cut at |m|^2 = 2 here to make it fail.
-    band = steady.evanescent_band
-    monkeypatch.setattr(steady, "evanescent_band",
-                        lambda geom: band(geom, max_order=2))
+    # The cap is an argument of the memoised band, so no cached band is read.
+    monkeypatch.setattr(layers, "DEFAULT_MAX_ORDER", 2)
     drifts = count_calls(monkeypatch, layers.drift_matrix)
     rows = run_sweep(numeric_config(model="both"))
     for row in rows:
