@@ -124,7 +124,8 @@ def xi2_min_vs_layers(
     """Optimal squeezing as a function of stack depth.
 
     For each layer count the rate set is rebuilt from the same layer
-    geometry and beam, and the closed-form optimum is evaluated.  Two
+    geometry and beam, and the closed-form optimum is evaluated; each
+    row's ``n_layers`` is the ``int`` that geometry was built with.  Two
     asymptote columns accompany the exact value: the loss-dominated
     small-stack behaviour (gamma_s / gamma0) / n_layers and the
     leakage-dominated deep-stack floor 1 - eta.
@@ -136,7 +137,7 @@ def xi2_min_vs_layers(
         value, n_opt = xi2_min(rates, alpha_eff)
         rows.append(
             {
-                "n_layers": float(n_z),
+                "n_layers": g.n_layers,
                 "eta": rates.eta,
                 "r0": rates.r0,
                 "xi2_min": value,

@@ -93,9 +93,7 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
 
 def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
     rates = config.rates()
-    report = validity_report(
-        config.geometry, config.beam, config.n_photons_grid[0], rates
-    )
+    report = validity_report(config.geometry, config.beam, rates)
     shift = config.collective_shift()
     return [
         {
@@ -110,7 +108,7 @@ def _rates_rows(config: ExperimentConfig) -> list[dict[str, Any]]:
             "evanescent_range_1": evanescent_range(config.geometry),
             "n_eff": report.n_eff,
             "heisenberg_floor": report.heisenberg_floor,
-            **validity_columns(report),
+            **validity_columns(report, config.n_photons_grid[0]),
         }
     ]
 

@@ -148,10 +148,13 @@ def compute_rates(
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Where the scalar model can be trusted for a given configuration.
+    """Where the scalar model can be trusted for a given stack and beam.
 
     Each flag comes with the margin it was decided on so a sweep can
-    report how close to the edge a point sits.
+    report how close to the edge a point sits.  The one check that
+    depends on the photon number, saturation, is no flag here: its
+    margin is ``n_eff``, and :func:`sweep.validity_columns` compares an N
+    with it.
     """
 
     layer_size_ok: bool
@@ -162,7 +165,6 @@ class ValidityReport:
     phase_match_margin: float
     evanescent_ok: bool
     evanescent_margin: float
-    linearization_ok: bool
     n_eff: float
     heisenberg_floor: float
 
@@ -172,20 +174,10 @@ class ValidityReport:
         return (self.layer_size_ok and self.rayleigh_ok
                 and self.phase_match_ok and self.evanescent_ok)
 
-    @property
-    def all_ok(self) -> bool:
-        return self.geometry_ok and self.linearization_ok
-
-
-def linearizes(n_photons: float, n_eff: float) -> bool:
-    """The saturation check: the photon number stays below ``n_eff``."""
-    return n_photons < n_eff
-
 
 def validity_report(
     geom: ArrayGeometry,
     beam: BeamProfile,
-    n_photons: float,
     rates: RateSet,
 ) -> ValidityReport:
     """Check the assumptions behind the scalar reflectivity picture.
@@ -193,9 +185,11 @@ def validity_report(
     The checks, in order: the layer must be many wavelengths across,
     the whole stack must fit inside the Rayleigh range of the focus,
     the layer spacing must be an integer number of wavelengths for the
-    phase-matched formulas, the spacing must not be smaller than the
-    lattice constant (otherwise evanescent coupling dominates), and the
-    photon number must stay below the saturation scale of the array.
+    phase-matched formulas, and the spacing must not be smaller than the
+    lattice constant (otherwise evanescent coupling dominates).  The
+    report also holds the saturation scale ``n_eff`` of the array, below
+    which the response to N photons stays linear, and the Heisenberg
+    floor 1 / (atoms in the stack).
     """
     layer_size = geom.n_side * geom.lattice_const
     layer_size_ok = layer_size >= 10.0
@@ -213,7 +207,6 @@ def validity_report(
     evanescent_ok = geom.layer_spacing >= geom.lattice_const
 
     n_eff = rates.eta * 2.0 * math.pi * (beam.waist / geom.lattice_const) ** 2 * geom.n_layers
-    linearization_ok = linearizes(n_photons, n_eff)
 
     n_total = geom.atoms_per_layer * geom.n_layers
     heisenberg_floor = 1.0 / n_total
@@ -227,7 +220,6 @@ def validity_report(
         phase_match_margin=phase_match_margin,
         evanescent_ok=evanescent_ok,
         evanescent_margin=evanescent_margin,
-        linearization_ok=linearization_ok,
         n_eff=n_eff,
         heisenberg_floor=heisenberg_floor,
     )

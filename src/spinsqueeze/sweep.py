@@ -26,7 +26,7 @@ from .analytic import DetuningSpec, squeezing_contrast, xi2_min, xi2_min_vs_laye
 from .config import ExperimentConfig, build_config
 from .exceptions import ConfigError, ConvergenceError, SpinSqueezeError
 from .mc import simulate_xi2
-from .rates import ValidityReport, compute_rates, linearizes, validity_report
+from .rates import ValidityReport, compute_rates, validity_report
 from .squeezed_input import (
     MAX_PHOTONS,
     SqueezedVacuumSpec,
@@ -72,15 +72,25 @@ def _resolve_detuning(config: ExperimentConfig) -> float:
     return config.collective_shift()
 
 
-def validity_columns(report: ValidityReport) -> dict[str, bool]:
-    """The six ``valid_*`` output columns of a validity report."""
+def validity_columns(
+    report: ValidityReport, n_photons: float | np.ndarray
+) -> dict[str, Any]:
+    """The six ``valid_*`` output columns of a stack's validity report at
+    photon number ``n_photons``; this is the one place they are decided.
+
+    The four geometric flags are the report's.  ``valid_linearization``
+    is N < ``n_eff``, the saturation check, and ``valid_all`` is it and
+    the geometric flags together: each a ``bool`` at a float N, and a
+    list of them, one per N, at an array.
+    """
+    linear = np.less(n_photons, report.n_eff)
     return {
-        "valid_all": report.all_ok,
+        "valid_all": (linear & report.geometry_ok).tolist(),
         "valid_layer_size": report.layer_size_ok,
         "valid_rayleigh": report.rayleigh_ok,
         "valid_phase_match": report.phase_match_ok,
         "valid_evanescent": report.evanescent_ok,
-        "valid_linearization": report.linearization_ok,
+        "valid_linearization": linear.tolist(),
     }
 
 
@@ -99,13 +109,13 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
 
     Returns one row dict per grid point, in grid order; this is the one
     place a model is evaluated.  What no point changes (the detuning, the
-    contrast ``alpha_eff``, the geometric validity flags and ``n_eff``) is
-    computed once, and each column that depends on N is one array pass
-    over the grid: the closed-form columns by
-    :func:`squeezed_input.beam_splitter`, ``xi2_numeric`` by
-    :func:`steady.xi2_over_grid` from the one unit solve of
-    :func:`steady.numeric_response`.  Only ``mc-check``'s trajectories run
-    per point, on ``workers`` threads, on the stacks that
+    contrast ``alpha_eff`` and the stack's validity report) is computed
+    once, and each column that depends on N is one array pass over the
+    grid: the six ``valid_*`` columns by :func:`validity_columns`, the
+    closed-form columns by :func:`squeezed_input.beam_splitter`,
+    ``xi2_numeric`` by :func:`steady.xi2_over_grid` from the one unit
+    solve of :func:`steady.numeric_response`.  Only ``mc-check``'s
+    trajectories run per point, on ``workers`` threads, on the stacks that
     :func:`steady.oracle_stacks` picks first from that column; point i
     runs on seed (``seed`` + 1000003 i) mod 2^63.
 
@@ -126,20 +136,16 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     grid = config.n_photons_grid
     if not grid:
         return []
-    # Evaluated at N = 0: only the flags that hold at every N and n_eff are read.
-    report = validity_report(geom, config.beam, 0.0, rates)
+    report = validity_report(geom, config.beam, rates)
     n_photons = np.array(grid, dtype=float)
-    linear = linearizes(n_photons, report.n_eff)
     # A column is a list of one cell per row, or one cell that every row shares.
     columns: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, "")
     columns.update(
-        validity_columns(report),
+        validity_columns(report, n_photons),
         n_photons=list(grid),
         purity=purity,
         r0=rates.r0,
         n_eff=report.n_eff,
-        valid_linearization=linear.tolist(),
-        valid_all=(linear & report.geometry_ok).tolist(),
     )
     errors = [""] * len(grid)
     try:
@@ -410,11 +416,10 @@ def preset_fig3b(config: ExperimentConfig) -> Figure:
     for entry in xi2_min_vs_layers(
         config.geometry, config.beam, config.gamma_s, config.purity, list(range(1, 101))
     ):
-        n_z = int(entry["n_layers"])
-        row = {**dict.fromkeys(FIG3B_COLUMNS, ""), **entry, "n_layers": n_z}
+        row = {**dict.fromkeys(FIG3B_COLUMNS, ""), **entry}
         case = dataclasses.replace(
             config,
-            geometry=dataclasses.replace(config.geometry, n_layers=n_z),
+            geometry=dataclasses.replace(config.geometry, n_layers=entry["n_layers"]),
             model="numeric",
             n_photons_grid=(entry["n_photons_opt"],),
         )

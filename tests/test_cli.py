@@ -58,6 +58,27 @@ def test_rates_command_reports_scalars(capsys):
     assert row["valid_all"] == "true"
 
 
+@pytest.mark.parametrize("geometry", [[], ["--set", "geometry.n_side=5"]])
+@pytest.mark.parametrize("grid, linear", [("1,1e9", "true"), ("1e9,1e10", "false")])
+def test_rates_row_and_sweep_agree_on_every_validity_flag(
+    capsys, geometry, grid, linear
+):
+    # rates reads the flags at the grid's first N: below n_eff (315,958 at
+    # the defaults, 197 at n_side=5) in one grid, above it in the other.
+    # At n_side=5 valid_all also takes in a failing geometric flag.
+    args = [*geometry, "--set", f"input.n_photons={grid}"]
+    (code, rates_out, _), (_, sweep_out, _) = (
+        run_cli(capsys, command, *args) for command in ("rates", "sweep")
+    )
+    assert code == 0
+    (row,), first = parse_csv(rates_out), parse_csv(sweep_out)[0]
+    flags = [key for key in first if key.startswith("valid_")]
+    assert len(flags) == 6
+    assert {key: row[key] for key in flags} == {key: first[key] for key in flags}
+    assert row["valid_linearization"] == linear
+    assert row["valid_all"] == ("false" if geometry else linear)
+
+
 def test_console_script_matches_module_invocation():
     # Run the entry point that pyproject.toml declares through the same
     # code that pip writes into the installed wrapper script, so the

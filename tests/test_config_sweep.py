@@ -259,7 +259,7 @@ def _per_point_rows(config, response):
     rows = []
     for n_photons in config.n_photons_grid:
         spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
-        report = validity_report(geom, config.beam, n_photons, rates)
+        report = validity_report(geom, config.beam, rates)
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update(
             n_photons=n_photons,
@@ -268,7 +268,7 @@ def _per_point_rows(config, response):
             r0=rates.r0,
             alpha_eff=squeezing_contrast(rates, spec, det),
             xi2_field=input_quadrature_variance(spec),
-            **validity_columns(report),
+            **validity_columns(report, n_photons),
             n_eff=report.n_eff,
         )
         if config.model in ("analytic", "both"):
@@ -310,7 +310,7 @@ def test_run_sweep_matches_per_point_calls_bit_for_bit(
         "geometry.lattice_const": repr(lattice_const),
     })
     # A grid across n_eff, so valid_linearization and valid_all flip mid-grid.
-    n_eff = validity_report(config.geometry, config.beam, 0.0, config.rates()).n_eff
+    n_eff = validity_report(config.geometry, config.beam, config.rates()).n_eff
     grid = (0.0, scale, math.nextafter(n_eff, 0.0), n_eff, (1.0 + scale) * n_eff)
     config = dataclasses.replace(config, n_photons_grid=grid)
     responses = []
@@ -338,7 +338,7 @@ def _per_point_rows_with_errors(config, response, alpha):
     rows = []
     for n_photons in config.n_photons_grid:
         spec = SqueezedVacuumSpec(n_photons=n_photons, purity=config.purity)
-        report = validity_report(config.geometry, config.beam, n_photons, rates)
+        report = validity_report(config.geometry, config.beam, rates)
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update(
             n_photons=n_photons,
@@ -347,7 +347,7 @@ def _per_point_rows_with_errors(config, response, alpha):
             r0=rates.r0,
             alpha_eff=alpha,
             xi2_field=input_quadrature_variance(spec),
-            **validity_columns(report),
+            **validity_columns(report, n_photons),
             n_eff=report.n_eff,
         )
         try:

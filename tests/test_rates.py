@@ -20,6 +20,7 @@ from spinsqueeze import (
     waist_for_overlap,
 )
 from spinsqueeze.exceptions import DomainError
+from spinsqueeze.sweep import validity_columns
 
 
 def bench_geometry(**kwargs):
@@ -157,8 +158,8 @@ def test_validity_report_bench_point():
     geom = bench_geometry()
     beam = BeamProfile(waist=waist_for_overlap(geom, 0.99))
     rates = bench_rates(geom)
-    report = validity_report(geom, beam, 1.0, rates)
-    assert report.all_ok
+    report = validity_report(geom, beam, rates)
+    assert validity_columns(report, 1.0)["valid_all"]
     expected_n_eff = 0.99 * 2.0 * math.pi * (beam.waist / 0.68) ** 2 * 10
     assert report.n_eff == pytest.approx(expected_n_eff, rel=1e-12)
     assert report.heisenberg_floor == pytest.approx(1.0 / (200**2 * 10), rel=1e-14)
@@ -168,19 +169,19 @@ def test_validity_report_flags_each_failure_mode():
     beam_ok = BeamProfile(waist=2.0)
     small = ArrayGeometry(n_side=5, lattice_const=0.68, n_layers=1)
     rates = compute_rates(small, beam_ok)
-    assert not validity_report(small, beam_ok, 1.0, rates).layer_size_ok
+    assert not validity_report(small, beam_ok, rates).layer_size_ok
 
     tall = ArrayGeometry(n_side=60, lattice_const=0.68, n_layers=100)
     beam_tight = BeamProfile(waist=1.5)
     rates = compute_rates(tall, beam_tight)
-    assert not validity_report(tall, beam_tight, 1.0, rates).rayleigh_ok
+    assert not validity_report(tall, beam_tight, rates).rayleigh_ok
 
     mismatched = ArrayGeometry(
         n_side=60, lattice_const=0.68, n_layers=4, layer_spacing=0.75
     )
     beam = BeamProfile(waist=10.0)
     rates = compute_rates(mismatched, beam)
-    assert not validity_report(mismatched, beam, 1.0, rates).phase_match_ok
+    assert not validity_report(mismatched, beam, rates).phase_match_ok
 
     crowded = ArrayGeometry(
         n_side=60, lattice_const=0.9, n_layers=4, layer_spacing=0.5
@@ -188,10 +189,10 @@ def test_validity_report_flags_each_failure_mode():
     # Integer spacing is violated too, but the evanescent margin is the
     # flag under test here.
     rates = compute_rates(crowded, beam)
-    assert not validity_report(crowded, beam, 1.0, rates).evanescent_ok
+    assert not validity_report(crowded, beam, rates).evanescent_ok
 
     geom = bench_geometry()
     beam = BeamProfile(waist=waist_for_overlap(geom, 0.99))
     rates = bench_rates(geom)
-    report = validity_report(geom, beam, 1e9, rates)
-    assert not report.linearization_ok
+    report = validity_report(geom, beam, rates)
+    assert not validity_columns(report, 1e9)["valid_linearization"]
