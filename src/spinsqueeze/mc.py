@@ -24,6 +24,17 @@ the full N_z-layer stack.  That bias is below 3e-4 standard errors over
 the default grid at the default controls (relative standard error 3.9e-3
 to 5.7e-3).  The reduction's independent check is the dense route, which
 the tests hold the Krylov route against.
+
+Trajectories start from zero, so after n exact steps their state is
+normal with covariance Q_n = sum_{k<n} Phi^k Q Phi^kT.  Instead of
+stepping through the burn-in, each trajectory draws its state after
+n_burn steps in one go, from Q_n built by binary doubling of the step
+(:func:`_burn_in_covariance`).  The burn-in is then free, so it runs
+for at least :data:`RELAX_LIFETIMES` lifetimes of the slowest mode of
+the stack being sampled.  As n grows, the doubling becomes Smith's
+squared iteration for the discrete Lyapunov equation (R. A. Smith, SIAM
+J. Appl. Math. 16, 198, 1968): it uses only the trajectories' own step
+operators, and no code of the Schur plus ``trsyl`` solve it checks.
 """
 
 from __future__ import annotations
@@ -41,9 +52,17 @@ from .layers import DriftMatrix
 from .squeezed_input import DiffusionSet
 
 _DIVERGENCE_BOUND = 1e12
-# Steps per trajectory, (t_burn + t_avg)/dt, that a run may take: about 900
-# times the default 11,000.
+# Averaged steps per trajectory, t_avg/dt, that a run may take: 1,000 times
+# the default 10,000.  The burn-in is drawn, not stepped, so it is not counted.
 MAX_STEPS = 1e7
+# The burn-in lasts at least this many lifetimes 1/|s| of the slowest mode,
+# with s the drift's spectral abscissa: what is left of the zero start in
+# the covariance, e^{-2 RELAX_LIFETIMES} = 4e-18, is below double rounding.
+RELAX_LIFETIMES = 20.0
+# Burn-in steps are capped at 2^62, 62 doublings: a mode that decays by less
+# than RELAX_LIFETIMES 2^-62 per step rounds to one in Phi, so no longer
+# burn-in could relax it.
+_MAX_BURN_STEPS = 2**62
 # A covariance eigenvalue below -_PSD_RTOL times the largest |eigenvalue|
 # is unphysical, not rounding (which stays near 1e-15 of that scale).
 _PSD_RTOL = 1e-10
@@ -67,12 +86,14 @@ _CARRY_ROWS = 64
 class McParams:
     """Trajectory simulation controls.
 
-    Times are in inverse single-atom decay units.  ``t_burn`` is
-    discarded before averaging starts and ``t_avg`` is the averaging
-    window per trajectory; together they may take at most
-    :data:`MAX_STEPS` steps of ``dt``.  Each trajectory runs on its own
-    counter-based random stream derived from (seed, trajectory index),
-    so results do not depend on scheduling or batching.
+    Times are in inverse single-atom decay units.  ``t_burn`` is the
+    minimum relaxation time discarded before averaging starts (the
+    sampler may discard more, see :func:`simulate_xi2`); it is drawn in
+    one step, so any finite value costs the same.  ``t_avg`` is the
+    averaging window per trajectory, at most :data:`MAX_STEPS` steps of
+    ``dt``.  Each trajectory runs on its own counter-based random stream
+    derived from (seed, trajectory index), so results do not depend on
+    scheduling or batching.
     """
 
     dt: float
@@ -82,10 +103,13 @@ class McParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.t_burn < 0.0:
-            raise DomainError(f"t_burn must be non-negative, got {self.t_burn}")
+        # Written so that NaN, which compares False, is refused too.
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_burn < math.inf:
+            raise DomainError(
+                f"t_burn must be finite and non-negative, got {self.t_burn}"
+            )
         if self.t_avg <= 0.0:
             raise DomainError(f"t_avg must be positive, got {self.t_avg}")
         if self.n_traj < 2:
@@ -95,9 +119,9 @@ class McParams:
         if not 0 <= self.seed < 2**63:
             raise DomainError(f"seed must fit in a 63-bit integer, got {self.seed}")
         # Written so that NaN, which compares False, is refused too.
-        if not (self.t_burn + self.t_avg) / self.dt <= MAX_STEPS:
+        if not self.t_avg / self.dt <= MAX_STEPS:
             raise DomainError(
-                f"(t_burn + t_avg)/dt = {(self.t_burn + self.t_avg) / self.dt:.3e} "
+                f"t_avg/dt = {self.t_avg / self.dt:.3e} "
                 f"steps per trajectory exceeds the budget of {MAX_STEPS:.0e}"
             )
 
@@ -186,6 +210,27 @@ def _step_operators(
     return phi, _psd_sqrt(q)
 
 
+def _burn_in_covariance(phi: np.ndarray, noise: np.ndarray, n: int) -> np.ndarray:
+    """Covariance Q_n = sum_{k<n} Phi^k Q Phi^kT, with Q = N N^T, of the
+    state after n exact steps from zero.
+
+    Binary doubling over the digits of n, lowest first, with
+    Q_{a+b} = Phi^b Q_a Phi^bT + Q_b: ``power`` and ``block`` hold
+    Phi^(2^j) and Q_(2^j), and ``total`` the sum over the digits below j:
+    at most five 2m x 2m products per binary digit of n.
+    """
+    total = np.zeros_like(phi)
+    power, block = phi, noise @ noise.T
+    while n:
+        if n & 1:
+            total = power @ total @ power.T + block
+        n >>= 1
+        if n:
+            block = power @ block @ power.T + block
+            power = power @ power
+    return 0.5 * (total + total.T)
+
+
 def _chunk_operators(
     phi: np.ndarray, noise: np.ndarray, proj_xy: np.ndarray, length: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,6 +317,18 @@ def simulate_xi2(
     Each step is the exact OU step of :func:`_step_operators`, so the
     estimate carries no step-size bias.
 
+    Each trajectory starts where n_burn exact steps from zero would
+    leave it, drawn in one go: z L^T, with L L^T the covariance Q_n of
+    :func:`_burn_in_covariance` and z the first 2m normals of its own
+    Philox stream.  The burn-in lasts
+
+        n_burn = max(round(t_burn/dt), ceil(RELAX_LIFETIMES / (|s| dt)))
+
+    steps, with s the spectral abscissa on the diagonal of
+    ``drift.schur_t``, so it relaxes the slowest mode of the stack being
+    sampled; ``t_burn`` is a floor.  Every step taken after that is
+    averaged.
+
     The steps run in blocks of :data:`_BLOCK_STEPS`, and each block in
     chunks of :data:`_CHUNK_STEPS` (fewer for wide states).  Each
     trajectory fills its rows of a preallocated normal buffer from its
@@ -281,7 +338,7 @@ def simulate_xi2(
     per group of chunks (:data:`_CARRY_ROWS` over the state width, at
     least one) gives every chunk's start state and the block's end state,
     and one more product adds the carried part to the amplitudes.  One
-    batched Gram product then accumulates the steps past burn-in.  The
+    batched Gram product then accumulates the block's steps.  The
     normal buffer, not the run length, sets the peak memory.  The
     products are too small for a second OpenBLAS thread to pay, so they
     run on one.
@@ -292,9 +349,11 @@ def simulate_xi2(
 
     n_z = geom.n_layers
     n2 = 2 * n_z
-    n_burn = int(round(params.t_burn / params.dt))
+    n_burn = round(min(params.t_burn / params.dt, _MAX_BURN_STEPS))
+    decay = -float(np.max(np.diag(drift.schur_t).real)) * params.dt
+    if decay > 0.0:
+        n_burn = max(n_burn, math.ceil(min(RELAX_LIFETIMES / decay, _MAX_BURN_STEPS)))
     n_avg = max(1, int(round(params.t_avg / params.dt)))
-    n_steps = n_burn + n_avg
 
     phases = geom.layer_phases() / math.sqrt(n_z)
     proj = np.concatenate([phases, 1j * phases])
@@ -305,6 +364,21 @@ def simulate_xi2(
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
         for j in range(n_traj)
     ]
+
+    def check_bounded(state: np.ndarray, steps: int) -> None:
+        # Written so that NaN, which compares False, also counts as divergence.
+        if not float(np.max(np.abs(state))) <= _DIVERGENCE_BOUND:
+            abscissa = float(np.max(np.linalg.eigvals(gen).real))
+            raise StabilityError(
+                f"trajectory diverged past {_DIVERGENCE_BOUND:.0e} within "
+                f"{steps} steps of dt = {params.dt!r}; the drift's spectral "
+                f"abscissa is {abscissa:.3e}"
+            )
+
+    start = _psd_sqrt(_burn_in_covariance(phi, noise, n_burn))
+    state = np.stack([g.standard_normal(n2) for g in gens]) @ start.T
+    check_bounded(state, n_burn)
+
     chunk = _CHUNK_STEPS
     while chunk > 1 and chunk * n2 > _CHUNK_ROWS:
         chunk //= 2
@@ -312,35 +386,26 @@ def simulate_xi2(
     # The chunk divides _BLOCK_STEPS, so only the run's last chunk is short.
     # It is padded with zero normals, which reach no earlier step; the final
     # state goes through the padded steps, and only the divergence check reads it.
-    block = -(-min(_BLOCK_STEPS, n_steps) // chunk) * chunk
+    block = -(-min(_BLOCK_STEPS, n_avg) // chunk) * chunk
     draws = np.empty((n_traj, block, n2))
     xy = np.empty((n_traj, block, 2))
-    state = np.zeros((n_traj, n2))
     # Per trajectory, over the averaging window, with P = x + iy the
     # collective amplitude: the Gram matrix of (x, y), [[xx, xy], [xy, yy]].
     acc = np.zeros((n_traj, 2, 2))
 
     done = 0
-    while done < n_steps:
-        blen = min(block, n_steps - done)
+    while done < n_avg:
+        blen = min(block, n_avg - done)
         for j, g in enumerate(gens):
             g.standard_normal(out=draws[j, :blen])
         padded = -(-blen // chunk) * chunk
         draws[:, blen:padded] = 0.0
         z = draws[:, :padded].reshape(n_traj, -1, chunk * n2)
         xy[:, :padded], state = _propagate(state, z, *ops)
-        # Step done + t + 1 is averaged once it is past burn-in.
-        kept = xy[:, max(0, n_burn - done) : blen]
+        kept = xy[:, :blen]
         acc += kept.transpose(0, 2, 1) @ kept
         done += blen
-        # Written so that NaN, which compares False, also counts as divergence.
-        if not float(np.max(np.abs(state))) <= _DIVERGENCE_BOUND:
-            abscissa = float(np.max(np.linalg.eigvals(gen).real))
-            raise StabilityError(
-                f"trajectory diverged past {_DIVERGENCE_BOUND:.0e} within "
-                f"{done} steps of dt = {params.dt!r}; the drift's spectral "
-                f"abscissa is {abscissa:.3e}"
-            )
+        check_bounded(state, n_burn + done)
 
     # |P|^2 = x^2 + y^2 and P^2 = x^2 - y^2 + 2ixy.
     a2 = (acc[:, 0, 0] + acc[:, 1, 1]) / n_avg

@@ -485,7 +485,7 @@ def test_rates_that_overflow_are_config_errors(capsys, command):
 
 @pytest.mark.parametrize("setting", ["mc.dt=1e-300", "mc.t_avg=1e300", "mc.dt=2e-5"])
 def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
-    # mc.dt = 2e-5 asks for 2.75e7 steps, just past the budget; 1e-300
+    # mc.dt = 2e-5 asks for 2.5e7 averaged steps, past the budget; 1e-300
     # once ran until a timeout killed it.  The alarm ends a run that
     # starts drawing, so an unchecked budget fails the test, not hangs it.
     def overrun(signum, frame):
@@ -500,7 +500,7 @@ def test_trajectory_step_budget_is_checked_before_any_draw(capsys, setting):
         signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert out == ""
-    assert err.startswith("config error: mc: (t_burn + t_avg)/dt = ")
+    assert err.startswith("config error: mc: t_avg/dt = ")
     assert "exceeds the budget of 1e+07" in err
 
 

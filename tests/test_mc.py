@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from spinsqueeze import (
     ArrayGeometry,
@@ -39,6 +39,8 @@ from spinsqueeze.mc import (
     _CARRY_ROWS,
     _CHUNK_ROWS,
     _CHUNK_STEPS,
+    RELAX_LIFETIMES,
+    _burn_in_covariance,
     _chunk_operators,
     _psd_sqrt,
     _step_operators,
@@ -63,31 +65,37 @@ def stack(n_layers, layer_spacing=1.0, n_photons=1.0, purity=1.0):
 def simulate_per_step(drift, diff, geom, params):
     """Reference sampler: the same Philox streams stepped one step at a
     time, projecting the collective amplitude after every step.  Each
-    stream is read in order, so drawing it whole gives the same normals
-    as drawing it block by block."""
+    trajectory starts from the same one-draw burn-in, its first 2 N_z
+    normals times a square root of the covariance after n_burn steps,
+    with n_burn the longer of t_burn and RELAX_LIFETIMES lifetimes of the
+    slowest mode.  Each stream is read in order, so drawing it whole
+    gives the same normals as drawing it block by block."""
     phi, noise = _step_operators(
         stacked_drift(drift), stacked_covariance(diff), params.dt
     )
     n_z = geom.n_layers
-    n_burn = int(round(params.t_burn / params.dt))
+    slowest = -float(np.max(np.diag(drift.schur_t).real))
+    n_burn = max(
+        round(params.t_burn / params.dt),
+        math.ceil(RELAX_LIFETIMES / (slowest * params.dt)),
+    )
     n_avg = max(1, int(round(params.t_avg / params.dt)))
-    n_steps = n_burn + n_avg
     phases = geom.layer_phases() / math.sqrt(n_z)
     proj = np.concatenate([phases, 1j * phases])
     gens = [
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
         for j in range(params.n_traj)
     ]
-    state = np.zeros((params.n_traj, 2 * n_z))
+    start = _psd_sqrt(_burn_in_covariance(phi, noise, n_burn))
+    state = np.stack([g.standard_normal(2 * n_z) for g in gens]) @ start.T
     acc_abs2 = np.zeros(params.n_traj)
     acc_sq = np.zeros(params.n_traj, dtype=complex)
-    incr = np.stack([g.standard_normal((n_steps, 2 * n_z)) for g in gens]) @ noise.T
-    for t in range(n_steps):
+    incr = np.stack([g.standard_normal((n_avg, 2 * n_z)) for g in gens]) @ noise.T
+    for t in range(n_avg):
         state = state @ phi.T + incr[:, t, :]
-        if t + 1 > n_burn:
-            pc = state @ proj
-            acc_abs2 += pc.real**2 + pc.imag**2
-            acc_sq += pc * pc
+        pc = state @ proj
+        acc_abs2 += pc.real**2 + pc.imag**2
+        acc_sq += pc * pc
     b = acc_sq / n_avg
     b_mean = complex(np.mean(b))
     rotation = 1.0 if b_mean == 0 else b_mean.conjugate() / abs(b_mean)
@@ -106,13 +114,20 @@ def test_mc_params_validation():
         McParams(dt=0.1, t_burn=1.0, t_avg=1.0, n_traj=1)
     with pytest.raises(DomainError):
         McParams(dt=0.1, t_burn=1.0, t_avg=1.0, n_traj=4, seed=-1)
-    # (t_burn + t_avg)/dt steps per trajectory, up to MAX_STEPS.
-    McParams(dt=0.5, t_burn=1e6, t_avg=4e6, n_traj=4)
-    for t_avg in (4e6 + 1.0, math.inf, math.nan):
+    # t_avg/dt averaged steps per trajectory, up to MAX_STEPS; the burn-in
+    # is drawn in one step, so any finite t_burn passes.
+    McParams(dt=0.5, t_burn=1e300, t_avg=5e6, n_traj=4)
+    for t_avg in (5e6 + 1.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="exceeds the budget of 1e\\+07"):
-            McParams(dt=0.5, t_burn=1e6, t_avg=t_avg, n_traj=4)
+            McParams(dt=0.5, t_burn=1.0, t_avg=t_avg, n_traj=4)
     with pytest.raises(DomainError, match="budget"):
         McParams(dt=1e-300, t_burn=1.0, t_avg=1.0, n_traj=4)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="dt must be positive and finite"):
+            McParams(dt=dt, t_burn=1.0, t_avg=1.0, n_traj=4)
+    for t_burn in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t_burn must be finite and non-negative"):
+            McParams(dt=0.5, t_burn=t_burn, t_avg=1.0, n_traj=4)
 
 
 def test_stacked_drift_block_structure():
@@ -316,25 +331,25 @@ CLAMP_LAYERS = _CHUNK_ROWS // (2 * _CHUNK_STEPS) + 1
 # The first layer count whose state is carried one chunk per product.
 GROUP_LAYERS = _CARRY_ROWS // 4 + 1
 
-# (layers, burn-in steps, averaged steps) around the block, chunk and
-# carry-group boundaries.  The chunk divides the block, so every block
-# boundary is also a chunk boundary; a group need not divide the block,
-# so a block's last group may be short.
+# (layers, averaged steps) around the block, chunk and carry-group
+# boundaries.  The chunk divides the block, so every block boundary is
+# also a chunk boundary; a group need not divide the block, so a block's
+# last group may be short.
 BLOCK_CASES = {
-    "no-burn-in": (2, 0, 700),
-    "burn-in-ends-mid-second-block": (2, _BLOCK_STEPS + 188, 600),
-    "shorter-than-one-block": (2, 40, 200),
-    "final-partial-block": (3, 100, 2 * _BLOCK_STEPS + 37),
-    "single-layer": (1, 60, 900),
-    "burn-in-ends-mid-chunk": (2, 3 * _CHUNK_STEPS + 3, 300),
-    "shorter-than-one-chunk": (2, 0, 3),
-    "run-not-a-multiple-of-the-chunk": (2, 1, 40 * _CHUNK_STEPS + 2),
-    "widest-full-chunk": (CLAMP_LAYERS - 1, 5, 3 * _CHUNK_STEPS + 1),
-    "first-clamped-chunk": (CLAMP_LAYERS, 5, 3 * _CHUNK_STEPS + 1),
-    "widest-grouped-carry": (GROUP_LAYERS - 1, 5, 8 * _CHUNK_STEPS + 1),
-    "first-ungrouped-carry": (GROUP_LAYERS, 5, 8 * _CHUNK_STEPS + 1),
+    "two-blocks-the-second-partial": (2, 700),
+    "three-blocks-the-last-partial": (2, 2 * _BLOCK_STEPS + 276),
+    "shorter-than-one-block": (2, 240),
+    "final-partial-block": (3, 2 * _BLOCK_STEPS + 137),
+    "single-layer": (1, 960),
+    "one-block-ends-mid-chunk": (2, 40 * _CHUNK_STEPS + 7),
+    "shorter-than-one-chunk": (2, 3),
+    "run-not-a-multiple-of-the-chunk": (2, 40 * _CHUNK_STEPS + 3),
+    "widest-full-chunk": (CLAMP_LAYERS - 1, 3 * _CHUNK_STEPS + 6),
+    "first-clamped-chunk": (CLAMP_LAYERS, 3 * _CHUNK_STEPS + 6),
+    "widest-grouped-carry": (GROUP_LAYERS - 1, 8 * _CHUNK_STEPS + 6),
+    "first-ungrouped-carry": (GROUP_LAYERS, 8 * _CHUNK_STEPS + 6),
     "one-layer-blocks-then-padded-block": (
-        1, 40, 3 * _BLOCK_STEPS + 5 * _CHUNK_STEPS + 3
+        1, 3 * _BLOCK_STEPS + 10 * _CHUNK_STEPS + 3
     ),
 }
 
@@ -370,17 +385,68 @@ def test_carry_operator_size_follows_the_state_width(n_layers, grouped):
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_block_loop_matches_per_step_reference(case):
-    n_layers, n_burn, n_avg = BLOCK_CASES[case]
+    n_layers, n_avg = BLOCK_CASES[case]
     geom, drift, diff = stack(n_layers, layer_spacing=0.9, n_photons=0.7, purity=0.95)
     dt = 0.05
-    params = McParams(
-        dt=dt, t_burn=n_burn * dt, t_avg=n_avg * dt, n_traj=4, seed=11
-    )
-    assert int(round(params.t_burn / dt)) == n_burn
+    params = McParams(dt=dt, t_burn=0.0, t_avg=n_avg * dt, n_traj=4, seed=11)
     estimate, stderr = simulate_xi2(drift, diff, geom, params)
     ref_estimate, ref_stderr = simulate_per_step(drift, diff, geom, params)
     assert estimate == pytest.approx(ref_estimate, rel=1e-10, abs=0.0)
     assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
+
+
+def test_diverging_burn_in_is_caught_before_any_step():
+    # No mode relaxes, so t_burn alone sets the burn-in: 1,000 steps, over
+    # which the drawn start grows by about e^(0.2 * 300) = e^60.
+    geom, _, diff = stack(1)
+    runaway = DriftMatrix(
+        matrix=0.2 * np.eye(1, dtype=complex),
+        schur_t=0.2 * np.eye(1, dtype=complex),
+        schur_q=np.eye(1, dtype=complex),
+    )
+    params = McParams(dt=0.3, t_burn=300.0, t_avg=1.0, n_traj=4)
+    with pytest.raises(StabilityError, match=r"diverged past 1e\+12 within 1000 steps"):
+        simulate_xi2(runaway, diff, geom, params)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 777, 1023, 1024])
+def test_doubled_burn_in_covariance_matches_repeated_steps(n):
+    geom, drift, diff = stack(3, layer_spacing=0.9, n_photons=0.7, purity=0.95)
+    phi, noise = _step_operators(stacked_drift(drift), stacked_covariance(diff), 0.05)
+    step = noise @ noise.T
+    stepped = np.zeros_like(step)
+    for _ in range(n):
+        stepped = phi @ stepped @ phi.T + step
+    doubled = _burn_in_covariance(phi, noise, n)
+    assert np.abs(doubled - stepped).max() <= 1e-14 * np.abs(stepped).max()
+
+
+def test_doubled_burn_in_covariance_reaches_the_stationary_one():
+    # At 2^62 steps the doubling is Smith's iteration run to convergence:
+    # Q_n is the stationary covariance of the exact step, S = Phi S Phi^T + Q.
+    geom, drift, diff = stack(3, layer_spacing=0.9, n_photons=0.7, purity=0.95)
+    phi, noise = _step_operators(stacked_drift(drift), stacked_covariance(diff), 0.05)
+    stationary = solve_discrete_lyapunov(phi, noise @ noise.T)
+    doubled = _burn_in_covariance(phi, noise, 2**62)
+    assert np.abs(doubled - stationary).max() <= 1e-10 * np.abs(stationary).max()
+
+
+def test_trajectories_are_unbiased_at_the_slow_corner():
+    # At a = 0.99, 50 layers and gamma_s/gamma0 = 1e-5 the sampled 25-layer
+    # stack's slowest mode relaxes at 1.4e-6, so a burn-in of t_burn = 50
+    # alone leaves it far from stationary and reads low: a mean z of -1.96
+    # over these seeds.  A burn-in of RELAX_LIFETIMES lifetimes reads -0.61.
+    z = []
+    for seed in range(1, 9):
+        rows = run_sweep(build_config({
+            "model": "mc-check", "geometry.lattice_const": "0.99",
+            "geometry.n_layers": "50", "rates.gamma_s_over_gamma0": "1e-5",
+            "input.n_photons": "1", "seed": str(seed),
+        }))
+        [row] = rows
+        assert row["error"] == ""
+        z.append((row["mc_estimate"] - row["xi2_numeric"]) / row["mc_stderr"])
+    assert abs(np.mean(z)) <= 3.0 / math.sqrt(8), z
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
