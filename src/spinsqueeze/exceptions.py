@@ -21,7 +21,7 @@ class ConvergenceError(SpinSqueezeError):
 
 
 class StabilityError(SpinSqueezeError):
-    """The drift matrix is not strictly stable, or a trajectory diverged."""
+    """The drift matrix is not strictly stable: moments and trajectories diverge."""
 
 
 class ResidualError(SpinSqueezeError):

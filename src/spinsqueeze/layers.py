@@ -74,6 +74,11 @@ class DriftMatrix:
     schur_t: np.ndarray
     schur_q: np.ndarray
 
+    @property
+    def abscissa(self) -> float:
+        """Spectral abscissa: the largest real part on the diagonal of ``schur_t``."""
+        return float(np.max(np.diag(self.schur_t).real))
+
 
 # A layer stack as the solvers and the trajectory oracle take it.
 Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
@@ -246,14 +251,15 @@ def _factorise(
     schur_t, schur_q = schur(a, output="complex")
     schur_t.setflags(write=False)
     schur_q.setflags(write=False)
+    drift = DriftMatrix(matrix=a, schur_t=schur_t, schur_q=schur_q)
     threshold = -1e-12 * rates.gamma0
-    worst = max(float(np.max(np.diag(schur_t).real)), abscissa)
+    worst = max(drift.abscissa, abscissa)
     if worst >= threshold:
         raise StabilityError(
             f"drift matrix not strictly stable: max Re(eig) = {worst:.3e} "
             f"(threshold {threshold:.3e}); add non-collective loss"
         )
-    return DriftMatrix(matrix=a, schur_t=schur_t, schur_q=schur_q)
+    return drift
 
 
 def kernel_lanczos(

@@ -29,12 +29,14 @@ Trajectories start from zero, so after n exact steps their state is
 normal with covariance Q_n = sum_{k<n} Phi^k Q Phi^kT.  Instead of
 stepping through the burn-in, each trajectory draws its state after
 n_burn steps in one go, from Q_n built by binary doubling of the step
-(:func:`_burn_in_covariance`).  The burn-in is then free, so it runs
-for at least :data:`RELAX_LIFETIMES` lifetimes of the slowest mode of
-the stack being sampled.  As n grows, the doubling becomes Smith's
-squared iteration for the discrete Lyapunov equation (R. A. Smith, SIAM
-J. Appl. Math. 16, 198, 1968): it uses only the trajectories' own step
-operators, and no code of the Schur plus ``trsyl`` solve it checks.
+(:func:`_n_steps`, which also doubles the Van Loan step up to dt).  The
+burn-in is then free, so it runs for at least :data:`RELAX_LIFETIMES`
+lifetimes of the slowest mode of the stack being sampled.  As n grows,
+the doubling becomes Smith's squared iteration for the discrete Lyapunov
+equation (R. A. Smith, SIAM J. Appl. Math. 16, 198, 1968): it uses only
+the trajectories' own step operators, and no code of the Schur plus
+``trsyl`` solve it checks.  Trajectories stay bounded exactly when the
+drift's spectral abscissa is negative, checked once, before any draw.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .geometry import ArrayGeometry
 from .layers import DriftMatrix
 from .squeezed_input import DiffusionSet
 
-_DIVERGENCE_BOUND = 1e12
 # Averaged steps per trajectory, t_avg/dt, that a run may take: 1,000 times
 # the default 10,000.  The burn-in is drawn, not stepped, so it is not counted.
 MAX_STEPS = 1e7
@@ -187,10 +188,10 @@ def _step_operators(
     step-size bias at all.  The block's e^{-G h} part grows like
     e^{|G| h}, and the product that forms the covariance cancels as it
     does, so the block is taken at h = dt / 2^k with ||G||_1 h <= 1/2
-    and k doublings Q <- Q + Phi Q Phi^T, Phi <- Phi^2 carry the step to
-    dt (Van Loan, IEEE TAC 23, 395, 1978).  expm scales the block by its
-    norm, so it holds cov / max|cov|, in which Q is linear: a bright drive
-    then costs Phi no accuracy.
+    and :func:`_n_steps` carries the step to dt by k doublings (Van Loan,
+    IEEE TAC 23, 395, 1978).  expm scales the block by its norm, so it
+    holds cov / max|cov|, in which Q is linear: a bright drive then costs
+    Phi no accuracy.
     """
     n2 = gen.shape[0]
     reach = 2.0 * float(np.linalg.norm(gen, 1)) * dt
@@ -202,33 +203,31 @@ def _step_operators(
     block[n2:, n2:] = gen.T
     e = expm(block * math.ldexp(dt, -doublings))
     phi = e[n2:, n2:].T
-    q = unit * (phi @ e[:n2, n2:])
-    for _ in range(doublings):
-        q = q + phi @ q @ phi.T
-        phi = phi @ phi
-    q = 0.5 * (q + q.T)
+    phi, q = _n_steps(phi, unit * (phi @ e[:n2, n2:]), 2**doublings)
     return phi, _psd_sqrt(q)
 
 
-def _burn_in_covariance(phi: np.ndarray, noise: np.ndarray, n: int) -> np.ndarray:
-    """Covariance Q_n = sum_{k<n} Phi^k Q Phi^kT, with Q = N N^T, of the
-    state after n exact steps from zero.
-
-    Binary doubling over the digits of n, lowest first, with
-    Q_{a+b} = Phi^b Q_a Phi^bT + Q_b: ``power`` and ``block`` hold
-    Phi^(2^j) and Q_(2^j), and ``total`` the sum over the digits below j:
-    at most five 2m x 2m products per binary digit of n.
-    """
-    total = np.zeros_like(phi)
-    power, block = phi, noise @ noise.T
+def _n_steps(phi: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phi^n and Q_n = sum_{k<n} Phi^k Q Phi^kT (symmetrised) of n exact
+    steps, each of propagator Phi and noise covariance Q, by doubling over
+    the digits of n, lowest first: Q_{2a} = Phi^a Q_a Phi^aT + Q_a, and a
+    set digit b follows the digits a below it, Q_{a+b} = Phi^b Q_a Phi^bT
+    + Q_b.  At n = 2^k, Phi^n is the k-th square itself (Phi's own array
+    at k = 0), as its memory layout sets the rounding of every product it
+    enters; at n = 0 it is the identity."""
+    n_phi = total = None
+    power, block = phi, q
     while n:
         if n & 1:
-            total = power @ total @ power.T + block
+            n_phi = power if n_phi is None else power @ n_phi
+            total = block if total is None else power @ total @ power.T + block
         n >>= 1
         if n:
             block = power @ block @ power.T + block
             power = power @ power
-    return 0.5 * (total + total.T)
+    if total is None:
+        return np.eye(len(phi)), np.zeros_like(phi)
+    return n_phi, 0.5 * (total + total.T)
 
 
 def _chunk_operators(
@@ -317,17 +316,19 @@ def simulate_xi2(
     Each step is the exact OU step of :func:`_step_operators`, so the
     estimate carries no step-size bias.
 
-    Each trajectory starts where n_burn exact steps from zero would
-    leave it, drawn in one go: z L^T, with L L^T the covariance Q_n of
-    :func:`_burn_in_covariance` and z the first 2m normals of its own
-    Philox stream.  The burn-in lasts
+    A spectral abscissa s (:attr:`DriftMatrix.abscissa`) that is not
+    negative is a :class:`StabilityError` before any draw: with a finite
+    noise covariance, s < 0 is exactly the condition for bounded
+    trajectories.  Each
+    trajectory starts where n_burn exact steps from zero would leave it,
+    drawn in one go: z L^T, with L L^T the covariance Q_n of
+    :func:`_n_steps` and z the first 2m normals of its own Philox stream.
+    The burn-in lasts
 
         n_burn = max(round(t_burn/dt), ceil(RELAX_LIFETIMES / (|s| dt)))
 
-    steps, with s the spectral abscissa on the diagonal of
-    ``drift.schur_t``, so it relaxes the slowest mode of the stack being
-    sampled; ``t_burn`` is a floor.  Every step taken after that is
-    averaged.
+    steps, so it relaxes the slowest mode of the stack being sampled;
+    ``t_burn`` is a floor.  Every step taken after that is averaged.
 
     The steps run in blocks of :data:`_BLOCK_STEPS`, and each block in
     chunks of :data:`_CHUNK_STEPS` (fewer for wide states).  Each
@@ -343,15 +344,20 @@ def simulate_xi2(
     products are too small for a second OpenBLAS thread to pay, so they
     run on one.
     """
-    gen = stacked_drift(drift)
-    cov = stacked_covariance(diff)
-    phi, noise = _step_operators(gen, cov, params.dt)
+    s = drift.abscissa
+    if not s < 0.0:  # NaN compares False, so it is refused too.
+        raise StabilityError(
+            f"trajectories diverge: spectral abscissa {s:.3e} is not negative"
+        )
+    phi, noise = _step_operators(
+        stacked_drift(drift), stacked_covariance(diff), params.dt
+    )
 
     n_z = geom.n_layers
     n2 = 2 * n_z
     n_burn = round(min(params.t_burn / params.dt, _MAX_BURN_STEPS))
-    decay = -float(np.max(np.diag(drift.schur_t).real)) * params.dt
-    if decay > 0.0:
+    decay = -s * params.dt
+    if decay > 0.0:  # s dt may underflow to zero.
         n_burn = max(n_burn, math.ceil(min(RELAX_LIFETIMES / decay, _MAX_BURN_STEPS)))
     n_avg = max(1, int(round(params.t_avg / params.dt)))
 
@@ -365,27 +371,15 @@ def simulate_xi2(
         for j in range(n_traj)
     ]
 
-    def check_bounded(state: np.ndarray, steps: int) -> None:
-        # Written so that NaN, which compares False, also counts as divergence.
-        if not float(np.max(np.abs(state))) <= _DIVERGENCE_BOUND:
-            abscissa = float(np.max(np.linalg.eigvals(gen).real))
-            raise StabilityError(
-                f"trajectory diverged past {_DIVERGENCE_BOUND:.0e} within "
-                f"{steps} steps of dt = {params.dt!r}; the drift's spectral "
-                f"abscissa is {abscissa:.3e}"
-            )
-
-    start = _psd_sqrt(_burn_in_covariance(phi, noise, n_burn))
+    start = _psd_sqrt(_n_steps(phi, noise @ noise.T, n_burn)[1])
     state = np.stack([g.standard_normal(n2) for g in gens]) @ start.T
-    check_bounded(state, n_burn)
 
     chunk = _CHUNK_STEPS
     while chunk > 1 and chunk * n2 > _CHUNK_ROWS:
         chunk //= 2
     ops = _chunk_operators(phi, noise, proj_xy, chunk)
     # The chunk divides _BLOCK_STEPS, so only the run's last chunk is short.
-    # It is padded with zero normals, which reach no earlier step; the final
-    # state goes through the padded steps, and only the divergence check reads it.
+    # It is padded with zero normals, which reach no averaged step.
     block = -(-min(_BLOCK_STEPS, n_avg) // chunk) * chunk
     draws = np.empty((n_traj, block, n2))
     xy = np.empty((n_traj, block, 2))
@@ -405,7 +399,6 @@ def simulate_xi2(
         kept = xy[:, :blen]
         acc += kept.transpose(0, 2, 1) @ kept
         done += blen
-        check_bounded(state, n_burn + done)
 
     # |P|^2 = x^2 + y^2 and P^2 = x^2 - y^2 + 2ixy.
     a2 = (acc[:, 0, 0] + acc[:, 1, 1]) / n_avg

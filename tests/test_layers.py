@@ -230,7 +230,7 @@ def test_drift_matrix_entries_and_stability():
     assert np.allclose(np.diag(a), expected_diag)
     off = a - np.diag(np.diag(a))
     assert np.allclose(off, -(kernel.d_matrix))
-    assert np.diag(drift.schur_t).real.max() < 0.0
+    assert drift.abscissa < 0.0
 
 
 def test_drift_matrix_carries_its_schur_form():
@@ -246,6 +246,7 @@ def test_drift_matrix_carries_its_schur_form():
         np.sort_complex(np.linalg.eigvals(drift.matrix)),
         atol=1e-12,
     )
+    assert drift.abscissa == np.diag(t).real.max()
     assert not t.flags.writeable and not q.flags.writeable
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from spinsqueeze import (
     xi2_from_response,
     xi2_numeric,
 )
+from spinsqueeze import mc
 from spinsqueeze.exceptions import DomainError, PhysicalityError, StabilityError
 from spinsqueeze.layers import DriftMatrix
 from spinsqueeze.mc import (
@@ -40,8 +42,8 @@ from spinsqueeze.mc import (
     _CHUNK_ROWS,
     _CHUNK_STEPS,
     RELAX_LIFETIMES,
-    _burn_in_covariance,
     _chunk_operators,
+    _n_steps,
     _psd_sqrt,
     _step_operators,
 )
@@ -74,10 +76,9 @@ def simulate_per_step(drift, diff, geom, params):
         stacked_drift(drift), stacked_covariance(diff), params.dt
     )
     n_z = geom.n_layers
-    slowest = -float(np.max(np.diag(drift.schur_t).real))
     n_burn = max(
         round(params.t_burn / params.dt),
-        math.ceil(RELAX_LIFETIMES / (slowest * params.dt)),
+        math.ceil(RELAX_LIFETIMES / (-drift.abscissa * params.dt)),
     )
     n_avg = max(1, int(round(params.t_avg / params.dt)))
     phases = geom.layer_phases() / math.sqrt(n_z)
@@ -86,7 +87,7 @@ def simulate_per_step(drift, diff, geom, params):
         np.random.Generator(np.random.Philox(key=[params.seed, j]))
         for j in range(params.n_traj)
     ]
-    start = _psd_sqrt(_burn_in_covariance(phi, noise, n_burn))
+    start = _psd_sqrt(_n_steps(phi, noise @ noise.T, n_burn)[1])
     state = np.stack([g.standard_normal(2 * n_z) for g in gens]) @ start.T
     acc_abs2 = np.zeros(params.n_traj)
     acc_sq = np.zeros(params.n_traj, dtype=complex)
@@ -236,18 +237,45 @@ def test_deterministic_reruns_and_seed_sensitivity():
     assert third != first
 
 
-def test_divergent_drift_is_caught():
-    geom, _, diff = stack(1)
-    runaway = DriftMatrix(
-        matrix=0.2 * np.eye(1, dtype=complex),
-        schur_t=0.2 * np.eye(1, dtype=complex),
+def one_mode_drift(rate):
+    """A hand-built one-layer drift whose only eigenvalue is ``rate``."""
+    return DriftMatrix(
+        matrix=rate * np.eye(1, dtype=complex),
+        schur_t=rate * np.eye(1, dtype=complex),
         schur_q=np.eye(1, dtype=complex),
     )
-    # Over the run the state grows by about e^(0.2 * 400) = e^80.
+
+
+def refuse_steps(monkeypatch):
+    """Make building the step operators, which precedes every draw, fail."""
+    def stepped(*args):
+        raise AssertionError("the sampler built its steps")
+    monkeypatch.setattr(mc, "_step_operators", stepped)
+
+
+def test_divergent_drift_is_caught(monkeypatch):
+    # Over the run the state would grow by about e^(0.2 * 400) = e^80; the
+    # drift is refused from its abscissa before any step is built or drawn.
+    geom, _, diff = stack(1)
+    refuse_steps(monkeypatch)
     params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
-    message = r"diverged .* spectral abscissa is 2\.000e-01"
+    message = r"spectral abscissa 2\.000e-01 is not negative"
     with pytest.raises(StabilityError, match=message):
-        simulate_xi2(runaway, diff, geom, params)
+        simulate_xi2(one_mode_drift(0.2), diff, geom, params)
+
+
+@pytest.mark.parametrize("rate, shown", [(0.0, "0.000e+00"), (math.nan, "nan")])
+def test_marginal_and_nan_abscissas_are_refused_before_any_step(
+    monkeypatch, rate, shown
+):
+    # A zero abscissa leaves a mode that neither decays nor grows, whose
+    # variance grows without bound under noise; NaN compares False with 0.
+    geom, _, diff = stack(1)
+    refuse_steps(monkeypatch)
+    params = McParams(dt=0.3, t_burn=0.0, t_avg=400.0, n_traj=4)
+    message = re.escape(f"abscissa {shown} is not negative")
+    with pytest.raises(StabilityError, match=message):
+        simulate_xi2(one_mode_drift(rate), diff, geom, params)
 
 
 @pytest.mark.parametrize("dt", [0.05, 1.0, 13.0, 40.0])
@@ -313,9 +341,36 @@ def test_reduced_oracle_agrees_on_a_deep_stack():
     assert max(map(abs, z)) <= 5.0
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [{}, {"geometry.layer_spacing": "0.75", "input.purity": "0.5"}],
+    ids=["default-stack", "dense-oracle-impure"],
+)
+def test_bright_drives_give_finite_unbiased_estimates(keys):
+    # The stationary amplitude of a stable stack grows as sqrt(N): about
+    # 1e12 at N = 1e24 and 1e77 at N = 6e153, where the noise covariance
+    # is still inside the float range.  No bound on the state may refuse
+    # it, and no step may overflow (the suite turns RuntimeWarning into an
+    # error).  At 4 trajectories of 5 time units, too few to estimate the
+    # error bar, |z| reached 8 at one of seeds 0-9; at these controls it
+    # stays below 2.2 over the same seeds.
+    rows = run_sweep(build_config({
+        "model": "mc-check",
+        "input.n_photons": "1e24,6e153",
+        "mc.n_traj": "16",
+        "mc.t_avg": "25",
+        **keys,
+    }))
+    assert [row["error"] for row in rows] == ["", ""]
+    for row in rows:
+        assert math.isfinite(row["mc_estimate"]) and math.isfinite(row["mc_stderr"])
+        z = (row["mc_estimate"] - row["xi2_numeric"]) / row["mc_stderr"]
+        assert abs(z) <= 5.0, (row["n_photons"], z)
+
+
 def test_nan_divergence_is_caught():
-    # This generator overflows to inf and then NaN inside the first
-    # block; NaN compares False against any bound.
+    # Stepped, this generator would overflow to inf and then NaN inside
+    # the first block; its abscissa of 8 refuses it before any step.
     geom, _, diff = stack(2)
     matrix = np.array([[8 + 40j, 5 - 2j], [1 + 7j, 8 - 30j]])
     runaway = DriftMatrix(
@@ -395,30 +450,37 @@ def test_block_loop_matches_per_step_reference(case):
     assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
 
 
-def test_diverging_burn_in_is_caught_before_any_step():
-    # No mode relaxes, so t_burn alone sets the burn-in: 1,000 steps, over
-    # which the drawn start grows by about e^(0.2 * 300) = e^60.
+def test_diverging_burn_in_is_caught_before_any_step(monkeypatch):
+    # A burn-in of 1,000 steps would grow the drawn start by about
+    # e^(0.2 * 300) = e^60; the drift is refused before it is drawn.
     geom, _, diff = stack(1)
-    runaway = DriftMatrix(
-        matrix=0.2 * np.eye(1, dtype=complex),
-        schur_t=0.2 * np.eye(1, dtype=complex),
-        schur_q=np.eye(1, dtype=complex),
-    )
+    refuse_steps(monkeypatch)
     params = McParams(dt=0.3, t_burn=300.0, t_avg=1.0, n_traj=4)
-    with pytest.raises(StabilityError, match=r"diverged past 1e\+12 within 1000 steps"):
-        simulate_xi2(runaway, diff, geom, params)
+    message = r"spectral abscissa 2\.000e-01 is not negative"
+    with pytest.raises(StabilityError, match=message):
+        simulate_xi2(one_mode_drift(0.2), diff, geom, params)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 777, 1023, 1024])
 def test_doubled_burn_in_covariance_matches_repeated_steps(n):
+    # n = 0, 1, 2^k, 2^k - 1 and an odd n between; the doubling gives the
+    # propagator Phi^n and the covariance Q_n of n steps from zero.
     geom, drift, diff = stack(3, layer_spacing=0.9, n_photons=0.7, purity=0.95)
     phi, noise = _step_operators(stacked_drift(drift), stacked_covariance(diff), 0.05)
     step = noise @ noise.T
+    power = np.eye(len(phi))
     stepped = np.zeros_like(step)
     for _ in range(n):
+        power = phi @ power
         stepped = phi @ stepped @ phi.T + step
-    doubled = _burn_in_covariance(phi, noise, n)
+    doubled_power, doubled = _n_steps(phi, step, n)
+    assert np.abs(doubled_power - power).max() <= 1e-13 * np.abs(power).max()
     assert np.abs(doubled - stepped).max() <= 1e-14 * np.abs(stepped).max()
+    if n == 0:
+        assert (doubled_power == np.eye(len(phi))).all()
+    if n == 1:
+        # Phi's own array, whose layout sets the BLAS path of its products.
+        assert doubled_power is phi
 
 
 def test_doubled_burn_in_covariance_reaches_the_stationary_one():
@@ -427,7 +489,7 @@ def test_doubled_burn_in_covariance_reaches_the_stationary_one():
     geom, drift, diff = stack(3, layer_spacing=0.9, n_photons=0.7, purity=0.95)
     phi, noise = _step_operators(stacked_drift(drift), stacked_covariance(diff), 0.05)
     stationary = solve_discrete_lyapunov(phi, noise @ noise.T)
-    doubled = _burn_in_covariance(phi, noise, 2**62)
+    _, doubled = _n_steps(phi, noise @ noise.T, 2**62)
     assert np.abs(doubled - stationary).max() <= 1e-10 * np.abs(stationary).max()
 
 
@@ -478,7 +540,7 @@ def test_trajectories_agree_with_numeric_on_random_stacks(
     truth = xi2_from_response(unit_response(drift, geom, rates), spec).xi2
     # Burn in for ten lifetimes of the slowest mode, average over forty,
     # and keep the exact step below half the fastest lifetime.
-    slowest = -float(np.max(np.diag(drift.schur_t).real))
+    slowest = -drift.abscissa
     fastest = -float(np.min(np.diag(drift.schur_t).real))
     params = McParams(
         dt=0.5 / max(1.0, fastest), t_burn=10.0 / slowest,
