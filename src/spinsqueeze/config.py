@@ -31,7 +31,6 @@ DEFAULTS: dict[str, str] = {
     "geometry.lattice_const": "0.68",
     "geometry.n_layers": "10",
     "geometry.layer_spacing": "1.0",
-    "geometry.dipole": "1,0",
     "beam.waist": "",
     "beam.eta": "0.99",
     "rates.gamma_s": "",
@@ -240,22 +239,12 @@ def build_config(overrides: dict[str, str] | None = None) -> ExperimentConfig:
         if all(flat[key] for key in pair):
             raise ConfigError(f"set either {pair[0]!r} or {pair[1]!r}, not both")
 
-    dipole_raw = flat["geometry.dipole"]
-    try:
-        dx_s, dy_s = dipole_raw.split(",")
-        dipole = (float(dx_s), float(dy_s))
-    except ValueError as exc:
-        raise ConfigError(
-            f"key 'geometry.dipole': expected 'dx,dy', got {dipole_raw!r}"
-        ) from exc
-
     try:
         geometry = ArrayGeometry(
             n_side=_parse_int(flat, "geometry.n_side"),
             lattice_const=_parse_float(flat, "geometry.lattice_const"),
             n_layers=_parse_int(flat, "geometry.n_layers"),
             layer_spacing=_parse_float(flat, "geometry.layer_spacing"),
-            dipole_orientation=dipole,
         )
     except DomainError as exc:
         raise ConfigError(f"geometry: {exc}") from exc

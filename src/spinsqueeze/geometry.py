@@ -21,6 +21,9 @@ TWO_PI = 2.0 * math.pi
 class ArrayGeometry:
     """A stack of identical square lattice layers.
 
+    The atomic dipoles lie in the lattice plane; on a square lattice their
+    orientation drops out of every quantity the package computes.
+
     Attributes
     ----------
     n_side:
@@ -32,15 +35,12 @@ class ArrayGeometry:
         Number of layers along the propagation axis.
     layer_spacing:
         Axial distance between adjacent layers, in wavelength units.
-    dipole_orientation:
-        In-plane unit vector of the atomic dipole moment.
     """
 
     n_side: int
     lattice_const: float
     n_layers: int = 1
     layer_spacing: float = 1.0
-    dipole_orientation: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.n_side < 1:
@@ -61,13 +61,6 @@ class ArrayGeometry:
         if self.layer_spacing <= 0.0:
             raise DomainError(
                 f"layer_spacing must be positive, got {self.layer_spacing}"
-            )
-        dx, dy = self.dipole_orientation
-        norm = math.hypot(dx, dy)
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError(
-                "dipole_orientation must be a unit vector, "
-                f"got norm {norm!r}"
             )
 
     @property

@@ -84,46 +84,6 @@ class DriftMatrix:
 Stack = tuple[DriftMatrix, ArrayGeometry, RateSet]
 
 
-@lru_cache(maxsize=64)
-def _order_shells(
-    lattice_const: float,
-    dipole: tuple[float, float],
-    cap: int,
-) -> tuple[tuple[int, float, int, float], ...]:
-    """Reciprocal-lattice shells of one layer, grouped by |m_perp|^2.
-
-    For each non-zero integer order vector m_perp the transverse decay
-    constant and the polarisation weight depend only on s = |m_perp|^2
-    and on (m_perp . d)^2, so the whole shell collapses to one
-    coefficient:
-
-        c(s) = sum_{|m|^2 = s} ((m . d)^2 / a^2 - 1) / sqrt(s / a^2 - 1)
-
-    Each shell is returned as (s, c(s), number of orders in the shell,
-    decay constant sqrt(s / a^2 - 1)).  Shells with s <= a^2 would be
-    propagating orders rather than evanescent ones; the subwavelength
-    condition a < 1, which :class:`ArrayGeometry` enforces, guarantees
-    every non-zero order is evanescent, and the square root stays real.
-    """
-    a2 = lattice_const * lattice_const
-    reach = int(math.isqrt(cap)) + 1
-    coeffs: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    dx, dy = dipole
-    for mx in range(-reach, reach + 1):
-        for my in range(-reach, reach + 1):
-            s = mx * mx + my * my
-            if s == 0 or s > cap:
-                continue
-            dot = mx * dx + my * dy
-            weight = (dot * dot / a2 - 1.0) / math.sqrt(s / a2 - 1.0)
-            coeffs[s] = coeffs.get(s, 0.0) + weight
-            counts[s] = counts.get(s, 0) + 1
-    return tuple(
-        (s, coeffs[s], counts[s], math.sqrt(s / a2 - 1.0)) for s in sorted(coeffs)
-    )
-
-
 def evanescent_range(geom: ArrayGeometry) -> float:
     """1/e range of the first evanescent shell, in wavelengths.
 
@@ -146,10 +106,10 @@ def evanescent_band(geom: ArrayGeometry) -> tuple[np.ndarray, TruncationInfo]:
     shells) at the whole floor, so every eps kept or omitted is within
     it.  The last shell up to |m|^2 = ``DEFAULT_MAX_ORDER`` must be under
     the floor, or :class:`ConvergenceError` is raised.  The band depends
-    on the lattice, spacing and dipole but not on the depth or
+    on the lattice constant and spacing but not on the depth or
     ``n_side``, so one memoised, read-only band serves every stack.
     """
-    lattice = geom.lattice_const, geom.layer_spacing, geom.dipole_orientation
+    lattice = geom.lattice_const, geom.layer_spacing
     return _lattice_band(*lattice, DEFAULT_EPS_TOL, DEFAULT_MAX_ORDER)
 
 
@@ -157,15 +117,35 @@ def evanescent_band(geom: ArrayGeometry) -> tuple[np.ndarray, TruncationInfo]:
 def _lattice_band(
     lattice_const: float,
     layer_spacing: float,
-    dipole: tuple[float, float],
     tol: float,
     max_order: int,
 ) -> tuple[np.ndarray, TruncationInfo]:
     """:func:`evanescent_band` of one lattice at floor ``tol`` |eps(1)| and
     shell cap ``max_order``; the floor and cap are arguments, and so part
-    of the cache key."""
-    shells = _order_shells(lattice_const, dipole, max_order)
-    orders, coeffs, counts, decays = (np.array(col) for col in zip(*shells))
+    of the cache key.
+
+    The orders m_perp != 0 fall into shells s = |m_perp|^2, each mapped
+    onto itself by a quarter turn and a mirror, so (m . d)^2 summed over a
+    shell is s/2 per order for every in-plane unit dipole d: the
+    orientation drops out, d is taken along x, and a shell collapses to
+
+        c(s) = sum_{|m|^2 = s} (m_x^2 / a^2 - 1) / sqrt(s / a^2 - 1).
+
+    Since a < 1 (:class:`ArrayGeometry`), every shell is evanescent.
+    """
+    a2 = lattice_const * lattice_const
+    m = np.arange(-math.isqrt(max_order), math.isqrt(max_order) + 1)
+    # Row-major (mx, my) pairs, as bincount adds its weights in input order.
+    mx, my = np.repeat(m, m.size), np.tile(m, m.size)
+    s = mx * mx + my * my
+    inside = (s > 0) & (s <= max_order)
+    mx, s = mx[inside], s[inside]
+    orders, shell, counts = np.unique(s, return_inverse=True, return_counts=True)
+    # Near a = 1e-154, mx^2 / a^2 overflows: the band then comes out 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (mx * mx / a2 - 1.0) / np.sqrt(s / a2 - 1.0)
+        decays = np.sqrt(orders / a2 - 1.0)
+    coeffs = np.bincount(shell, weights=weights)
     kaz = TWO_PI * layer_spacing
     # Every shell's term is largest at s = 1, so shells whose summed
     # magnitude there is below half the floor may be dropped at every s;

@@ -7,7 +7,8 @@ states solve two Sylvester equations
     conj(A) n + n A^T + s_n = 0,      A m + m A^T + s_m = 0.
 
 Both are solved by the Bartels-Stewart method from the one complex
-Schur form A = Q T Q^H that :func:`layers.drift_matrix` computes: with
+Schur form A = Q T Q^H that ``layers._factorise`` computes, for the
+dense drift and for every equivalent stack alike: with
 m = Q Y Q^T and n = conj(Q) Y Q^T they become the triangular equations
 
     T Y + Y T^T = -Q^H s_m conj(Q),   conj(T) Y + Y T^T = -Q^T s_n conj(Q),

@@ -131,15 +131,13 @@ def test_build_config_exclusions_and_validation():
     with pytest.raises(ConfigError):
         build_config({"rates.gamma_s": "0.01", "rates.gamma_s_over_gamma0": "0.1"})
     for retired in ("mc.method", "input.alpha_override", "kernel.tol",
-                    "kernel.max_order"):
+                    "kernel.max_order", "geometry.dipole"):
         with pytest.raises(ConfigError, match="unknown key"):
             build_config({retired: "1"})
     with pytest.raises(ConfigError):
         build_config({"input.purity": "1.4"})
     with pytest.raises(ConfigError):
         build_config({"detuning.mode": "sideways"})
-    with pytest.raises(ConfigError):
-        build_config({"geometry.dipole": "1;0"})
     with pytest.raises(ConfigError):
         build_config({"nonsense": "1"})
     with pytest.raises(ConfigError):

@@ -30,14 +30,13 @@ from spinsqueeze.geometry import TWO_PI
 from spinsqueeze.sweep import figure_config, preset_fig3b, preset_fig4
 
 
-def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, dipole=(1.0, 0.0),
-          eta=0.99, gamma_s_frac=0.1):
+def stack(lattice_const=0.68, n_layers=10, layer_spacing=1.0, eta=0.99,
+          gamma_s_frac=0.1):
     geom = ArrayGeometry(
         n_side=200,
         lattice_const=lattice_const,
         n_layers=n_layers,
         layer_spacing=layer_spacing,
-        dipole_orientation=dipole,
     )
     beam = BeamProfile(waist=waist_for_overlap(geom, eta))
     gamma_s = gamma_s_frac * single_layer_rate(lattice_const)
@@ -51,12 +50,13 @@ def eps_at(geom, sep):
 def lattice_band(geom, tol, max_order):
     """The band of ``geom`` at floor ``tol`` and shell cap ``max_order``,
     which evanescent_band fixes to DEFAULT_EPS_TOL and DEFAULT_MAX_ORDER."""
-    lattice = geom.lattice_const, geom.layer_spacing, geom.dipole_orientation
+    lattice = geom.lattice_const, geom.layer_spacing
     return layers._lattice_band(*lattice, tol, max_order)
 
 
-def brute_force_eps(geom, seps, half_width=60):
-    """eps(s) for each s in ``seps`` as a direct lattice sum.
+def brute_force_eps(geom, seps, dipole=(1.0, 0.0), half_width=60):
+    """eps(s) for each s in ``seps`` as a direct lattice sum, for the
+    in-plane unit dipole ``dipole``.
 
     Every nonzero order of a subwavelength lattice is evanescent, so the
     sum runs over all integer pairs in a window wide enough that the
@@ -69,7 +69,7 @@ def brute_force_eps(geom, seps, half_width=60):
     nonzero = (mx != 0) | (my != 0)
     mx, my = mx[nonzero], my[nonzero]
     kappa = np.sqrt((mx * mx + my * my) / (a * a) - 1.0)
-    dx, dy = geom.dipole_orientation
+    dx, dy = dipole
     weight = ((mx * dx + my * dy) ** 2 / (a * a) - 1.0) / kappa
     return np.array([
         0.25 * gamma0
@@ -78,17 +78,18 @@ def brute_force_eps(geom, seps, half_width=60):
     ])
 
 
-def reference_eps(geom, n_seps):
+def reference_eps(geom, n_seps, dipole=(1.0, 0.0)):
     """Brute-force eps(s) for s = 0 ... n_seps - 1, with eps(0) = 0."""
-    return np.concatenate(([0.0], brute_force_eps(geom, range(1, n_seps))))
+    return np.concatenate(([0.0], brute_force_eps(geom, range(1, n_seps), dipole)))
 
 
-def assert_band_within_bound(geom, tol=1e-14, max_order=200, past=4, held=1.0):
+def assert_band_within_bound(geom, tol=1e-14, max_order=200, past=4, held=1.0,
+                             dipole=(1.0, 0.0)):
     # Every entry the band holds, and every one past it (read as 0), is
-    # within tol |eps(1)| of the lattice sum; the held ones within ``held``
-    # times that.
+    # within tol |eps(1)| of the lattice sum for ``dipole``; the held ones
+    # within ``held`` times that.
     band, _ = lattice_band(geom, tol, max_order)
-    reference = reference_eps(geom, len(band) + past)
+    reference = reference_eps(geom, len(band) + past, dipole)
     floor = tol * abs(reference[1])
     assert np.max(np.abs(band - reference[: len(band)])) <= held * floor
     assert np.max(np.abs(reference[len(band):])) <= floor
@@ -124,15 +125,20 @@ def test_evanescent_eps_frozen_values():
 
 def test_evanescent_eps_dipole_orientation_drops_out():
     # Square-lattice shells are 4-fold symmetric, so the projected sum
-    # cannot depend on where the in-plane dipole points.
-    reference = None
+    # cannot depend on where the in-plane dipole points: the band, which
+    # takes no dipole, is the lattice sum for every orientation.
+    geom, _ = stack(lattice_const=0.8)
     for dipole in [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]:
-        geom, _ = stack(lattice_const=0.8, dipole=dipole)
-        value = eps_at(geom, 1)
-        if reference is None:
-            reference = value
-        else:
-            assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+        expected = brute_force_eps(geom, [1], dipole)[0]
+        assert eps_at(geom, 1) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_band_past_the_float_range_is_zero():
+    # At a = 1e-154, s / a^2 overflows in every shell past the first:
+    # the band comes out 0, without a RuntimeWarning.
+    band, truncation = layers._lattice_band(1e-154, 1.0, 1e-14, 200)
+    assert band.tolist() == [0.0, 0.0]
+    assert truncation == layers.TruncationInfo(max_order=1, terms_summed=4)
 
 
 def test_evanescent_eps_decay_rate():
@@ -348,9 +354,8 @@ def test_band_runs_past_a_zero_of_eps():
     angle=st.floats(0.0, 2.0 * math.pi),
 )
 def test_band_within_tol_of_brute_force(lattice_const, layer_spacing, angle):
-    geom, _ = stack(lattice_const=lattice_const, layer_spacing=layer_spacing,
-                    dipole=(math.cos(angle), math.sin(angle)))
-    assert_band_within_bound(geom)
+    geom, _ = stack(lattice_const=lattice_const, layer_spacing=layer_spacing)
+    assert_band_within_bound(geom, dipole=(math.cos(angle), math.sin(angle)))
 
 
 @pytest.mark.parametrize("lattice_const, layer_spacing, angle", [
@@ -365,9 +370,9 @@ def test_band_leaves_half_the_floor_for_rounding(lattice_const, layer_spacing, a
     # up to 0.51 of the floor; 1.14 at a = 0.7199 with a cut at the whole
     # floor).  Past the band, eps(w + 1) is bounded by B(w + 1) itself and
     # comes to 0.9956 of the floor at a = 0.6011.
-    geom, _ = stack(lattice_const=lattice_const, layer_spacing=layer_spacing,
-                    dipole=(math.cos(angle), math.sin(angle)))
-    assert_band_within_bound(geom, held=0.6)
+    geom, _ = stack(lattice_const=lattice_const, layer_spacing=layer_spacing)
+    assert_band_within_bound(geom, held=0.6,
+                             dipole=(math.cos(angle), math.sin(angle)))
 
 
 def test_order_cap_refuses_an_unconverged_sum():

@@ -57,8 +57,6 @@ def test_geometry_validation():
         ArrayGeometry(n_side=10, lattice_const=0.68, n_layers=0)
     with pytest.raises(DomainError):
         ArrayGeometry(n_side=10, lattice_const=0.68, layer_spacing=0.0)
-    with pytest.raises(DomainError):
-        ArrayGeometry(n_side=10, lattice_const=0.68, dipole_orientation=(1.0, 1.0))
 
 
 def test_layer_coordinates_centered_square():
